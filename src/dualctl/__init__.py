@@ -18,7 +18,6 @@ from .controller import (
     ControlDecision,
     ControllerConfig,
     blended_control,
-    candidate_control,
     candidate_control_terms,
     optimal_control,
 )
@@ -63,10 +62,8 @@ from .learner import (
     ResetPolicy,
     bayes_step,
     detect_change,
-    likelihood,
     log_likelihood,
     make_state,
-    prediction_variance,
     reset,
     update_covariance,
     update_posteriors,

@@ -18,10 +18,10 @@ candidate laws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import SingularControlError
-from .rbf import RbfNetwork, eval_network
 
 _SINGULAR_TOL = 1e-12
 
@@ -49,47 +49,38 @@ class ControlDecision:
 
 
 def candidate_control_terms(
-    theta,
+    thetas,
     f_hat: float,
     g_hat: float,
     y_r_next: float,
-    covariance,
+    covariances,
     dual_lambda: float,
-    candidate_index: int | None = None,
-) -> float:
-    """Candidate dual law given already-evaluated network outputs."""
-    t2g = theta[1] * g_hat
-    p_b = covariance[1][1]
+) -> list[float]:
+    """Dual law of every candidate given already-evaluated network outputs.
+
+    ``covariances`` is the learner's entry-major layout: ``covariances[i][j][t]``
+    is entry ``(i, j)`` of candidate ``t``'s covariance. Raises
+    :class:`SingularControlError` carrying the index of the first candidate
+    whose denominator vanishes.
+    """
     one_minus = 1.0 - dual_lambda
-    den = one_minus * g_hat * p_b + t2g * t2g
-    if abs(den) < _SINGULAR_TOL:
-        raise SingularControlError(
-            f"control denominator {den} is singular for candidate "
-            f"{candidate_index if candidate_index is not None else theta}",
-            candidate_index=candidate_index,
-        )
-    p_ab = covariance[0][1]
-    p_gb = covariance[2][1]
-    num = (y_r_next - theta[0] * f_hat - theta[2]) * t2g - one_minus * (
-        f_hat * p_ab + p_gb
-    ) * g_hat
-    return num / den
-
-
-def candidate_control(
-    theta,
-    net: RbfNetwork,
-    x,
-    y_r_next: float,
-    covariance,
-    cfg: ControllerConfig,
-    candidate_index: int | None = None,
-) -> float:
-    """Candidate dual law evaluated at state ``x`` for target ``y_r_next``."""
-    f_hat, g_hat = eval_network(net, x)
-    return candidate_control_terms(
-        theta, f_hat, g_hat, y_r_next, covariance, cfg.dual_lambda, candidate_index
-    )
+    # ``one_minus * g_hat * p_b`` evaluates as ``(one_minus * g_hat) * p_b``,
+    # so hoisting the first product leaves every rounding unchanged.
+    caution_g = one_minus * g_hat
+    inputs = []
+    for t, ((t0, t1, t2), p_b, p_ab, p_gb) in enumerate(
+        zip(thetas, covariances[1][1], covariances[0][1], covariances[2][1])
+    ):
+        t2g = t1 * g_hat
+        den = caution_g * p_b + t2g * t2g
+        if abs(den) < _SINGULAR_TOL:
+            raise SingularControlError(
+                f"control denominator {den} is singular for candidate {t}",
+                candidate_index=t,
+            )
+        num = (y_r_next - t0 * f_hat - t2) * t2g - one_minus * (f_hat * p_ab + p_gb) * g_hat
+        inputs.append(num / den)
+    return inputs
 
 
 def blended_control(
@@ -100,7 +91,7 @@ def blended_control(
         raise ValueError(
             f"got {len(candidate_inputs)} candidate inputs for {len(posteriors)} posteriors"
         )
-    u = math.fsum(p * v for p, v in zip(posteriors, candidate_inputs))
+    u = math.fsum(map(operator.mul, posteriors, candidate_inputs))
     if not math.isfinite(u):
         raise ValueError("blended input is not finite")
     u_applied = u

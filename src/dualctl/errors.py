@@ -10,7 +10,11 @@ class FitError(DualctlError):
 
 
 class StateError(DualctlError):
-    """A learner state object violates its own invariants (e.g. indefinite covariance)."""
+    """A learner state violates its invariants or admits no likelihood.
+
+    Examples: a covariance that is indefinite along the regressor, or a zero
+    prediction variance (zero noise with a covariance that vanishes along it).
+    """
 
 
 class SingularControlError(DualctlError):

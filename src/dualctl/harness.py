@@ -165,8 +165,8 @@ def run_experiment(
             f_prev, g_prev = eval_network(net, (y_prev,))
             phi = (f_prev, g_prev * u_prev, 1.0)
             state, residuals, _ = bayes_step(state, phi, y_new, thetas)
-            t_star = max(range(size), key=state.posteriors.__getitem__)
-            pi_star = state.posteriors[t_star]
+            pi_star = max(state.posteriors)
+            t_star = state.posteriors.index(pi_star)
             # The logged prediction belongs to the argmax candidate on this
             # row; its residual is y_new - y_hat by construction.
             y_hat_new = y_new - residuals[t_star]
@@ -179,13 +179,9 @@ def run_experiment(
             )
             if controller == "proposed":
                 f_new, g_new = eval_network(net, (y_new,))
-                candidates = [
-                    candidate_control_terms(
-                        thetas[t], f_new, g_new, y_target,
-                        state.covariances[t], lam, candidate_index=t,
-                    )
-                    for t in range(size)
-                ]
+                candidates = candidate_control_terms(
+                    thetas, f_new, g_new, y_target, state.covariances, lam
+                )
                 decision = blended_control(state.posteriors, candidates, clamp)
                 u_new = decision.u_applied
             else:
@@ -200,10 +196,7 @@ def run_experiment(
             # Renormalize covariances under the posteriors now in effect.  A
             # fresh reset leaves them untouched (factor is exactly 1 at the
             # uniform posterior).
-            state.covariances = [
-                update_covariance(state.covariances[t], state.posteriors[t], state.eta)
-                for t in range(size)
-            ]
+            state = update_covariance(state)
             _fire(hooks, "covariance_update", k + 1)
         except RunError:
             raise

@@ -15,6 +15,16 @@ are detected separately: when the maximum-posterior candidate is both dominant
 and persistently wrong (one-step residual beyond the admissible error), the
 posteriors are reset to uniform and every covariance is restored to its
 initial value, restarting active learning.
+
+State layout: the covariances are stored entry by entry across candidates.
+``covariances[i][j]`` is a list with entry ``(i, j)`` of every candidate's
+``P_t``, so ``covariances[i][j][t]`` is ``P_t[i][j]``, and ``peaks[t]`` is
+``max |P_t[i][j]|``. Each stage of an iteration (:func:`bayes_step`,
+:func:`update_covariance`, the control law) is one call that loops over the
+candidates and does, per candidate, the same floating-point operations in the
+same order as a per-matrix implementation, so results are bit-identical to it.
+Entries that are zero in the initial covariance stay exactly zero (every
+rescale factor is finite and positive), so the rescale skips them.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ LOG_DOMAIN_TRIGGER = 1e-290
 COVARIANCE_CAP = 1e12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -57,28 +68,45 @@ class LearnerState:
     """Posteriors and per-candidate covariances owned by one run loop."""
 
     posteriors: list[float]
-    covariances: list[list[list[float]]]  # size x 3 x 3
+    covariances: list[list[list[float]]]  # 3 x 3 x size: [i][j][t] is P_t[i][j]
+    peaks: list[float]  # max |P_t[i][j]| of each candidate
     eta: float
     noise_variance: float
     initial_covariance: tuple[tuple[float, ...], ...]
 
     def validate(self) -> None:
         s = len(self.posteriors)
-        if s == 0 or len(self.covariances) != s:
-            raise StateError("posteriors and covariances must be non-empty and equal-length")
+        if (
+            s == 0
+            or len(self.peaks) != s
+            or len(self.covariances) != 3
+            or any(len(row) != 3 or any(len(e) != s for e in row) for row in self.covariances)
+        ):
+            raise StateError(
+                "posteriors, peaks and the 3 x 3 covariance entry lists must be "
+                "non-empty and equal-length"
+            )
         total = math.fsum(self.posteriors)
         if abs(total - 1.0) > 1e-9:
             raise StateError(f"posteriors sum to {total}, expected 1")
         if any(p < 0 for p in self.posteriors):
             raise StateError("posteriors must be non-negative")
-        for t, p in enumerate(self.covariances):
-            arr = np.asarray(p, dtype=float)
-            if arr.shape != (3, 3):
-                raise StateError(f"covariance {t} is not 3x3")
-            if not np.allclose(arr, arr.T, atol=1e-9):
-                raise StateError(f"covariance {t} is not symmetric")
-            if np.linalg.eigvalsh(arr).min() < -1e-9:
-                raise StateError(f"covariance {t} is not positive semidefinite")
+        mats = np.moveaxis(np.asarray(self.covariances, dtype=float), 2, 0)  # size x 3 x 3
+        bad = ~np.isclose(mats, mats.transpose(0, 2, 1), atol=1e-9).all(axis=(1, 2))
+        if bad.any():
+            raise StateError(f"covariance {int(np.argmax(bad))} is not symmetric")
+        bad = np.linalg.eigvalsh(mats).min(axis=1) < -1e-9
+        if bad.any():
+            raise StateError(f"covariance {int(np.argmax(bad))} is not positive semidefinite")
+        bad = np.abs(mats).max(axis=(1, 2)) != np.asarray(self.peaks, dtype=float)
+        if bad.any():
+            raise StateError(f"peak {int(np.argmax(bad))} is not the covariance's max |entry|")
+
+
+def _initial_layout(p0, size: int):
+    """Covariance entry lists and peaks with every candidate at ``p0``."""
+    peak = max(abs(v) for row in p0 for v in row)
+    return [[[v] * size for v in row] for row in p0], [peak] * size
 
 
 def make_state(
@@ -93,46 +121,17 @@ def make_state(
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
+    covariances, peaks = _initial_layout(p0, grid_size)
     state = LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
-        covariances=[[list(row) for row in p0] for _ in range(grid_size)],
+        covariances=covariances,
+        peaks=peaks,
         eta=eta if eta is not None else 1.0 / grid_size,
         noise_variance=float(noise_variance),
         initial_covariance=p0,
     )
     state.validate()
     return state
-
-
-def prediction_variance(regressor, covariance, noise_variance: float) -> float:
-    """``phi' P phi + sigma^2`` for one candidate.
-
-    ``regressor`` is the 3-vector ``(fhat, ghat*u, 1)``. Raises
-    :class:`StateError` if the quadratic form comes out negative, which means
-    the covariance is not positive semidefinite along ``phi``.
-    """
-    a, b, c = regressor
-    p = covariance
-    quad = (
-        p[0][0] * a * a
-        + p[1][1] * b * b
-        + p[2][2] * c * c
-        + (p[0][1] + p[1][0]) * a * b
-        + (p[0][2] + p[2][0]) * a * c
-        + (p[1][2] + p[2][1]) * b * c
-    )
-    if quad < 0.0:
-        raise StateError(f"covariance is indefinite along the regressor (phi'P phi = {quad})")
-    return quad + noise_variance
-
-
-def likelihood(residual: float, variance: float) -> float:
-    """Gaussian density of a one-step prediction residual."""
-    if not variance > 0.0:
-        raise ValueError(f"likelihood variance must be > 0, got {variance}")
-    return math.exp(-(residual * residual) / (2.0 * variance)) / math.sqrt(
-        2.0 * math.pi * variance
-    )
 
 
 def log_likelihood(residual: float, variance: float) -> float:
@@ -154,7 +153,8 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
     if any(l < 0 or not math.isfinite(l) for l in likelihoods):
         raise ValueError("likelihoods must be finite and non-negative")
     products = [
-        max(p, POSTERIOR_FLOOR) * l for p, l in zip(state.posteriors, likelihoods)
+        (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * l
+        for p, l in zip(state.posteriors, likelihoods)
     ]
     total = math.fsum(products)
     if total <= 0.0:
@@ -182,18 +182,37 @@ def update_posteriors_log(state: LearnerState, log_likelihoods) -> LearnerState:
     return replace(state, posteriors=[w / total for w in weights])
 
 
-def update_covariance(covariance, posterior: float, eta: float):
-    """Rescale one candidate's covariance by ``log2(eta / pi + 1)``.
+def update_covariance(state: LearnerState) -> LearnerState:
+    """Rescale each candidate's covariance by ``log2(eta / pi_t + 1)``.
 
-    The factor is exactly 1 at ``pi == eta`` (uniform mass keeps the covariance
-    bit-identical) and 2 at ``pi == eta / 3``. Entries saturate at
-    ``COVARIANCE_CAP`` to keep long-dead candidates finite.
+    The factor is exactly 1 at ``pi_t == eta`` (uniform mass keeps the
+    covariance bit-identical) and 2 at ``pi_t == eta / 3``. A candidate's
+    entries saturate at ``COVARIANCE_CAP``, to keep long-dead candidates
+    finite: when ``peak * factor`` would exceed it, the factor becomes
+    ``COVARIANCE_CAP / peak``. The new peak is ``peak * factor``, which equals
+    the max of the rescaled entries because a positive factor preserves their
+    order under correct rounding.
     """
-    factor = math.log2(eta / max(posterior, POSTERIOR_FLOOR) + 1.0)
-    peak = max(abs(v) for row in covariance for v in row)
-    if peak * factor > COVARIANCE_CAP:
-        factor = COVARIANCE_CAP / peak
-    return [[v * factor for v in row] for row in covariance]
+    eta = state.eta
+    log2 = math.log2
+    factors = []
+    peaks = []
+    for pi, peak in zip(state.posteriors, state.peaks):
+        factor = log2(eta / (POSTERIOR_FLOOR if POSTERIOR_FLOOR > pi else pi) + 1.0)
+        if peak * factor > COVARIANCE_CAP:
+            factor = COVARIANCE_CAP / peak
+        factors.append(factor)
+        peaks.append(peak * factor)
+    # Entries that are zero in P0 stay exactly zero, so they are not rescaled.
+    p0 = state.initial_covariance
+    covariances = [
+        [
+            entry if p0[i][j] == 0.0 else [v * f for v, f in zip(entry, factors)]
+            for j, entry in enumerate(row)
+        ]
+        for i, row in enumerate(state.covariances)
+    ]
+    return replace(state, covariances=covariances, peaks=peaks)
 
 
 def detect_change(residual: float, max_posterior: float, policy: ResetPolicy) -> bool:
@@ -207,12 +226,12 @@ def reset(state: LearnerState, grid_size: int) -> LearnerState:
         raise ValueError(
             f"grid_size {grid_size} does not match state with {len(state.posteriors)} candidates"
         )
+    covariances, peaks = _initial_layout(state.initial_covariance, grid_size)
     return replace(
         state,
         posteriors=[1.0 / grid_size] * grid_size,
-        covariances=[
-            [list(row) for row in state.initial_covariance] for _ in range(grid_size)
-        ],
+        covariances=covariances,
+        peaks=peaks,
     )
 
 
@@ -221,38 +240,66 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
 ]:
     """Full per-iteration posterior update over all candidates.
 
-    Computes per-candidate one-step predictions from ``regressor = (fhat,
-    ghat*u, 1)``, their residuals against the observed output and the
-    Gaussian likelihoods, then applies the Bayes update (switching to the log
-    domain whenever any density drops below ``LOG_DOMAIN_TRIGGER``). Returns
-    the new state plus the residual and prediction-variance vectors.
+    Per candidate, with ``regressor = (a, b, c) = (fhat, ghat*u, 1)``: the
+    one-step prediction ``theta . phi`` and its residual against the observed
+    output, the prediction variance ``phi' P_t phi + sigma^2`` and the
+    Gaussian density of the residual. Then the Bayes update, switching to the
+    log domain whenever any density drops below ``LOG_DOMAIN_TRIGGER`` or the
+    linear-domain products all underflow. Returns the new state plus the
+    residual and prediction-variance vectors.
+
+    Raises :class:`StateError` when a covariance is indefinite along the
+    regressor or a prediction variance is not positive (zero noise with a
+    covariance that vanishes along the regressor).
     """
     if len(thetas) != len(state.posteriors):
         raise ValueError(
             f"got {len(thetas)} candidates for a state with {len(state.posteriors)}"
         )
     a, b, c = regressor
+    noise = state.noise_variance
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
+    exp = math.exp
+    sqrt = math.sqrt
     residuals = []
     variances = []
     densities = []
+    add_residual, add_variance, add_density = residuals.append, variances.append, densities.append
     use_log = False
-    for theta, cov in zip(thetas, state.covariances):
-        pred = theta[0] * a + theta[1] * b + theta[2] * c
-        r = observed - pred
-        var = prediction_variance(regressor, cov, state.noise_variance)
-        residuals.append(r)
-        variances.append(var)
-        d = likelihood(r, var)
-        densities.append(d)
+    for (t0, t1, t2), q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
+        thetas, p00, p01, p02, p10, p11, p12, p20, p21, p22
+    ):
+        r = observed - (t0 * a + t1 * b + t2 * c)
+        # Keep this term order: traces are bit-exact to the per-matrix form.
+        quad = (
+            q00 * a * a
+            + q11 * b * b
+            + q22 * c * c
+            + (q01 + q10) * a * b
+            + (q02 + q20) * a * c
+            + (q12 + q21) * b * c
+        )
+        if quad < 0.0:
+            raise StateError(
+                f"covariance {len(residuals)} is indefinite along the regressor "
+                f"(phi'P phi = {quad})"
+            )
+        var = quad + noise
+        if not var > 0.0:
+            raise StateError(
+                f"prediction variance of candidate {len(residuals)} is {var}; it must "
+                "be > 0 (zero noise with a covariance that vanishes along the regressor)"
+            )
+        d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
+        add_residual(r)
+        add_variance(var)
+        add_density(d)
         if d < LOG_DOMAIN_TRIGGER:
             use_log = True
-    if use_log:
-        logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
-        new_state = update_posteriors_log(state, logd)
-    else:
+    if not use_log:
         try:
-            new_state = update_posteriors(state, densities)
+            return update_posteriors(state, densities), residuals, variances
         except PosteriorUnderflowError:
-            logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
-            new_state = update_posteriors_log(state, logd)
-    return new_state, residuals, variances
+            pass
+    logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
+    return update_posteriors_log(state, logd), residuals, variances

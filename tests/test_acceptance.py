@@ -285,11 +285,19 @@ def _prop_blend_oracle():
 
 def _prop_covariance_fixed_point():
     cov = [[1.25, 0.5, -0.75], [0.5, 2.0, 0.25], [-0.75, 0.25, 3.5]]
-    eta = 1.0 / 15
-    assert update_covariance(cov, eta, eta) == cov
-    doubled = update_covariance(cov, eta / 3.0, eta)
+    state = make_state(15, 0.01, cov)
+    eta = state.eta
+    assert eta == 1.0 / 15 and state.posteriors == [eta] * 15
+    fixed = update_covariance(state)
     assert all(
-        v == 2.0 * v0 for row, row0 in zip(doubled, cov) for v, v0 in zip(row, row0)
+        entry == [v0] * 15 for row, row0 in zip(fixed.covariances, cov)
+        for entry, v0 in zip(row, row0)
+    )
+    state.posteriors = [eta / 3.0] * 15
+    doubled = update_covariance(state)
+    assert all(
+        v == 2.0 * v0 for row, row0 in zip(doubled.covariances, cov)
+        for entry, v0 in zip(row, row0) for v in entry
     )
 
 

@@ -12,18 +12,23 @@ from dualctl import (
     SingularControlError,
     blended_control,
     branch,
-    candidate_control,
     candidate_control_terms,
+    eval_network,
     optimal_control,
 )
 
 ZERO_COV = ((0.0,) * 3,) * 3
 
 
+def _layout(*covs):
+    """Entry-major covariances of one candidate per matrix: [i][j][t]."""
+    return [[[cov[i][j] for cov in covs] for j in range(3)] for i in range(3)]
+
+
 def test_certainty_equivalence_at_zero_covariance():
     theta = (0.9, 1.1, 0.2)
     f, g, y_r = 1.3, 2.1, 0.7
-    u = candidate_control_terms(theta, f, g, y_r, ZERO_COV, 0.9)
+    (u,) = candidate_control_terms([theta], f, g, y_r, _layout(ZERO_COV), 0.9)
     expected = (y_r - theta[0] * f - theta[2]) / (theta[1] * g)
     assert u == pytest.approx(expected, rel=1e-14)
 
@@ -39,7 +44,7 @@ def test_dual_law_hand_computed_value():
     t2g = theta[1] * g
     num = (y_r - theta[0] * f - theta[2]) * t2g - (1 - lam) * (f * cov[0][1] + cov[2][1]) * g
     den = (1 - lam) * g * cov[1][1] + t2g * t2g
-    assert candidate_control_terms(theta, f, g, y_r, cov, lam) == num / den
+    assert candidate_control_terms([theta], f, g, y_r, _layout(cov), lam) == [num / den]
 
 
 def test_uncertainty_makes_control_cautious():
@@ -47,17 +52,18 @@ def test_uncertainty_makes_control_cautious():
     # denominator), the hallmark of the dual term.
     theta = (1.0, 1.0, 0.0)
     f, g, y_r = 0.5, 2.0, 1.5
-    confident = candidate_control_terms(theta, f, g, y_r, ZERO_COV, 0.9)
     wary_cov = ((0.0, 0.0, 0.0), (0.0, 5.0, 0.0), (0.0, 0.0, 0.0))
-    wary = candidate_control_terms(theta, f, g, y_r, wary_cov, 0.9)
+    confident, wary = candidate_control_terms(
+        [theta, theta], f, g, y_r, _layout(ZERO_COV, wary_cov), 0.9
+    )
     assert abs(wary) < abs(confident)
     assert math.copysign(1, wary) == math.copysign(1, confident)
 
 
 def test_singular_denominator_raises_with_candidate_index():
-    theta = (1.0, 0.0, 0.0)  # zero input gain
+    thetas = [(1.0, 1.0, 0.0)] * 4 + [(1.0, 0.0, 0.0)]  # the last has zero input gain
     with pytest.raises(SingularControlError) as err:
-        candidate_control_terms(theta, 1.0, 1.0, 0.5, ZERO_COV, 0.9, candidate_index=4)
+        candidate_control_terms(thetas, 1.0, 1.0, 0.5, _layout(*[ZERO_COV] * 5), 0.9)
     assert err.value.candidate_index == 4
 
 
@@ -68,7 +74,8 @@ def test_candidate_control_evaluates_network_at_state():
     )
     cfg = ControllerConfig(dual_lambda=0.9)
     theta = (1.0, 1.0, 0.0)
-    u = candidate_control(theta, net, (0.0,), 0.8, ZERO_COV, cfg)
+    f, g = eval_network(net, (0.0,))
+    (u,) = candidate_control_terms([theta], f, g, 0.8, _layout(ZERO_COV), cfg.dual_lambda)
     # At the center the branches read exactly (1, 2).
     assert u == pytest.approx((0.8 - 1.0) / 2.0, rel=1e-14)
 

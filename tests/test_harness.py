@@ -9,6 +9,7 @@ from dualctl import (
     BatchError,
     RunError,
     RunTrace,
+    StateError,
     batch_metrics,
     config_from_dict,
     config_to_dict,
@@ -170,6 +171,29 @@ def test_monte_carlo_aborts_when_most_runs_fail(case1_cfg):
     cfg = config_from_dict(raw, base_dir="configs")
     with pytest.warns(UserWarning, match="5/5 runs failed"), pytest.raises(BatchError):
         monte_carlo(cfg, runs=5)
+
+
+def _zero_variance(cfg):
+    # Noiseless plant and a zero initial covariance: every prediction
+    # variance is exactly 0, so no Gaussian likelihood exists.
+    raw = config_to_dict(cfg)
+    raw["plant"]["noise_variance"] = 0.0
+    raw["initial_covariance"] = "zero"
+    return config_from_dict(raw, base_dir="configs")
+
+
+def test_zero_prediction_variance_is_a_typed_run_error(case1_cfg):
+    with pytest.raises(RunError) as err:
+        run_experiment(_zero_variance(case1_cfg), seed=0)
+    assert err.value.iteration == 2
+    assert isinstance(err.value.cause, StateError)
+    assert "prediction variance" in str(err.value)
+
+
+def test_zero_prediction_variance_fails_monte_carlo_runs(case1_cfg):
+    cfg = _zero_variance(_short(case1_cfg))
+    with pytest.warns(UserWarning, match="3/3 runs failed"), pytest.raises(BatchError):
+        monte_carlo(cfg, runs=3)
 
 
 def _toy_trace(err, k0=1, **overrides):

@@ -2,37 +2,132 @@
 rescaling and the change-detection reset."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualctl import (
+    COVARIANCE_CAP,
+    POSTERIOR_FLOOR,
     LearnerState,
     PosteriorUnderflowError,
     ResetPolicy,
     StateError,
     bayes_step,
+    candidate_control_terms,
     detect_change,
-    likelihood,
     log_likelihood,
     make_state,
-    prediction_variance,
     reset,
     update_covariance,
     update_posteriors,
     update_posteriors_log,
 )
+from dualctl.learner import LOG_DOMAIN_TRIGGER
 
 EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+COV = ((1.25, 0.5, -0.75), (0.5, 2.0, 0.25), (-0.75, 0.25, 3.5))
+ZERO = ((0.0,) * 3,) * 3
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix oracles: one candidate and one 3x3 covariance per call, the
+# arithmetic the fused stages must reproduce bit for bit.
+
+
+def _oracle_prediction_variance(regressor, covariance, noise_variance):
+    a, b, c = regressor
+    p = covariance
+    quad = (
+        p[0][0] * a * a
+        + p[1][1] * b * b
+        + p[2][2] * c * c
+        + (p[0][1] + p[1][0]) * a * b
+        + (p[0][2] + p[2][0]) * a * c
+        + (p[1][2] + p[2][1]) * b * c
+    )
+    assert quad >= 0.0
+    return quad + noise_variance
+
+
+def _oracle_likelihood(residual, variance):
+    assert variance > 0.0
+    return math.exp(-(residual * residual) / (2.0 * variance)) / math.sqrt(
+        2.0 * math.pi * variance
+    )
+
+
+def _oracle_update_covariance(covariance, posterior, eta):
+    """Returns the rescaled matrix and whether the cap bound the factor."""
+    factor = math.log2(eta / max(posterior, POSTERIOR_FLOOR) + 1.0)
+    peak = max(abs(v) for row in covariance for v in row)
+    capped = peak * factor > COVARIANCE_CAP
+    if capped:
+        factor = COVARIANCE_CAP / peak
+    return [[v * factor for v in row] for row in covariance], capped
+
+
+def _oracle_candidate_control(theta, f_hat, g_hat, y_r_next, covariance, dual_lambda):
+    t2g = theta[1] * g_hat
+    one_minus = 1.0 - dual_lambda
+    den = one_minus * g_hat * covariance[1][1] + t2g * t2g
+    num = (y_r_next - theta[0] * f_hat - theta[2]) * t2g - one_minus * (
+        f_hat * covariance[0][1] + covariance[2][1]
+    ) * g_hat
+    return num / den
+
+
+def _oracle_bayes_step(template, posteriors, covariances, regressor, observed, thetas):
+    """Returns posteriors, residuals, variances and whether the log domain ran."""
+    a, b, c = regressor
+    residuals, variances, densities = [], [], []
+    for theta, cov in zip(thetas, covariances):
+        r = observed - (theta[0] * a + theta[1] * b + theta[2] * c)
+        var = _oracle_prediction_variance(regressor, cov, template.noise_variance)
+        residuals.append(r)
+        variances.append(var)
+        densities.append(_oracle_likelihood(r, var))
+    prior = replace(template, posteriors=list(posteriors))
+    if not any(d < LOG_DOMAIN_TRIGGER for d in densities):
+        try:
+            new = update_posteriors(prior, densities)
+            return new.posteriors, residuals, variances, False
+        except PosteriorUnderflowError:
+            pass
+    logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
+    return update_posteriors_log(prior, logd).posteriors, residuals, variances, True
+
+
+def _matrices(state):
+    """The state's covariances as one 3x3 nested list per candidate."""
+    return [
+        [[entry[t] for entry in row] for row in state.covariances]
+        for t in range(len(state.posteriors))
+    ]
+
+
+def _layout(cov, size):
+    return [[[v] * size for v in row] for row in cov]
+
+
+def _random_state(rng, size):
+    p = rng.uniform(0.01, 1.0, size=size)
+    p /= p.sum()
+    state = make_state(size, 0.01, EYE)
+    state.posteriors = list(p)
+    return state
 
 
 def test_make_state_is_uniform():
     state = make_state(15, 0.0004, EYE)
     assert state.posteriors == [1.0 / 15] * 15
     assert state.eta == 1.0 / 15
-    assert len(state.covariances) == 15
-    assert state.covariances[3] == [list(r) for r in EYE]
+    assert state.covariances == _layout(EYE, 15)
+    assert _matrices(state)[3] == [list(r) for r in EYE]
+    assert state.peaks == [1.0] * 15
     state.validate()
 
 
@@ -44,16 +139,29 @@ def test_make_state_rejects_bad_arguments():
 
 
 def test_gaussian_likelihood_matches_closed_form():
+    # Zero covariance and regressor (0, 0, 1): candidate t predicts its gamma
+    # with variance exactly sigma^2. Candidate 0 sees residual r, candidate 1
+    # none, so from a uniform prior pi_0 = d(r, v) / (d(r, v) + d(0, v)).
     for r, v in [(0.0, 1.0), (0.5, 0.25), (-2.0, 0.0004), (3.0, 10.0)]:
-        expected = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
-        assert likelihood(r, v) == pytest.approx(expected, rel=1e-15)
+        state = make_state(2, v, ZERO)
+        new, residuals, variances = bayes_step(
+            state, (0.0, 0.0, 1.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)]
+        )
+        assert residuals == [r, 0.0]
+        assert variances == [v, v]
+        d0 = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
+        d1 = 1.0 / math.sqrt(2 * math.pi * v)
+        assert new.posteriors[0] == pytest.approx(d0 / (d0 + d1), rel=1e-15)
         log_expected = -0.5 * math.log(2 * math.pi * v) - r * r / (2 * v)
         assert log_likelihood(r, v) == pytest.approx(log_expected, rel=1e-12)
 
 
 def test_likelihood_rejects_nonpositive_variance():
-    with pytest.raises(ValueError):
-        likelihood(0.1, 0.0)
+    # Zero noise and a covariance that vanishes along the regressor leave no
+    # Gaussian likelihood: a typed StateError, never a bare ValueError.
+    state = make_state(2, 0.0, ZERO)
+    with pytest.raises(StateError, match="prediction variance of candidate 0"):
+        bayes_step(state, (0.5, 1.0, 1.0), 0.1, [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1)])
     with pytest.raises(ValueError):
         log_likelihood(0.1, -1.0)
 
@@ -66,26 +174,25 @@ def test_prediction_variance_is_quadratic_form_plus_noise():
         phi = rng.normal(size=3)
         sigma2 = float(rng.uniform(0, 2))
         expected = float(phi @ p @ phi) + sigma2
-        got = prediction_variance(tuple(phi), p.tolist(), sigma2)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        state = make_state(1, sigma2, p.tolist())
+        _, _, variances = bayes_step(state, tuple(phi), 0.0, [(1.0, 1.0, 0.0)])
+        assert variances[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_prediction_variance_rejects_indefinite_covariance():
     p = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
     with pytest.raises(StateError):
-        prediction_variance((0.0, 0.0, 1.0), p, 0.1)
-
-
-def _random_state(rng, size):
-    p = rng.uniform(0.01, 1.0, size=size)
-    p /= p.sum()
-    return LearnerState(
-        posteriors=list(p),
-        covariances=[[list(r) for r in EYE] for _ in range(size)],
-        eta=1.0 / size,
-        noise_variance=0.01,
-        initial_covariance=EYE,
+        make_state(1, 0.1, p)
+    state = LearnerState(
+        posteriors=[1.0],
+        covariances=_layout(p, 1),
+        peaks=[1.0],
+        eta=1.0,
+        noise_variance=0.1,
+        initial_covariance=p,
     )
+    with pytest.raises(StateError):
+        bayes_step(state, (0.0, 0.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
 
 
 def test_posterior_update_matches_brute_force_oracle():
@@ -152,26 +259,33 @@ def test_update_rejects_wrong_length_or_bad_values():
 
 
 def test_covariance_fixed_point_at_uniform_mass_is_bit_exact():
-    cov = [[1.25, 0.5, -0.75], [0.5, 2.0, 0.25], [-0.75, 0.25, 3.5]]
-    eta = 1.0 / 15
-    out = update_covariance(cov, eta, eta)
-    assert out == cov  # log2(1 + 1) == 1.0 exactly
+    state = make_state(15, 0.01, COV)  # uniform posteriors at eta = 1/15
+    out = update_covariance(state)
+    assert _matrices(out) == [[list(r) for r in COV]] * 15  # log2(1 + 1) == 1.0 exactly
+    assert out.peaks == state.peaks
 
 
 def test_covariance_doubles_at_one_third_of_uniform_mass():
-    cov = [[1.25, 0.5, -0.75], [0.5, 2.0, 0.25], [-0.75, 0.25, 3.5]]
-    eta = 0.2
-    out = update_covariance(cov, eta / 3.0, eta)
-    for row, row0 in zip(out, cov):
-        for v, v0 in zip(row, row0):
-            assert v == 2.0 * v0  # log2(3 + 1) == 2.0 exactly
+    state = make_state(5, 0.01, COV)
+    eta = state.eta
+    assert eta == 0.2
+    state.posteriors = [eta / 3.0] * 5
+    out = update_covariance(state)
+    for cov in _matrices(out):
+        for row, row0 in zip(cov, COV):
+            for v, v0 in zip(row, row0):
+                assert v == 2.0 * v0  # log2(3 + 1) == 2.0 exactly
+    assert out.peaks == [2.0 * 3.5] * 5
 
 
 def test_covariance_growth_saturates():
-    cov = [[1e11, 0.0, 0.0], [0.0, 1e11, 0.0], [0.0, 0.0, 1e11]]
-    out = update_covariance(cov, 1e-300, 0.1)
-    peak = max(abs(v) for row in out for v in row)
+    cov = ((1e11, 0.0, 0.0), (0.0, 1e11, 0.0), (0.0, 0.0, 1e11))
+    state = make_state(2, 0.01, cov, eta=0.1)
+    state.posteriors = [1e-300, 1.0]
+    out = update_covariance(state)
+    peak = max(abs(v) for row in _matrices(out)[0] for v in row)
     assert peak <= 1e12 * (1 + 1e-12)
+    assert out.peaks[0] == peak
 
 
 @given(
@@ -180,10 +294,105 @@ def test_covariance_growth_saturates():
 )
 @settings(max_examples=200)
 def test_covariance_factor_monotone_in_posterior(pi, eta):
-    cov = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    lo = update_covariance(cov, pi, eta)[0][0]
-    hi = update_covariance(cov, min(pi * 2, 1.0), eta)[0][0]
+    state = make_state(2, 0.01, EYE, eta=eta)
+    state.posteriors = [pi, min(pi * 2, 1.0)]
+    p00 = update_covariance(state).covariances[0][0]
+    lo, hi = p00
     assert hi <= lo + 1e-15  # more mass, less inflation
+
+
+def _symmetric_pd(rng, scale):
+    a = rng.normal(size=(3, 3))
+    p = scale * (a @ a.T + 0.1 * np.eye(3))
+    p = np.tril(p) + np.tril(p, -1).T  # exactly symmetric
+    if rng.uniform() < 0.5:
+        p = np.diag(np.diag(p))  # zero off-diagonal entries are skipped
+    return p.tolist()
+
+
+@given(
+    size=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-6, 1e11, allow_nan=False),
+    ops=st.lists(st.sampled_from(["rescale", "rescale", "rescale", "reset"]), max_size=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_peaks_track_max_entry_through_rescales_and_resets(size, seed, scale, ops):
+    rng = np.random.default_rng(seed)
+    state = make_state(size, 0.01, _symmetric_pd(rng, scale))
+    for op in ops:
+        if op == "reset":
+            state = reset(state, size)
+        else:
+            # Skewed posteriors with exact zeros: candidates shrink, grow and
+            # hit the cap.
+            pi = rng.uniform(size=size) ** 8
+            pi[rng.uniform(size=size) < 0.3] = 0.0
+            state.posteriors = list(pi / pi.sum()) if pi.sum() > 0 else [1.0 / size] * size
+            state = update_covariance(state)
+        for t, cov in enumerate(_matrices(state)):
+            assert state.peaks[t] == max(abs(v) for row in cov for v in row)
+        for i in range(3):
+            for j in range(i):
+                assert state.covariances[i][j] == state.covariances[j][i]
+
+
+@pytest.mark.parametrize("p0", [COV, ((0.04, 0.0, 0.0), (0.0, 0.09, 0.0), (0.0, 0.0, 0.01))])
+def test_fused_stages_match_per_matrix_oracle(p0):
+    """Bayes step, control law, reset and rescale against the per-matrix oracles.
+
+    Far-off observations drive densities below the log-domain trigger and
+    posteriors to exact zeros, whose candidates then saturate at the cap.
+    """
+    rng = np.random.default_rng(31)
+    size = 12
+    thetas = [
+        (float(rng.uniform(0.75, 1.25)), float(rng.uniform(0.75, 1.25)), float(rng.uniform(-0.1, 0.1)))
+        for _ in range(size)
+    ]
+    lam = 0.9
+    state = make_state(size, 0.01, p0)
+    posteriors = list(state.posteriors)
+    covs = [[list(row) for row in p0] for _ in range(size)]
+    seen = Counter()
+    for step in range(400):
+        regressor = (float(rng.normal()), float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+        truth = thetas[(step // 100) * 5 % size]
+        observed = sum(t * x for t, x in zip(truth, regressor)) + float(rng.normal(0.0, 0.1))
+        if step % 37 == 36:
+            observed += 1e3
+        state, residuals, variances = bayes_step(state, regressor, observed, thetas)
+        posteriors, o_residuals, o_variances, used_log = _oracle_bayes_step(
+            state, posteriors, covs, regressor, observed, thetas
+        )
+        seen["log"] += used_log
+        assert state.posteriors == posteriors
+        assert residuals == o_residuals
+        assert variances == o_variances
+
+        f_hat, g_hat, y_r = float(rng.normal()), float(rng.uniform(0.5, 2.0)), float(rng.normal())
+        inputs = candidate_control_terms(thetas, f_hat, g_hat, y_r, state.covariances, lam)
+        assert inputs == [
+            _oracle_candidate_control(theta, f_hat, g_hat, y_r, cov, lam)
+            for theta, cov in zip(thetas, covs)
+        ]
+
+        if step == 250:
+            state = reset(state, size)
+            posteriors = [1.0 / size] * size
+            covs = [[list(row) for row in p0] for _ in range(size)]
+            seen["reset"] += 1
+        state = update_covariance(state)
+        rescaled = [
+            _oracle_update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, posteriors)
+        ]
+        covs = [cov for cov, _ in rescaled]
+        seen["cap"] += sum(capped for _, capped in rescaled)
+        seen["floor"] += sum(pi < POSTERIOR_FLOOR for pi in posteriors)
+        assert _matrices(state) == covs
+        assert state.peaks == [max(abs(v) for row in cov for v in row) for cov in covs]
+    assert seen["log"] > 0 and seen["reset"] == 1
+    assert seen["cap"] > 0 and seen["floor"] > 0, seen
 
 
 def test_change_detector_truth_table():
@@ -206,10 +415,12 @@ def test_reset_policy_validation():
 def test_reset_restores_uniform_and_initial_covariance():
     state = make_state(6, 0.01, EYE)
     state = update_posteriors(state, [10.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    state.covariances[0] = [[0.001, 0.0, 0.0], [0.0, 0.001, 0.0], [0.0, 0.0, 0.001]]
+    state = update_covariance(state)
+    assert state.covariances[0][0][0] < 1.0 < state.covariances[0][0][1]
     fresh = reset(state, 6)
     assert fresh.posteriors == [1.0 / 6] * 6
-    assert fresh.covariances[0] == [list(r) for r in EYE]
+    assert fresh.covariances == _layout(EYE, 6)
+    assert fresh.peaks == [1.0] * 6
     with pytest.raises(ValueError):
         reset(state, 7)
 
@@ -221,6 +432,10 @@ def test_state_validation_catches_broken_invariants():
         state.validate()
     state = make_state(3, 0.01, EYE)
     state.covariances[1][0][1] = 0.9  # asymmetric
+    with pytest.raises(StateError):
+        state.validate()
+    state = make_state(3, 0.01, EYE)
+    state.peaks[2] = 2.0  # not the max |entry|
     with pytest.raises(StateError):
         state.validate()
 
@@ -235,7 +450,7 @@ def test_bayes_step_reports_residuals_and_variances():
         pred = theta[0] * phi[0] + theta[1] * phi[1] + theta[2] * phi[2]
         assert residuals[t] == pytest.approx(observed - pred, abs=1e-15)
         assert variances[t] == pytest.approx(
-            prediction_variance(phi, state.covariances[t], 0.04), abs=1e-15
+            _oracle_prediction_variance(phi, EYE, 0.04), abs=1e-15
         )
     # The closer candidate gains mass.
     better = min(range(2), key=lambda t: abs(residuals[t]))
