@@ -77,8 +77,6 @@ from .plants import (
     affine_g,
     reference_at,
     sample_noise,
-    step_affine_case1,
-    step_train,
     train_f,
     train_g,
     validate_segments,

@@ -9,16 +9,24 @@ name the offending field path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import yaml
 
 from .controller import ControllerConfig
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .grid import BoundedInterval, CandidateGrid, grid_from_intervals
-from .learner import ResetPolicy
-from .plants import PlantModel, ReferenceSpec, DisturbanceSchedule, Segments, validate_segments
+from .learner import ResetPolicy, make_state
+from .plants import (
+    DisturbanceSchedule,
+    PlantModel,
+    ReferenceSpec,
+    Segments,
+    reference_at,
+    validate_segments,
+)
 from .rbf import RbfNetwork, load_network
 
 SCHEMA_VERSION = 1
@@ -53,7 +61,6 @@ class ExperimentConfig:
     initial_covariance: tuple[tuple[float, ...], ...]
     mc_randomize: tuple[str, ...] = ()
     rng: str = "pcg64"
-    output_dir: str | None = None
     schema_version: int = SCHEMA_VERSION
 
     def build_grid(self) -> CandidateGrid:
@@ -83,11 +90,22 @@ def _expect(mapping, key, types, path, required=True, default=None):
     return value
 
 
+def _finite(value, where) -> float:
+    """``value`` as a float; a boolean, a non-number or a NaN/inf is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
+    return number
+
+
 def _number(mapping, key, path, required=True, default=None):
-    v = _expect(mapping, key, (int, float), path, required, default)
-    if isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got a boolean")
-    return float(v) if v is not None else None
+    v = _expect(mapping, key, None, path, required, default)
+    return _finite(v, f"{path}.{key}") if v is not None else None
 
 
 def _segments(raw, path) -> Segments:
@@ -95,6 +113,9 @@ def _segments(raw, path) -> Segments:
         isinstance(s, list) and len(s) == 2 for s in raw
     ):
         raise ConfigError(f"{path}: expected a list of [start_k, value] pairs")
+    for i, (start, value) in enumerate(raw):
+        _finite(start, f"{path}[{i}][0]")
+        _finite(value, f"{path}[{i}][1]")
     try:
         return validate_segments(raw, path)
     except ValueError as exc:
@@ -131,7 +152,7 @@ def _plant(raw, path) -> PlantModel:
         return PlantModel(
             kind=kind,
             noise_variance=_number(raw, "noise_variance", path),
-            params={k: float(v) for k, v in params.items()},
+            params={k: _finite(v, f"{path}.params.{k}") for k, v in params.items()},
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -163,13 +184,33 @@ def _reference(raw, path) -> ReferenceSpec:
             )
         if kind == "user_table":
             values = _expect(raw, "values", list, path)
-            return ReferenceSpec(kind=kind, values=tuple(float(v) for v in values))
+            return ReferenceSpec(
+                kind=kind,
+                values=tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
+            )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
 
 
+def _reference_is_finite(spec: ReferenceSpec, iterations: int) -> bool:
+    """Whether y_r(1) .. y_r(iterations + 1), the last a look-ahead target, are finite."""
+    try:
+        return all(math.isfinite(reference_at(spec, k)) for k in range(1, iterations + 2))
+    except (ValueError, OverflowError):  # math domain and range errors
+        return False
+
+
 def _initial_covariance(raw, path, channels) -> tuple[tuple[float, ...], ...]:
+    p0 = _covariance_matrix(raw, path, channels)
+    try:
+        make_state(1, 0.0, p0)  # the learner's own symmetry and PSD check
+    except StateError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return p0
+
+
+def _covariance_matrix(raw, path, channels) -> tuple[tuple[float, ...], ...]:
     if isinstance(raw, str):
         if raw not in _COVARIANCE_PRESETS:
             raise ConfigError(
@@ -187,7 +228,10 @@ def _initial_covariance(raw, path, channels) -> tuple[tuple[float, ...], ...]:
     if isinstance(raw, list):
         if len(raw) != 3 or any(not isinstance(r, list) or len(r) != 3 for r in raw):
             raise ConfigError(f"{path}: matrix form must be 3 rows of 3 numbers")
-        return tuple(tuple(float(v) for v in row) for row in raw)
+        return tuple(
+            tuple(_finite(v, f"{path}[{i}][{j}]") for j, v in enumerate(row))
+            for i, row in enumerate(raw)
+        )
     raise ConfigError(f"{path}: expected a preset name or a 3x3 matrix")
 
 
@@ -212,6 +256,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     iterations = _expect(raw, "iterations", int, "config")
     if iterations < 2:
         raise ConfigError("config.iterations: must be >= 2")
+    seed = _expect(raw, "seed", int, "config")
+    if isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
     rng = _expect(raw, "rng", str, "config", required=False, default="pcg64")
     if rng != "pcg64":
         raise ConfigError(f"config.rng: only 'pcg64' is supported, got {rng!r}")
@@ -248,6 +295,10 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if ch not in CHANNELS:
             raise ConfigError(f"config.monte_carlo.randomize: unknown channel {ch!r}")
 
+    reference = _reference(_expect(raw, "reference", dict, "config"), "config.reference")
+    if not _reference_is_finite(reference, iterations):
+        raise ConfigError(f"config.reference: not finite over iterations 1..{iterations + 1}")
+
     network_file = _expect(raw, "network", str, "config")
     resolved = network_file if os.path.isabs(network_file) else os.path.join(base_dir, network_file)
     if not os.path.exists(resolved):
@@ -260,12 +311,12 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(
         name=_expect(raw, "name", str, "config"),
         iterations=iterations,
-        seed=_expect(raw, "seed", int, "config"),
+        seed=seed,
         rng=rng,
         initial_output=_number(raw, "initial_output", "config"),
         initial_control=_number(raw, "initial_control", "config", required=False, default=0.0),
         plant=_plant(_expect(raw, "plant", dict, "config"), "config.plant"),
-        reference=_reference(_expect(raw, "reference", dict, "config"), "config.reference"),
+        reference=reference,
         network=network,
         network_file=os.path.abspath(resolved),
         alpha=channels[0],
@@ -279,7 +330,6 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             channels,
         ),
         mc_randomize=tuple(randomize),
-        output_dir=_expect(raw, "output_dir", str, "config", required=False),
         schema_version=version,
     )
 
@@ -308,7 +358,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     else:
         ref["values"] = list(cfg.reference.values)
 
-    out = {
+    return {
         "schema_version": cfg.schema_version,
         "name": cfg.name,
         "iterations": cfg.iterations,
@@ -343,9 +393,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "initial_covariance": [list(row) for row in cfg.initial_covariance],
         "monte_carlo": {"randomize": list(cfg.mc_randomize)},
     }
-    if cfg.output_dir is not None:
-        out["output_dir"] = cfg.output_dir
-    return out
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

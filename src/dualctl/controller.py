@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import SingularControlError
+from .errors import SimulationError, SingularControlError
 
 _SINGULAR_TOL = 1e-12
 
@@ -45,7 +45,6 @@ class ControlDecision:
     u: float  # posterior-weighted mean of the candidate inputs
     u_applied: float  # after clamping (equals u when no clamp is active)
     clipped: bool
-    candidate_inputs: tuple[float, ...]
 
 
 def candidate_control_terms(
@@ -93,15 +92,13 @@ def blended_control(
         )
     u = math.fsum(map(operator.mul, posteriors, candidate_inputs))
     if not math.isfinite(u):
-        raise ValueError("blended input is not finite")
+        raise SimulationError("blended input is not finite")
     u_applied = u
     clipped = False
     if input_clamp is not None and abs(u) > input_clamp:
         u_applied = math.copysign(input_clamp, u)
         clipped = True
-    return ControlDecision(
-        u=u, u_applied=u_applied, clipped=clipped, candidate_inputs=tuple(candidate_inputs)
-    )
+    return ControlDecision(u=u, u_applied=u_applied, clipped=clipped)
 
 
 def optimal_control(true_theta, f_value: float, g_value: float, y_r_next: float) -> float:

@@ -8,6 +8,11 @@ evaluated at the new state against the next reference value and blended; the
 change detector inspects the leading candidate's residual and may reset the
 learner; finally the candidate covariances are renormalized.  Traces hold one
 row per iteration including row 1 (the initial condition).
+
+Each row's quantities are evaluated once, at the row's new output, and carried
+forward: the disturbance in force, the look-ahead reference (the next row's
+``y_r``) and the network outputs ``(f_hat, g_hat)``, which give the control law
+of this row and the regressor ``(f_hat, g_hat * u, 1)`` of the next.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .controller import blended_control, candidate_control_terms, optimal_contro
 from .errors import BatchError, DualctlError, RunError
 from .learner import bayes_step, detect_change, make_state, update_covariance
 from .learner import reset as reset_learner
-from .plants import DisturbanceSchedule, reference_at, sample_noise
+from .plants import reference_at, sample_noise
 from .rbf import eval_network
 
 CONTROLLER_KINDS = ("proposed", "optimal")
@@ -76,6 +81,13 @@ class RunTrace:
         return len(self.k)
 
 
+def _bounded(name: str, value: float, k: int) -> float:
+    """``value`` if it is finite and inside the divergence limit, else a RunError."""
+    if not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT:
+        raise RunError(f"{name} diverged to {value!r}", iteration=k)
+    return value
+
+
 def _fire(hooks, event, k, **info):
     if hooks is None:
         return
@@ -118,75 +130,72 @@ def run_experiment(
     run_seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(run_seed)
 
-    schedules = {}
-    for name, ch in zip(CHANNELS, (cfg.alpha, cfg.beta, cfg.gamma)):
-        if name in randomize:
-            value = float(rng.uniform(ch.interval.lower, ch.interval.upper))
-            schedules[name] = ((1, value),)
-        else:
-            schedules[name] = ch.schedule
-    sched = DisturbanceSchedule(**schedules)
+    drawn = {
+        name: ((1, float(rng.uniform(ch.interval.lower, ch.interval.upper))),)
+        for name, ch in zip(CHANNELS, (cfg.alpha, cfg.beta, cfg.gamma))
+        if name in randomize
+    }
+    sched = replace(cfg.build_schedule(), **drawn)
 
     state = make_state(size, plant.noise_variance, cfg.initial_covariance)
     n = cfg.iterations
 
     # Row 1: the given initial condition.  No prediction exists yet, so
     # y_hat mirrors y and the posterior columns show the uniform start.
-    theta_1 = sched.at(1)
-    y0 = cfg.initial_output
-    u_opt_0 = optimal_control(theta_1, plant.f_value(y0), plant.g_value(y0), reference_at(spec, 2))
-    u0 = u_opt_0 if controller == "optimal" else cfg.initial_control
+    theta = sched.at(1)
+    y = _bounded("initial output", cfg.initial_output, 1)
+    y_r = reference_at(spec, 1)
+    target = reference_at(spec, 2)
+    try:
+        u_opt = optimal_control(theta, plant.f_value(y), plant.g_value(y), target)
+    except DualctlError as exc:
+        raise RunError(f"iteration failed: {exc}", iteration=1, cause=exc) from exc
+    u = u_opt if controller == "optimal" else cfg.initial_control
+    f_hat, g_hat = eval_network(net, (y,))
 
     col_k = [1]
-    col_yr = [reference_at(spec, 1)]
-    col_y = [y0]
-    col_u = [u0]
-    col_uopt = [u_opt_0]
-    col_yhat = [y0]
-    col_err = [y0 - col_yr[0]]
+    col_yr = [y_r]
+    col_y = [y]
+    col_u = [u]
+    col_uopt = [u_opt]
+    col_yhat = [y]
+    col_err = [y - y_r]
     col_argmax = [1]
     col_maxpi = [state.eta]
     col_reset = [0]
-    col_a = [theta_1[0]]
-    col_b = [theta_1[1]]
-    col_c = [theta_1[2]]
+    col_a = [theta[0]]
+    col_b = [theta[1]]
+    col_c = [theta[2]]
     pi_rows = [list(state.posteriors)] if collect_posteriors else None
 
     for k in range(1, n):
         try:
-            theta_k = sched.at(k)
             noise = sample_noise(rng, plant.noise_variance)
-            y_prev = col_y[k - 1]
-            u_prev = col_u[k - 1]
-            y_new = plant.step(y_prev, u_prev, theta_k, noise)
-            if not math.isfinite(y_new) or abs(y_new) > _DIVERGENCE_LIMIT:
-                raise RunError(f"output diverged to {y_new!r}", iteration=k + 1)
+            y = _bounded("output", plant.step(y, u, theta, noise), k + 1)
 
-            f_prev, g_prev = eval_network(net, (y_prev,))
-            phi = (f_prev, g_prev * u_prev, 1.0)
-            state, residuals, _ = bayes_step(state, phi, y_new, thetas)
+            # The input enters the regressor, so it is bounded like the output.
+            phi = (f_hat, g_hat * _bounded("input", u, k + 1), 1.0)
+            state, residuals, _ = bayes_step(state, phi, y, thetas)
             pi_star = max(state.posteriors)
             t_star = state.posteriors.index(pi_star)
             # The logged prediction belongs to the argmax candidate on this
-            # row; its residual is y_new - y_hat by construction.
-            y_hat_new = y_new - residuals[t_star]
+            # row; its residual is y - y_hat by construction.
+            y_hat = y - residuals[t_star]
             _fire(hooks, "posterior_update", k + 1, argmax_t=t_star + 1, max_pi=pi_star)
 
-            y_target = reference_at(spec, k + 2)
-            theta_next = sched.at(k + 1)
-            u_opt_new = optimal_control(
-                theta_next, plant.f_value(y_new), plant.g_value(y_new), y_target
-            )
+            y_r = target
+            target = reference_at(spec, k + 2)
+            theta = sched.at(k + 1)
+            u_opt = optimal_control(theta, plant.f_value(y), plant.g_value(y), target)
+            f_hat, g_hat = eval_network(net, (y,))
             if controller == "proposed":
-                f_new, g_new = eval_network(net, (y_new,))
                 candidates = candidate_control_terms(
-                    thetas, f_new, g_new, y_target, state.covariances, lam
+                    thetas, f_hat, g_hat, target, state.covariances, lam
                 )
-                decision = blended_control(state.posteriors, candidates, clamp)
-                u_new = decision.u_applied
+                u = blended_control(state.posteriors, candidates, clamp).u_applied
             else:
-                u_new = u_opt_new
-            _fire(hooks, "control", k + 1, u=u_new)
+                u = u_opt
+            _fire(hooks, "control", k + 1, u=u)
 
             triggered = detect_change(residuals[t_star], pi_star, cfg.reset)
             if triggered:
@@ -203,20 +212,19 @@ def run_experiment(
         except DualctlError as exc:
             raise RunError(f"iteration failed: {exc}", iteration=k + 1, cause=exc) from exc
 
-        yr_new = reference_at(spec, k + 1)
         col_k.append(k + 1)
-        col_yr.append(yr_new)
-        col_y.append(y_new)
-        col_u.append(u_new)
-        col_uopt.append(u_opt_new)
-        col_yhat.append(y_hat_new)
-        col_err.append(y_new - yr_new)
+        col_yr.append(y_r)
+        col_y.append(y)
+        col_u.append(u)
+        col_uopt.append(u_opt)
+        col_yhat.append(y_hat)
+        col_err.append(y - y_r)
         col_argmax.append(t_star + 1)
         col_maxpi.append(pi_star)
         col_reset.append(int(triggered))
-        col_a.append(theta_next[0])
-        col_b.append(theta_next[1])
-        col_c.append(theta_next[2])
+        col_a.append(theta[0])
+        col_b.append(theta[1])
+        col_c.append(theta[2])
         if pi_rows is not None:
             pi_rows.append(list(state.posteriors))
 
@@ -263,17 +271,11 @@ def write_trace(trace: RunTrace, path) -> None:
         fh.write(f"# seed: {trace.seed}\n")
         fh.write(f"# grid_size: {trace.grid_size}\n")
         fh.write(",".join(cols) + "\n")
-        for i in range(len(trace)):
-            row = [
-                str(trace.k[i]), repr(trace.y_r[i]), repr(trace.y[i]),
-                repr(trace.u[i]), repr(trace.u_opt[i]), repr(trace.y_hat[i]),
-                repr(trace.err[i]), str(trace.argmax_t[i]), repr(trace.max_pi[i]),
-                str(trace.reset[i]), repr(trace.alpha_true[i]),
-                repr(trace.beta_true[i]), repr(trace.gamma_true[i]),
-            ]
+        for i, row in enumerate(zip(*(getattr(trace, c) for c in TRACE_COLUMNS))):
+            fields = [repr(v) for v in row]
             if trace.posteriors is not None:
-                row += [repr(v) for v in trace.posteriors[i]]
-            fh.write(",".join(row) + "\n")
+                fields += [repr(v) for v in trace.posteriors[i]]
+            fh.write(",".join(fields) + "\n")
 
 
 def read_trace(path) -> RunTrace:

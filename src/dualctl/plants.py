@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,13 +48,6 @@ def affine_g(y: float) -> float:
     return 2.0 + math.cos(y)
 
 
-def step_affine_case1(y: float, u: float, disturbance, noise: float) -> float:
-    """One step of the disturbed affine benchmark system."""
-    a, b, g = disturbance
-    _require_finite(y=y, u=u, alpha=a, beta=b, gamma=g, noise=noise)
-    return a * affine_f(y) + b * affine_g(y) * u + g + noise
-
-
 def train_f(v: float, params: dict | None = None) -> float:
     p = params or TRAIN_DEFAULTS
     xt = p["xi"] * p["sampling_interval"]
@@ -65,16 +59,13 @@ def train_g(v: float, params: dict | None = None) -> float:
     return p["xi"] * p["sampling_interval"]
 
 
-def step_train(v: float, u: float, disturbance, noise: float, params: dict | None = None) -> float:
-    """One step of the train speed model under traction/braking force ``u``."""
-    a, b, g = disturbance
-    _require_finite(v=v, u=u, alpha=a, beta=b, gamma=g, noise=noise)
-    return a * train_f(v, params) + b * train_g(v, params) * u + g + noise
-
-
 @dataclass(frozen=True)
 class PlantModel:
-    """A one-step simulated plant with separated nonlinearities f and g."""
+    """A one-step simulated plant with separated nonlinearities f and g.
+
+    Every kind resolves to one ``(f, g)`` pair at construction; ``step`` is the
+    same disturbed one-step formula for all of them.
+    """
 
     kind: str
     noise_variance: float
@@ -87,35 +78,33 @@ class PlantModel:
             raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {PLANT_KINDS}")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if self.kind == "user_defined" and (self.f is None or self.g is None):
-            raise ValueError("user_defined plant needs f and g callables")
-        if self.kind == "crh3_train":
+        if self.kind == "affine_case1":
+            pair = (affine_f, affine_g)
+        elif self.kind == "crh3_train":
             merged = dict(TRAIN_DEFAULTS)
             merged.update(self.params)
             object.__setattr__(self, "params", merged)
+            pair = (partial(train_f, params=merged), partial(train_g, params=merged))
+        elif self.f is None or self.g is None:
+            raise ValueError("user_defined plant needs f and g callables")
+        else:
+            pair = (self.f, self.g)
+        # Private attributes, not fields: equality, repr and the config
+        # document stay those of the declared fields.
+        object.__setattr__(self, "_f", pair[0])
+        object.__setattr__(self, "_g", pair[1])
 
     def f_value(self, y: float) -> float:
-        if self.kind == "affine_case1":
-            return affine_f(y)
-        if self.kind == "crh3_train":
-            return train_f(y, self.params)
-        return self.f(y)
+        return self._f(y)
 
     def g_value(self, y: float) -> float:
-        if self.kind == "affine_case1":
-            return affine_g(y)
-        if self.kind == "crh3_train":
-            return train_g(y, self.params)
-        return self.g(y)
+        return self._g(y)
 
     def step(self, y: float, u: float, disturbance, noise: float) -> float:
-        if self.kind == "affine_case1":
-            return step_affine_case1(y, u, disturbance, noise)
-        if self.kind == "crh3_train":
-            return step_train(y, u, disturbance, noise, self.params)
+        """y(k+1) = alpha * f(y) + beta * g(y) * u + gamma + noise."""
         a, b, g = disturbance
         _require_finite(y=y, u=u, alpha=a, beta=b, gamma=g, noise=noise)
-        return a * self.f(y) + b * self.g(y) * u + g + noise
+        return a * self._f(y) + b * self._g(y) * u + g + noise
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +159,6 @@ class DisturbanceSchedule:
                 if v1 != v0 and 1 < k1 <= n:
                     points.add(k1)
         return sorted(points)
-
-    def timeline(self, n: int) -> np.ndarray:
-        """(n, 3) array of the schedule values at k = 1..n."""
-        out = np.empty((n, 3))
-        for col, name in enumerate(("alpha", "beta", "gamma")):
-            segs = getattr(self, name)
-            for i, (start, value) in enumerate(segs):
-                stop = segs[i + 1][0] if i + 1 < len(segs) else n + 1
-                if start > n:
-                    break
-                out[start - 1 : min(stop, n + 1) - 1, col] = value
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,57 @@ def test_initial_covariance_forms():
         config_from_dict(raw, base_dir="configs")
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("reference", "amplitude"), float("nan")),
+        (("reference", "amplitude"), float("inf")),
+        (("controller", "input_clamp"), float("inf")),
+        (("plant", "noise_variance"), float("inf")),
+        (("channels", "alpha", "schedule"), [[1, 1.0], [85, float("nan")]]),
+        (("channels", "beta", "schedule"), [[1, 0.9], [float("inf"), 0.8]]),
+        (("initial_covariance",), [[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 1.0]]),
+        (("reference",), {"kind": "user_table", "values": [0.1, float("-inf")]}),
+    ],
+)
+def test_non_finite_numbers_are_rejected(path, value):
+    raw = _template()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError, match=r"\.".join(path)):
+        config_from_dict(raw, base_dir="configs")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]],  # asymmetric
+        [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],  # indefinite
+    ],
+)
+def test_initial_covariance_must_be_symmetric_psd(matrix):
+    raw = _template()
+    raw["initial_covariance"] = matrix
+    with pytest.raises(ConfigError, match="config.initial_covariance"):
+        config_from_dict(raw, base_dir="configs")
+
+
+def test_reference_must_stay_finite_over_the_horizon():
+    raw = _template()
+    raw["reference"]["half_cycles"] = 1e308  # cos of an infinite phase
+    with pytest.raises(ConfigError, match="config.reference"):
+        config_from_dict(raw, base_dir="configs")
+
+
+def test_seed_must_be_non_negative():
+    raw = _template()
+    raw["seed"] = -1
+    with pytest.raises(ConfigError, match="config.seed"):
+        config_from_dict(raw, base_dir="configs")
+
+
 def test_randomize_names_are_validated():
     raw = _template()
     raw["monte_carlo"] = {"randomize": ["alpha", "delta"]}

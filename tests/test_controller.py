@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dualctl import (
     ControllerConfig,
     RbfNetwork,
+    SimulationError,
     SingularControlError,
     blended_control,
     branch,
@@ -124,7 +125,7 @@ def test_blend_clamps_and_reports():
 def test_blend_validates_lengths_and_finiteness():
     with pytest.raises(ValueError):
         blended_control([0.5, 0.5], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         blended_control([1.0], [math.inf])
 
 

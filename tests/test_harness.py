@@ -1,12 +1,16 @@
 """Closed-loop runs: determinism, trace files, hooks, metrics, batches."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualctl import (
     BatchError,
+    ConfigError,
     RunError,
     RunTrace,
     StateError,
@@ -165,6 +169,21 @@ def test_divergence_aborts_with_iteration(case1_cfg):
     assert err.value.iteration == 2
 
 
+def test_first_row_and_input_failures_are_typed(case1_cfg):
+    raw = config_to_dict(_short(case1_cfg, iterations=20))
+    raw["channels"]["beta"]["schedule"] = [[1, 0.0]]  # no true input gain at row 1
+    with pytest.raises(RunError) as err:
+        run_experiment(config_from_dict(raw, base_dir="configs"), controller="optimal")
+    assert err.value.iteration == 1
+    # The exact inversion cancels a huge offset with a huge input: the output
+    # stays bounded, but the input must not reach the regressor.
+    raw["channels"]["beta"]["schedule"] = [[1, 0.9]]
+    raw["channels"]["gamma"]["schedule"] = [[1, 1e15]]
+    with pytest.raises(RunError, match="input diverged") as err:
+        run_experiment(config_from_dict(raw, base_dir="configs"), controller="optimal")
+    assert err.value.iteration == 2
+
+
 def test_monte_carlo_aborts_when_most_runs_fail(case1_cfg):
     raw = config_to_dict(case1_cfg)
     raw["initial_control"] = 1e12
@@ -261,3 +280,95 @@ def test_trace_change_points_on_bundled_schedule(case1_cfg):
 def test_wall_time_is_recorded(case1_cfg):
     trace = run_experiment(_short(case1_cfg, iterations=20), seed=0)
     assert trace.wall_time > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Every config that validates runs or fails typed
+
+
+def _case1_raw(iterations):
+    """case1 as a plain document, its schedules squeezed into ``iterations``."""
+    with open("configs/case1.yaml") as fh:
+        raw = yaml.safe_load(fh)
+    raw["iterations"] = iterations
+    for ch in raw["channels"].values():
+        squeezed = {}
+        for start, value in ch["schedule"]:
+            squeezed.setdefault(1 + (start - 1) * (iterations - 1) // 599, value)
+        ch["schedule"] = [[k, v] for k, v in squeezed.items()]
+    return raw
+
+
+_SCALAR_FIELDS = (
+    ("seed",), ("initial_output",), ("initial_control",),
+    ("plant", "noise_variance"),
+    ("reference", "amplitude"), ("reference", "half_cycles"), ("reference", "span"),
+    ("controller", "dual_lambda"), ("controller", "input_clamp"),
+    ("reset", "admissible_error"), ("reset", "posterior_threshold"),
+) + tuple(
+    ("channels", ch, "schedule", -1, i) for ch in ("alpha", "beta", "gamma") for i in (0, 1)
+)
+# Interval fields take finite values only within a factor of 4 of case1's:
+# a finite but tiny eps or a huge interval makes a grid of any size, which is
+# a memory limit and not a question of error types.
+_GRID_FIELDS = tuple(
+    ("channels", ch, key) for ch in ("alpha", "beta", "gamma") for key in ("lower", "upper", "eps")
+)
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0, -3])
+
+
+def _set(raw, path, value):
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _get(raw, path):
+    node = raw
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _matrices(entry):
+    return st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@st.composite
+def _perturbed_case1(draw):
+    raw = _case1_raw(draw(st.integers(2, 30)))
+    if draw(st.booleans()):
+        raw["iterations"] = draw(st.one_of(_SPECIAL, st.integers(max_value=30)))
+    for path in draw(st.lists(st.sampled_from(_SCALAR_FIELDS), max_size=3, unique=True)):
+        _set(raw, path, draw(st.one_of(_SPECIAL, st.floats(), st.integers())))
+    for path in draw(st.lists(st.sampled_from(_GRID_FIELDS), max_size=2, unique=True)):
+        scaled = _get(raw, path) * draw(st.floats(0.25, 4.0))
+        _set(raw, path, draw(st.one_of(_SPECIAL, st.just(scaled), st.just(-scaled))))
+    kind = draw(st.sampled_from(["keep", "any", "gram"]))
+    if kind == "any":
+        entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, 0.0]))
+        raw["initial_covariance"] = draw(_matrices(entry))
+    elif kind == "gram":  # symmetric positive semidefinite
+        a = np.array(draw(_matrices(st.floats(-2.0, 2.0))))
+        raw["initial_covariance"] = (a @ a.T).tolist()
+    return raw
+
+
+@given(raw=_perturbed_case1())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_valid_config_runs_or_fails_typed(raw):
+    try:
+        cfg = config_from_dict(raw, base_dir="configs")
+    except ConfigError:
+        return
+    try:
+        run_experiment(cfg)
+    except RunError:
+        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            monte_carlo(cfg, runs=2)
+        except BatchError:
+            pass

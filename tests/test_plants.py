@@ -1,6 +1,7 @@
 """Plant dynamics, disturbance schedules, reference signals and noise."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from dualctl import (
     ReferenceSpec,
     affine_f,
     affine_g,
+    parse_config,
     reference_at,
     sample_noise,
-    step_affine_case1,
-    step_train,
+    save_config,
     train_f,
     train_g,
     validate_segments,
@@ -31,7 +32,8 @@ def test_affine_step_composition():
     y, u, noise = 0.4, -0.6, 0.013
     theta = (1.1, 0.9, 0.05)
     expected = 1.1 * affine_f(y) + 0.9 * affine_g(y) * u + 0.05 + noise
-    assert step_affine_case1(y, u, theta, noise) == pytest.approx(expected, abs=1e-15)
+    plant = PlantModel(kind="affine_case1", noise_variance=0.0)
+    assert plant.step(y, u, theta, noise) == pytest.approx(expected, abs=1e-15)
 
 
 def test_train_resistance_model():
@@ -45,7 +47,8 @@ def test_train_step_composition():
     v, u, noise = 310.0, 1500.0, -0.8
     theta = (1.05, 0.9, -12.5)
     expected = 1.05 * train_f(v) + 0.9 * train_g(v) * u - 12.5 + noise
-    assert step_train(v, u, theta, noise) == pytest.approx(expected, abs=1e-10)
+    plant = PlantModel(kind="crh3_train", noise_variance=0.0)
+    assert plant.step(v, u, theta, noise) == pytest.approx(expected, abs=1e-10)
 
 
 def test_plant_model_dispatch():
@@ -55,6 +58,61 @@ def test_plant_model_dispatch():
     train = PlantModel(kind="crh3_train", noise_variance=0.0)
     assert train.f_value(300.0) == train_f(300.0)
     assert train.step(300.0, 0.0, (1.0, 1.0, 0.0), 0.0) == train_f(300.0)
+
+
+def _train_closed_form(xi, sampling_interval, c_r, c_m, c_a):
+    xt = xi * sampling_interval
+    return (lambda v: v - xt * (c_r + c_m * v + c_a * v * v)), (lambda v: xi * sampling_interval)
+
+
+_CUSTOM_TRAIN = {"xi": 0.05, "c_a": 0.0002}
+_PLANTS = {
+    "affine_case1": (
+        dict(kind="affine_case1"),
+        lambda y: math.sin(y) + math.cos(3.0 * y),
+        lambda y: 2.0 + math.cos(y),
+    ),
+    "crh3_train_default": (
+        dict(kind="crh3_train"),
+        *_train_closed_form(0.06, 0.1, 0.1, 0.0064, 0.000115),
+    ),
+    "crh3_train_custom": (
+        dict(kind="crh3_train", params=_CUSTOM_TRAIN),
+        *_train_closed_form(0.05, 0.1, 0.1, 0.0064, 0.0002),
+    ),
+    "user_defined": (
+        dict(kind="user_defined", f=lambda y: 0.5 * y * y, g=lambda y: 1.0 + 0.1 * y),
+        lambda y: 0.5 * y * y,
+        lambda y: 1.0 + 0.1 * y,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTS))
+def test_plant_model_matches_closed_form(name):
+    kwargs, f, g = _PLANTS[name]
+    plant = PlantModel(noise_variance=0.0, **kwargs)
+    for y, u, theta, noise in (
+        (0.3, -0.7, (1.1, 0.9, 0.05), 0.013),
+        (-1.2, 2.5, (0.8, 1.05, -0.1), -0.002),
+        (310.0, 1500.0, (1.05, 0.9, -12.5), -0.8),
+    ):
+        assert plant.f_value(y) == f(y)
+        assert plant.g_value(y) == g(y)
+        a, b, c = theta
+        assert plant.step(y, u, theta, noise) == a * f(y) + b * g(y) * u + c + noise
+
+
+def test_parsed_plant_survives_save_and_pickle(tmp_path):
+    cfg = parse_config("configs/case4.yaml")
+    out = tmp_path / "copy.yaml"
+    save_config(cfg, out)
+    assert parse_config(out) == cfg
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg
+    assert again.plant.step(314.0, 800.0, (1.0, 1.0, -2.0), 0.1) == cfg.plant.step(
+        314.0, 800.0, (1.0, 1.0, -2.0), 0.1
+    )
 
 
 def test_plant_model_user_defined_requires_callables():
@@ -111,14 +169,6 @@ def test_schedule_change_points_merge_channels():
         alpha=((1, 1.0), (50, 1.0)), beta=((1, 1.0),), gamma=((1, 0.0),)
     )
     assert flat.change_points(600) == []
-
-
-def test_schedule_timeline_matches_lookup():
-    sched = _schedule()
-    tl = sched.timeline(300)
-    assert tl.shape == (300, 3)
-    for k in (1, 99, 100, 249, 250, 300):
-        assert tuple(tl[k - 1]) == sched.at(k)
 
 
 def test_cosine_reference():
