@@ -7,15 +7,12 @@ closes the loop with a posterior-blended dual controller.
 """
 
 from .config import (
-    ChannelSpec,
-    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     parse_config,
     save_config,
 )
 from .controller import (
-    ControlDecision,
     ControllerConfig,
     blended_control,
     candidate_control_terms,
@@ -34,19 +31,12 @@ from .errors import (
 )
 from .grid import (
     BoundedInterval,
-    CandidateGrid,
-    MidpointSet,
-    build_candidate_set,
     grid_from_intervals,
     partition_interval,
 )
 from .harness import (
-    BatchMetrics,
-    BatchResult,
-    RunMetrics,
     RunTrace,
     batch_metrics,
-    excursion_count,
     recovery_streak,
     monte_carlo,
     read_trace,
@@ -62,12 +52,10 @@ from .learner import (
     ResetPolicy,
     bayes_step,
     detect_change,
-    log_likelihood,
     make_state,
     reset,
     update_covariance,
     update_posteriors,
-    update_posteriors_log,
 )
 from .plants import (
     DisturbanceSchedule,
@@ -82,16 +70,12 @@ from .plants import (
     validate_segments,
 )
 from .rbf import (
-    BranchGeometry,
-    RbfBranch,
     RbfNetwork,
     TrainingDataset,
     branch,
-    eval_basis,
     eval_network,
     geometry,
     load_network,
-    predict_output,
     save_network,
     train_offline,
 )

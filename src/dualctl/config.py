@@ -17,7 +17,7 @@ import yaml
 
 from .controller import ControllerConfig
 from .errors import ConfigError, StateError
-from .grid import BoundedInterval, CandidateGrid, grid_from_intervals
+from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition_count
 from .learner import ResetPolicy, make_state
 from .plants import (
     DisturbanceSchedule,
@@ -30,7 +30,11 @@ from .plants import (
 from .rbf import RbfNetwork, load_network
 
 SCHEMA_VERSION = 1
+RNG = "pcg64"  # the only generator; documents name it explicitly
 CHANNELS = ("alpha", "beta", "gamma")
+# Largest candidate grid a document may imply.  The per-iteration cost and the
+# learner state grow linearly with it; the bundled configs reach 105.
+MAX_GRID_SIZE = 10_000
 _COVARIANCE_PRESETS = ("identity", "zero", "interval_variance")
 
 
@@ -60,8 +64,6 @@ class ExperimentConfig:
     reset: ResetPolicy
     initial_covariance: tuple[tuple[float, ...], ...]
     mc_randomize: tuple[str, ...] = ()
-    rng: str = "pcg64"
-    schema_version: int = SCHEMA_VERSION
 
     def build_grid(self) -> CandidateGrid:
         return grid_from_intervals(
@@ -139,6 +141,19 @@ def _channel(raw, path, iterations) -> ChannelSpec:
             f"{path}.schedule: segment starts at k={sched[-1][0]} beyond iterations={iterations}"
         )
     return ChannelSpec(interval=interval, schedule=sched)
+
+
+def _check_grid_size(channels) -> None:
+    """Reject a grid above ``MAX_GRID_SIZE`` candidates without building it."""
+    try:
+        counts = [partition_count(ch.interval) for ch in channels]
+    except OverflowError:  # width / eps is infinite
+        counts = [math.inf]
+    if math.prod(counts) > MAX_GRID_SIZE:
+        raise ConfigError(
+            f"config.channels: the candidate grid has "
+            f"{' x '.join(map(str, counts))} candidates, more than {MAX_GRID_SIZE}"
+        )
 
 
 def _plant(raw, path) -> PlantModel:
@@ -259,9 +274,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     seed = _expect(raw, "seed", int, "config")
     if isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
-    rng = _expect(raw, "rng", str, "config", required=False, default="pcg64")
-    if rng != "pcg64":
-        raise ConfigError(f"config.rng: only 'pcg64' is supported, got {rng!r}")
+    rng = _expect(raw, "rng", str, "config", required=False, default=RNG)
+    if rng != RNG:
+        raise ConfigError(f"config.rng: only {RNG!r} is supported, got {rng!r}")
 
     channels_raw = _expect(raw, "channels", dict, "config")
     channels = []
@@ -269,6 +284,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if name not in channels_raw:
             raise ConfigError(f"config.channels.{name}: missing required field")
         channels.append(_channel(channels_raw[name], f"config.channels.{name}", iterations))
+    _check_grid_size(channels)
 
     controller_raw = _expect(raw, "controller", dict, "config")
     lam = _number(controller_raw, "dual_lambda", "config.controller")
@@ -312,7 +328,6 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         name=_expect(raw, "name", str, "config"),
         iterations=iterations,
         seed=seed,
-        rng=rng,
         initial_output=_number(raw, "initial_output", "config"),
         initial_control=_number(raw, "initial_control", "config", required=False, default=0.0),
         plant=_plant(_expect(raw, "plant", dict, "config"), "config.plant"),
@@ -330,7 +345,6 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             channels,
         ),
         mc_randomize=tuple(randomize),
-        schema_version=version,
     )
 
 
@@ -359,11 +373,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         ref["values"] = list(cfg.reference.values)
 
     return {
-        "schema_version": cfg.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "name": cfg.name,
         "iterations": cfg.iterations,
         "seed": cfg.seed,
-        "rng": cfg.rng,
+        "rng": RNG,
         "initial_output": cfg.initial_output,
         "initial_control": cfg.initial_control,
         "plant": {

@@ -49,6 +49,5 @@ class ConfigError(DualctlError):
 class PosteriorUnderflowError(DualctlError):
     """Every posterior-likelihood product underflowed to zero in linear space.
 
-    Recoverable: redo the update with log-likelihoods (see
-    ``update_posteriors_log``).
+    Recoverable: ``bayes_step`` redoes the update in the log domain.
     """

@@ -57,31 +57,29 @@ class BoundedInterval:
 class MidpointSet:
     """Midpoints of the equal sub-intervals covering an interval."""
 
-    lower: float
-    upper: float
     count: int
     sub_interval_length: float
     midpoints: tuple[float, ...]
 
 
-def partition_interval(interval: BoundedInterval) -> MidpointSet:
-    """Split an interval into the smallest number of equal sub-intervals whose
-    length does not exceed the admissible error, and return the midpoints.
+def partition_count(interval: BoundedInterval) -> int:
+    """The smallest number of equal sub-intervals whose length does not exceed
+    the admissible error.
 
     The count is ``s = strict_floor(width / eps) + 1``, which guarantees
     ``width / s <= eps`` so any point of the interval is within ``eps / 2`` of
-    some midpoint.
+    some midpoint.  Raises ``OverflowError`` when ``width / eps`` is infinite.
     """
-    s = _strict_floor(interval.width / interval.admissible_error) + 1
+    return _strict_floor(interval.width / interval.admissible_error) + 1
+
+
+def partition_interval(interval: BoundedInterval) -> MidpointSet:
+    """Split an interval into :func:`partition_count` equal sub-intervals and
+    return their midpoints."""
+    s = partition_count(interval)
     length = interval.width / s
     midpoints = tuple(interval.lower + (i + 0.5) * length for i in range(s))
-    return MidpointSet(
-        lower=interval.lower,
-        upper=interval.upper,
-        count=s,
-        sub_interval_length=length,
-        midpoints=midpoints,
-    )
+    return MidpointSet(count=s, sub_interval_length=length, midpoints=midpoints)
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,13 @@ class CandidateGrid:
     """Cartesian product of per-channel midpoint sets.
 
     ``vectors[t] == (alpha_i, beta_j, gamma_l)`` with alpha varying slowest and
-    gamma fastest. ``eta`` is the uniform prior mass ``1 / size``.
+    gamma fastest.
     """
 
     alpha: MidpointSet
     beta: MidpointSet
     gamma: MidpointSet
     vectors: tuple[tuple[float, float, float], ...]
-    eta: float
 
     @property
     def size(self) -> int:
@@ -119,25 +116,13 @@ class CandidateGrid:
         return i, j, l
 
 
-def build_candidate_set(
-    alpha: MidpointSet, beta: MidpointSet, gamma: MidpointSet
-) -> CandidateGrid:
-    """Enumerate all (alpha, beta, gamma) combinations, alpha-major."""
-    vectors = tuple(
-        (a, b, g)
-        for a in alpha.midpoints
-        for b in beta.midpoints
-        for g in gamma.midpoints
-    )
-    return CandidateGrid(
-        alpha=alpha, beta=beta, gamma=gamma, vectors=vectors, eta=1.0 / len(vectors)
-    )
-
-
 def grid_from_intervals(
     alpha: BoundedInterval, beta: BoundedInterval, gamma: BoundedInterval
 ) -> CandidateGrid:
-    """Convenience: partition all three channels and build the product grid."""
-    return build_candidate_set(
-        partition_interval(alpha), partition_interval(beta), partition_interval(gamma)
+    """Partition all three channels and enumerate every (alpha, beta, gamma)
+    combination, alpha-major."""
+    a, b, g = partition_interval(alpha), partition_interval(beta), partition_interval(gamma)
+    vectors = tuple(
+        (x, y, z) for x in a.midpoints for y in b.midpoints for z in g.midpoints
     )
+    return CandidateGrid(alpha=a, beta=b, gamma=g, vectors=vectors)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import CHANNELS, ExperimentConfig
 from .controller import blended_control, candidate_control_terms, optimal_control
-from .errors import BatchError, DualctlError, RunError
+from .errors import BatchError, ConfigError, DualctlError, RunError, SingularControlError
 from .learner import bayes_step, detect_change, make_state, update_covariance
 from .learner import reset as reset_learner
 from .plants import reference_at, sample_noise
@@ -42,7 +42,7 @@ TRACE_COLUMNS = (
     "k", "y_r", "y", "u", "u_opt", "y_hat", "err",
     "argmax_t", "max_pi", "reset", "alpha_true", "beta_true", "gamma_true",
 )
-_INT_COLUMNS = ("k", "argmax_t", "reset")
+_PARSERS = tuple(int if c in ("k", "argmax_t", "reset") else float for c in TRACE_COLUMNS)
 
 # Abort rather than let a diverging loop overflow into inf/nan arithmetic.
 _DIVERGENCE_LIMIT = 1e9
@@ -55,6 +55,8 @@ class RunTrace:
     argmax_t is 1-indexed to match candidate numbering in reports.  At a reset
     row, argmax_t/max_pi reflect the posterior state that triggered the reset;
     the optional pi_* columns hold the state carried into the next iteration.
+    u_opt is NaN on the rows of a proposed run where the true input gain is
+    singular.
     """
 
     name: str
@@ -88,6 +90,12 @@ def _bounded(name: str, value: float, k: int) -> float:
     return value
 
 
+def _check_seed(name: str, seed: int | None) -> None:
+    """A seed override must be a non-negative integer, like the config's seed."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{name}: expected a non-negative integer, got {seed!r}")
+
+
 def _fire(hooks, event, k, **info):
     if hooks is None:
         return
@@ -118,6 +126,7 @@ def run_experiment(
         if ch not in CHANNELS:
             raise ValueError(f"randomize names unknown channel {ch!r}")
 
+    _check_seed("seed", seed)
     started = time.perf_counter()
     plant = cfg.plant
     net = cfg.network
@@ -137,6 +146,14 @@ def run_experiment(
     }
     sched = replace(cfg.build_schedule(), **drawn)
 
+    def optimal_input(theta, y, target):
+        try:
+            return optimal_control(theta, plant.f_value(y), plant.g_value(y), target)
+        except SingularControlError:
+            if controller == "optimal":
+                raise
+            return math.nan  # the proposed law never uses the true gain
+
     state = make_state(size, plant.noise_variance, cfg.initial_covariance)
     n = cfg.iterations
 
@@ -147,25 +164,13 @@ def run_experiment(
     y_r = reference_at(spec, 1)
     target = reference_at(spec, 2)
     try:
-        u_opt = optimal_control(theta, plant.f_value(y), plant.g_value(y), target)
+        u_opt = optimal_input(theta, y, target)
     except DualctlError as exc:
         raise RunError(f"iteration failed: {exc}", iteration=1, cause=exc) from exc
     u = u_opt if controller == "optimal" else cfg.initial_control
     f_hat, g_hat = eval_network(net, (y,))
 
-    col_k = [1]
-    col_yr = [y_r]
-    col_y = [y]
-    col_u = [u]
-    col_uopt = [u_opt]
-    col_yhat = [y]
-    col_err = [y - y_r]
-    col_argmax = [1]
-    col_maxpi = [state.eta]
-    col_reset = [0]
-    col_a = [theta[0]]
-    col_b = [theta[1]]
-    col_c = [theta[2]]
+    rows = [(1, y_r, y, u, u_opt, y, y - y_r, 1, state.eta, 0, *theta)]
     pi_rows = [list(state.posteriors)] if collect_posteriors else None
 
     for k in range(1, n):
@@ -186,7 +191,7 @@ def run_experiment(
             y_r = target
             target = reference_at(spec, k + 2)
             theta = sched.at(k + 1)
-            u_opt = optimal_control(theta, plant.f_value(y), plant.g_value(y), target)
+            u_opt = optimal_input(theta, y, target)
             f_hat, g_hat = eval_network(net, (y,))
             if controller == "proposed":
                 candidates = candidate_control_terms(
@@ -212,19 +217,9 @@ def run_experiment(
         except DualctlError as exc:
             raise RunError(f"iteration failed: {exc}", iteration=k + 1, cause=exc) from exc
 
-        col_k.append(k + 1)
-        col_yr.append(y_r)
-        col_y.append(y)
-        col_u.append(u)
-        col_uopt.append(u_opt)
-        col_yhat.append(y_hat)
-        col_err.append(y - y_r)
-        col_argmax.append(t_star + 1)
-        col_maxpi.append(pi_star)
-        col_reset.append(int(triggered))
-        col_a.append(theta[0])
-        col_b.append(theta[1])
-        col_c.append(theta[2])
+        rows.append(
+            (k + 1, y_r, y, u, u_opt, y_hat, y - y_r, t_star + 1, pi_star, int(triggered), *theta)
+        )
         if pi_rows is not None:
             pi_rows.append(list(state.posteriors))
 
@@ -233,22 +228,16 @@ def run_experiment(
         controller=controller,
         seed=run_seed,
         grid_size=size,
-        k=col_k,
-        y_r=col_yr,
-        y=col_y,
-        u=col_u,
-        u_opt=col_uopt,
-        y_hat=col_yhat,
-        err=col_err,
-        argmax_t=col_argmax,
-        max_pi=col_maxpi,
-        reset=col_reset,
-        alpha_true=col_a,
-        beta_true=col_b,
-        gamma_true=col_c,
         posteriors=pi_rows,
         wall_time=time.perf_counter() - started,
+        **_columns(rows),
     )
+
+
+def _columns(rows) -> dict[str, list]:
+    """RunTrace column lists from row tuples in ``TRACE_COLUMNS`` order."""
+    columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
+    return {name: list(col) for name, col in zip(TRACE_COLUMNS, columns)}
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,7 @@ def read_trace(path) -> RunTrace:
         raise ValueError(f"{path}: unexpected columns {header[:len(TRACE_COLUMNS)]}")
     n_pi = len(header) - len(TRACE_COLUMNS)
 
-    columns: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
+    rows = []
     pi_rows: list[list[float]] | None = [] if n_pi else None
     for line_no, line in enumerate(lines[idx + 1:], start=idx + 2):
         if not line:
@@ -309,8 +298,7 @@ def read_trace(path) -> RunTrace:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}, line {line_no}: expected {len(header)} fields")
-        for name, raw in zip(TRACE_COLUMNS, parts):
-            columns[name].append(int(raw) if name in _INT_COLUMNS else float(raw))
+        rows.append(tuple(parse(raw) for parse, raw in zip(_PARSERS, parts)))
         if pi_rows is not None:
             pi_rows.append([float(v) for v in parts[len(TRACE_COLUMNS):]])
 
@@ -321,7 +309,7 @@ def read_trace(path) -> RunTrace:
         grid_size=int(meta.get("grid_size", n_pi)),
         posteriors=pi_rows,
         wall_time=0.0,
-        **columns,
+        **_columns(rows),
     )
 
 
@@ -404,31 +392,6 @@ def recovery_streak(trace: RunTrace, change_k: int, threshold: float) -> int:
     return streak
 
 
-def excursion_count(
-    trace: RunTrace,
-    threshold: float,
-    change_points=(),
-    window: int = 10,
-    startup: int = 10,
-) -> int:
-    """Iterations with |err| above threshold outside startup and change windows.
-
-    A change window covers rows c..c+window for each change point c, so the
-    count isolates tracking excursions that the disturbance timeline does not
-    explain.
-    """
-    count = 0
-    for i in range(len(trace)):
-        k = trace.k[i]
-        if k <= startup:
-            continue
-        if any(c <= k <= c + window for c in change_points):
-            continue
-        if abs(trace.err[i]) > threshold:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -477,6 +440,7 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    _check_seed("seed_base", seed_base)
     base = cfg.seed if seed_base is None else seed_base
     tasks = [
         (cfg, controller, i, base + i, cfg.mc_randomize, collect_posteriors)

@@ -109,12 +109,7 @@ def _initial_layout(p0, size: int):
     return [[[v] * size for v in row] for row in p0], [peak] * size
 
 
-def make_state(
-    grid_size: int,
-    noise_variance: float,
-    initial_covariance,
-    eta: float | None = None,
-) -> LearnerState:
+def make_state(grid_size: int, noise_variance: float, initial_covariance) -> LearnerState:
     """Uniform posteriors with every covariance at the configured initial value."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -126,7 +121,7 @@ def make_state(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=covariances,
         peaks=peaks,
-        eta=eta if eta is not None else 1.0 / grid_size,
+        eta=1.0 / grid_size,
         noise_variance=float(noise_variance),
         initial_covariance=p0,
     )
@@ -134,17 +129,11 @@ def make_state(
     return state
 
 
-def log_likelihood(residual: float, variance: float) -> float:
-    if not variance > 0.0:
-        raise ValueError(f"likelihood variance must be > 0, got {variance}")
-    return -0.5 * (_LOG_2PI + math.log(variance)) - (residual * residual) / (2.0 * variance)
-
-
 def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
     """One Bayes step: normalized elementwise product of priors and likelihoods.
 
     Raises :class:`PosteriorUnderflowError` when every product underflows to
-    zero; callers should then redo the step with :func:`update_posteriors_log`.
+    zero; :func:`bayes_step` then redoes the step in the log domain.
     """
     if len(likelihoods) != len(state.posteriors):
         raise ValueError(
@@ -162,24 +151,6 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
             "all posterior-likelihood products underflowed; use the log-domain update"
         )
     return replace(state, posteriors=[v / total for v in products])
-
-
-def update_posteriors_log(state: LearnerState, log_likelihoods) -> LearnerState:
-    """Bayes step in the log domain (shift by the max before exponentiating)."""
-    if len(log_likelihoods) != len(state.posteriors):
-        raise ValueError(
-            f"got {len(log_likelihoods)} log-likelihoods for {len(state.posteriors)} candidates"
-        )
-    logs = [
-        math.log(max(p, POSTERIOR_FLOOR)) + ll
-        for p, ll in zip(state.posteriors, log_likelihoods)
-    ]
-    m = max(logs)
-    if not math.isfinite(m):
-        raise ValueError("log-likelihoods must be finite")
-    weights = [math.exp(v - m) for v in logs]
-    total = math.fsum(weights)
-    return replace(state, posteriors=[w / total for w in weights])
 
 
 def update_covariance(state: LearnerState) -> LearnerState:
@@ -248,9 +219,13 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
     linear-domain products all underflow. Returns the new state plus the
     residual and prediction-variance vectors.
 
+    The log-domain update adds each log prior (floored) to the Gaussian
+    log-density, shifts by the max before exponentiating and normalizes.
+
     Raises :class:`StateError` when a covariance is indefinite along the
-    regressor or a prediction variance is not positive (zero noise with a
-    covariance that vanishes along the regressor).
+    regressor, a prediction variance is not positive (zero noise with a
+    covariance that vanishes along the regressor) or no log-posterior is
+    finite.
     """
     if len(thetas) != len(state.posteriors):
         raise ValueError(
@@ -301,5 +276,14 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
             return update_posteriors(state, densities), residuals, variances
         except PosteriorUnderflowError:
             pass
-    logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
-    return update_posteriors_log(state, logd), residuals, variances
+    log = math.log
+    logs = [
+        log(max(p, POSTERIOR_FLOOR)) + (-0.5 * (_LOG_2PI + log(v)) - (r * r) / (2.0 * v))
+        for p, r, v in zip(state.posteriors, residuals, variances)
+    ]
+    m = max(logs)
+    if not math.isfinite(m):
+        raise StateError(f"log-posteriors are not finite (max {m})")
+    weights = [exp(v - m) for v in logs]
+    total = math.fsum(weights)
+    return replace(state, posteriors=[w / total for w in weights]), residuals, variances

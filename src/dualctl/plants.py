@@ -140,25 +140,14 @@ class DisturbanceSchedule:
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, validate_segments(getattr(self, name), name))
 
-    def value_at(self, channel: str, k: int) -> float:
-        segs = getattr(self, channel)
+    def at(self, k: int) -> tuple[float, float, float]:
+        """The (alpha, beta, gamma) values in force at iteration ``k >= 1``."""
         if k < 1:
             raise ValueError(f"iteration index must be >= 1, got {k}")
-        starts = [s for s, _ in segs]
-        return segs[bisect_right(starts, k) - 1][1]
-
-    def at(self, k: int) -> tuple[float, float, float]:
-        return (self.value_at("alpha", k), self.value_at("beta", k), self.value_at("gamma", k))
-
-    def change_points(self, n: int) -> list[int]:
-        """Iterations in (1, n] where any channel's value actually changes."""
-        points = set()
-        for name in ("alpha", "beta", "gamma"):
-            segs = getattr(self, name)
-            for (_, v0), (k1, v1) in zip(segs, segs[1:]):
-                if v1 != v0 and 1 < k1 <= n:
-                    points.add(k1)
-        return sorted(points)
+        return tuple(
+            segs[bisect_right([s for s, _ in segs], k) - 1][1]
+            for segs in (self.alpha, self.beta, self.gamma)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Parameter file format (plain text, ``#`` comments allowed anywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,22 +78,16 @@ def branch(centers, widths, weights) -> RbfBranch:
     return RbfBranch(cents, widths, tuple(float(w) for w in weights))
 
 
-def eval_basis(br: RbfBranch, x) -> list[float]:
-    """Gaussian activations of every basis at state ``x``."""
-    if len(x) != br.dim:
-        raise ValueError(f"state has dimension {len(x)}, branch expects {br.dim}")
-    out = []
-    for c, b2 in zip(br.centers, br.widths):
+def _branch_value(br: RbfBranch, x) -> float:
+    """The branch output ``w . h(x)``, summed with ``math.fsum``."""
+    terms = []
+    for w, c, b2 in zip(br.weights, br.centers, br.widths):
         d2 = 0.0
         for xv, cv in zip(x, c):
             dv = xv - cv
             d2 += dv * dv
-        out.append(math.exp(-d2 / (2.0 * b2)))
-    return out
-
-
-def _branch_value(br: RbfBranch, x) -> float:
-    return math.fsum(w * h for w, h in zip(br.weights, eval_basis(br, x)))
+        terms.append(w * math.exp(-d2 / (2.0 * b2)))
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -116,30 +110,14 @@ class RbfNetwork:
 
 def eval_network(net: RbfNetwork, x) -> tuple[float, float]:
     """Return ``(fhat(x), ghat(x))``."""
+    if len(x) != net.state_dim:
+        raise ValueError(f"state has dimension {len(x)}, network expects {net.state_dim}")
     return _branch_value(net.f_branch, x), _branch_value(net.g_branch, x)
 
 
-def predict_output(net: RbfNetwork, theta, x, u: float) -> float:
-    """One-step output prediction under disturbance candidate ``theta``."""
-    fh, gh = eval_network(net, x)
-    return theta[0] * fh + theta[1] * gh * u + theta[2]
-
-
-@dataclass(frozen=True)
-class BranchGeometry:
-    """Fixed centers and squared widths for a branch whose weights are to be fit."""
-
-    centers: tuple[tuple[float, ...], ...]
-    widths: tuple[float, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.centers)
-
-
-def geometry(centers, widths) -> BranchGeometry:
-    b = branch(centers, widths, (0.0,) * len(centers))
-    return BranchGeometry(b.centers, b.widths)
+def geometry(centers, widths) -> RbfBranch:
+    """A branch with zero weights: the fixed bases that :func:`train_offline` fits."""
+    return branch(centers, widths, (0.0,) * len(centers))
 
 
 @dataclass
@@ -165,7 +143,7 @@ class TrainingDataset:
             raise ValueError("ridge must be >= 0")
 
 
-def _activation_matrix(geom: BranchGeometry, states: np.ndarray) -> np.ndarray:
+def _activation_matrix(geom: RbfBranch, states: np.ndarray) -> np.ndarray:
     centers = np.asarray(geom.centers, dtype=float)  # (m, d)
     widths = np.asarray(geom.widths, dtype=float)  # (m,)
     d2 = ((states[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -173,7 +151,7 @@ def _activation_matrix(geom: BranchGeometry, states: np.ndarray) -> np.ndarray:
 
 
 def train_offline(
-    data: TrainingDataset, f_geometry: BranchGeometry, g_geometry: BranchGeometry
+    data: TrainingDataset, f_geometry: RbfBranch, g_geometry: RbfBranch
 ) -> tuple[RbfNetwork, float]:
     """Fit output weights of both branches jointly and report the residual RMS.
 
@@ -188,10 +166,10 @@ def train_offline(
         raise FitError("empty training dataset")
     if n < p:
         raise FitError(f"need at least {p} samples to fit {p} weights, got {n}")
-    if data.states.shape[1] != len(f_geometry.centers[0]):
+    if data.states.shape[1] != f_geometry.dim:
         raise ValueError(
             f"training states have dimension {data.states.shape[1]}, "
-            f"geometry expects {len(f_geometry.centers[0])}"
+            f"geometry expects {f_geometry.dim}"
         )
 
     hf = _activation_matrix(f_geometry, data.states)
@@ -208,12 +186,8 @@ def train_offline(
         raise FitError(f"design matrix is rank deficient (rank {rank} < {p} weights)")
 
     net = RbfNetwork(
-        f_branch=RbfBranch(
-            f_geometry.centers, f_geometry.widths, tuple(float(w) for w in weights[: f_geometry.size])
-        ),
-        g_branch=RbfBranch(
-            g_geometry.centers, g_geometry.widths, tuple(float(w) for w in weights[f_geometry.size :])
-        ),
+        f_branch=replace(f_geometry, weights=tuple(float(w) for w in weights[: f_geometry.size])),
+        g_branch=replace(g_geometry, weights=tuple(float(w) for w in weights[f_geometry.size :])),
     )
     residuals = data.outputs - (hf @ weights[: f_geometry.size] + hg @ weights[f_geometry.size :])
     rms = float(np.sqrt(np.mean(residuals**2))) if n else 0.0

@@ -47,6 +47,14 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_overrides_exit_with_a_config_error(capsys):
+    assert main(["run", "--config", "configs/case1.yaml", "--seed", "-1"]) == 1
+    assert "error: seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+    argv = ["mc", "--config", "configs/case1.yaml", "--runs", "2", "--seed-base", "-5"]
+    assert main(argv) == 1
+    assert "error: seed_base: expected a non-negative integer, got -5" in capsys.readouterr().err
+
+
 def test_train_fits_from_csv(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = []

@@ -5,6 +5,7 @@ import copy
 import pytest
 import yaml
 
+import dualctl.grid
 from dualctl import (
     ConfigError,
     config_from_dict,
@@ -12,6 +13,7 @@ from dualctl import (
     parse_config,
     save_config,
 )
+from dualctl.config import MAX_GRID_SIZE
 
 BUNDLED = [
     "case1", "case2", "case4",
@@ -25,7 +27,7 @@ def test_bundled_configs_parse(name):
     cfg = parse_config(f"configs/{name}.yaml")
     assert cfg.name == name
     assert cfg.iterations == 600
-    assert cfg.build_grid().size >= 1
+    assert 1 <= cfg.build_grid().size <= MAX_GRID_SIZE
     assert cfg.network.f_branch.size > 0
 
 
@@ -43,7 +45,8 @@ def test_case1_config_contents():
     assert cfg.initial_covariance[1][1] == pytest.approx(0.3**2 / 12, abs=1e-15)
     assert cfg.initial_covariance[2][2] == pytest.approx(0.1**2 / 12, abs=1e-15)
     schedule = cfg.build_schedule()
-    assert schedule.change_points(600) == [85, 180, 340, 520]
+    starts = {k for segs in (schedule.alpha, schedule.beta, schedule.gamma) for k, _ in segs[1:]}
+    assert sorted(starts) == [85, 180, 340, 520]
 
 
 def test_case4_config_contents():
@@ -194,6 +197,27 @@ def test_seed_must_be_non_negative():
     raw = _template()
     raw["seed"] = -1
     with pytest.raises(ConfigError, match="config.seed"):
+        config_from_dict(raw, base_dir="configs")
+
+
+def test_grid_size_is_bounded_without_building_the_grid(monkeypatch):
+    def unbuilt(interval):
+        raise AssertionError("validation must not partition an interval")
+
+    monkeypatch.setattr(dualctl.grid, "partition_interval", unbuilt)
+    raw = _template()  # alpha spans 0.5 and beta 0.3, gamma has one candidate
+    raw["channels"]["alpha"]["eps"] = 0.005  # 100 candidates
+    raw["channels"]["beta"]["eps"] = 0.003  # 100 candidates
+    assert MAX_GRID_SIZE == 10_000
+    config_from_dict(raw, base_dir="configs")
+    raw["channels"]["beta"]["eps"] = 0.3 / 100.5  # 101 candidates
+    with pytest.raises(ConfigError, match="100 x 101 x 1 candidates, more than 10000"):
+        config_from_dict(raw, base_dir="configs")
+    raw["channels"]["alpha"]["eps"] = 1e-7  # five million midpoints
+    with pytest.raises(ConfigError, match="config.channels: the candidate grid"):
+        config_from_dict(raw, base_dir="configs")
+    raw["channels"]["alpha"]["eps"] = 5e-324  # width / eps overflows
+    with pytest.raises(ConfigError, match="config.channels: the candidate grid"):
         config_from_dict(raw, base_dir="configs")
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dualctl import (
     BoundedInterval,
-    build_candidate_set,
     grid_from_intervals,
+    make_state,
     partition_interval,
 )
+from dualctl.grid import partition_count
 
 
 # (lower, upper, eps) -> expected sub-interval count.  Frozen by hand from
@@ -34,8 +35,9 @@ KNOWN_COUNTS = [
 
 @pytest.mark.parametrize("lower,upper,eps,count", KNOWN_COUNTS)
 def test_partition_counts(lower, upper, eps, count):
-    ms = partition_interval(BoundedInterval(lower, upper, eps))
-    assert ms.count == count
+    interval = BoundedInterval(lower, upper, eps)
+    ms = partition_interval(interval)
+    assert ms.count == count == partition_count(interval)
     assert len(ms.midpoints) == count
 
 
@@ -114,7 +116,7 @@ def _product_grid():
 def test_grid_size_and_eta():
     grid = _product_grid()
     assert grid.size == 15
-    assert grid.eta == pytest.approx(1.0 / 15, abs=1e-15)
+    assert make_state(grid.size, 0.01, ((0.0,) * 3,) * 3).eta == pytest.approx(1.0 / 15, abs=1e-15)
 
 
 def test_alpha_major_ordering():
@@ -173,10 +175,3 @@ def test_flat_index_bijection(sa, sb, sg, data):
     assert (grid.alpha.count, grid.beta.count, grid.gamma.count) == (sa, sb, sg)
     t = data.draw(st.integers(0, grid.size - 1))
     assert grid.flat_index(*grid.unflatten(t)) == t
-
-
-def test_build_candidate_set_matches_grid_from_intervals():
-    a = partition_interval(BoundedInterval(0.75, 1.25, 0.1))
-    b = partition_interval(BoundedInterval(0.75, 1.05, 0.1))
-    g = partition_interval(BoundedInterval(-0.05, 0.05, 0.2))
-    assert build_candidate_set(a, b, g).vectors == _product_grid().vectors

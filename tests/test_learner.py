@@ -19,12 +19,10 @@ from dualctl import (
     bayes_step,
     candidate_control_terms,
     detect_change,
-    log_likelihood,
     make_state,
     reset,
     update_covariance,
     update_posteriors,
-    update_posteriors_log,
 )
 from dualctl.learner import LOG_DOMAIN_TRIGGER
 
@@ -58,6 +56,20 @@ def _oracle_likelihood(residual, variance):
     return math.exp(-(residual * residual) / (2.0 * variance)) / math.sqrt(
         2.0 * math.pi * variance
     )
+
+
+def _oracle_log_update(posteriors, residuals, variances):
+    """The log-domain Bayes update: floored log prior plus Gaussian log-density,
+    shifted by the max before exponentiating."""
+    logs = [
+        math.log(max(p, POSTERIOR_FLOOR))
+        + (-0.5 * (math.log(2.0 * math.pi) + math.log(v)) - (r * r) / (2.0 * v))
+        for p, r, v in zip(posteriors, residuals, variances)
+    ]
+    m = max(logs)
+    weights = [math.exp(v - m) for v in logs]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
 
 
 def _oracle_update_covariance(covariance, posterior, eta):
@@ -97,8 +109,7 @@ def _oracle_bayes_step(template, posteriors, covariances, regressor, observed, t
             return new.posteriors, residuals, variances, False
         except PosteriorUnderflowError:
             pass
-    logd = [log_likelihood(r, v) for r, v in zip(residuals, variances)]
-    return update_posteriors_log(prior, logd).posteriors, residuals, variances, True
+    return _oracle_log_update(posteriors, residuals, variances), residuals, variances, True
 
 
 def _matrices(state):
@@ -152,8 +163,6 @@ def test_gaussian_likelihood_matches_closed_form():
         d0 = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
         d1 = 1.0 / math.sqrt(2 * math.pi * v)
         assert new.posteriors[0] == pytest.approx(d0 / (d0 + d1), rel=1e-15)
-        log_expected = -0.5 * math.log(2 * math.pi * v) - r * r / (2 * v)
-        assert log_likelihood(r, v) == pytest.approx(log_expected, rel=1e-12)
 
 
 def test_likelihood_rejects_nonpositive_variance():
@@ -162,8 +171,6 @@ def test_likelihood_rejects_nonpositive_variance():
     state = make_state(2, 0.0, ZERO)
     with pytest.raises(StateError, match="prediction variance of candidate 0"):
         bayes_step(state, (0.5, 1.0, 1.0), 0.1, [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1)])
-    with pytest.raises(ValueError):
-        log_likelihood(0.1, -1.0)
 
 
 def test_prediction_variance_is_quadratic_form_plus_noise():
@@ -208,15 +215,29 @@ def test_posterior_update_matches_brute_force_oracle():
         assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
 
 
+def _gamma_step(state, observed, gammas):
+    """bayes_step with zero covariance and regressor (0, 0, 1): candidate t
+    has residual ``observed - gammas[t]`` and variance sigma^2."""
+    return bayes_step(state, (0.0, 0.0, 1.0), observed, [(1.0, 1.0, g) for g in gammas])
+
+
 def test_log_domain_update_agrees_with_linear_domain():
+    # One candidate 100 sigma away sends the step into the log domain; the
+    # others must still get the linear-domain closed form.
     rng = np.random.default_rng(7)
     for _ in range(200):
         size = int(rng.integers(2, 30))
-        state = _random_state(rng, size)
-        like = rng.uniform(1e-4, 10.0, size=size)
-        lin = update_posteriors(state, list(like))
-        log = update_posteriors_log(state, [math.log(l) for l in like])
-        assert np.max(np.abs(np.asarray(lin.posteriors) - np.asarray(log.posteriors))) < 1e-12
+        state = replace(
+            _random_state(rng, size),
+            covariances=_layout(ZERO, size),
+            peaks=[0.0] * size,
+            noise_variance=1.0,
+        )
+        residuals = list(rng.uniform(-3.0, 3.0, size=size - 1)) + [100.0]
+        new, _, _ = _gamma_step(state, 0.0, [-r for r in residuals])
+        lin = np.asarray(state.posteriors) * np.exp(-np.square(residuals) / 2.0)
+        lin /= lin.sum()
+        assert np.max(np.abs(np.asarray(new.posteriors) - lin)) < 1e-12
 
 
 def test_underflow_raises_then_log_domain_recovers():
@@ -224,13 +245,20 @@ def test_underflow_raises_then_log_domain_recovers():
     tiny = [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(PosteriorUnderflowError):
         update_posteriors(state, tiny)
-    # Log-domain handles the same situation: residuals of wildly different
-    # magnitude still yield a normalized posterior.
-    logs = [-1e6, -2e6, -1e6 - 1.0, -3e6]
-    new = update_posteriors_log(state, logs)
+    # The log domain handles the same situation: residuals of wildly
+    # different magnitude still yield a normalized posterior.
+    state = make_state(4, 1.0, ZERO)
+    residuals = [math.sqrt(2e6), 2000.0, math.sqrt(2e6 + 2.0), math.sqrt(6e6)]
+    new, _, _ = _gamma_step(state, 0.0, [-r for r in residuals])
     assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
     assert new.posteriors[0] > new.posteriors[2] > 0.0
-    assert new.posteriors[2] / new.posteriors[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert new.posteriors[2] / new.posteriors[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+
+def test_log_domain_rejects_non_finite_observations():
+    state = make_state(2, 0.01, EYE)
+    with pytest.raises(StateError, match="not finite"):
+        _gamma_step(state, math.inf, [0.0, 1.0])
 
 
 @given(
@@ -280,7 +308,7 @@ def test_covariance_doubles_at_one_third_of_uniform_mass():
 
 def test_covariance_growth_saturates():
     cov = ((1e11, 0.0, 0.0), (0.0, 1e11, 0.0), (0.0, 0.0, 1e11))
-    state = make_state(2, 0.01, cov, eta=0.1)
+    state = replace(make_state(2, 0.01, cov), eta=0.1)
     state.posteriors = [1e-300, 1.0]
     out = update_covariance(state)
     peak = max(abs(v) for row in _matrices(out)[0] for v in row)
@@ -294,7 +322,7 @@ def test_covariance_growth_saturates():
 )
 @settings(max_examples=200)
 def test_covariance_factor_monotone_in_posterior(pi, eta):
-    state = make_state(2, 0.01, EYE, eta=eta)
+    state = replace(make_state(2, 0.01, EYE), eta=eta)
     state.posteriors = [pi, min(pi * 2, 1.0)]
     p00 = update_covariance(state).covariances[0][0]
     lo, hi = p00

@@ -157,18 +157,7 @@ def test_schedule_piecewise_lookup():
     assert sched.at(250) == (0.95, 0.9, -0.5)
     assert sched.at(10_000) == (0.95, 0.9, -0.5)
     with pytest.raises(ValueError):
-        sched.value_at("alpha", 0)
-
-
-def test_schedule_change_points_merge_channels():
-    sched = _schedule()
-    assert sched.change_points(600) == [100, 250]
-    assert sched.change_points(120) == [100]
-    # A segment that repeats the previous value is not a change.
-    flat = DisturbanceSchedule(
-        alpha=((1, 1.0), (50, 1.0)), beta=((1, 1.0),), gamma=((1, 0.0),)
-    )
-    assert flat.change_points(600) == []
+        sched.at(0)
 
 
 def test_cosine_reference():

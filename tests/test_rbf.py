@@ -11,11 +11,9 @@ from dualctl import (
     RbfNetwork,
     TrainingDataset,
     branch,
-    eval_basis,
     eval_network,
     geometry,
     load_network,
-    predict_output,
     save_network,
     train_offline,
 )
@@ -28,52 +26,49 @@ def _unit_network(f_value=1.0, g_value=3.0, at=0.0):
     return RbfNetwork(f_branch=f, g_branch=g)
 
 
+def _basis_network(center, width2):
+    """One basis of unit weight in each branch: the network returns h(x) twice."""
+    br = branch((center,), (width2,), (1.0,))
+    return RbfNetwork(f_branch=br, g_branch=br)
+
+
 def test_basis_is_gaussian_in_squared_width():
-    br = branch(((0.0,),), (1.0,), (1.0,))
-    assert eval_basis(br, (1.0,))[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
-    wide = branch(((0.0,),), (4.0,), (1.0,))
-    assert eval_basis(wide, (2.0,))[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert eval_network(_basis_network((0.0,), 1.0), (1.0,))[0] == pytest.approx(
+        math.exp(-0.5), abs=1e-15
+    )
+    assert eval_network(_basis_network((0.0,), 4.0), (2.0,))[1] == pytest.approx(
+        math.exp(-0.5), abs=1e-15
+    )
 
 
 def test_basis_peaks_at_center():
-    br = branch(((1.5, -2.0),), (0.7,), (1.0,))
-    assert eval_basis(br, (1.5, -2.0))[0] == 1.0
+    assert eval_network(_basis_network((1.5, -2.0), 0.7), (1.5, -2.0)) == (1.0, 1.0)
 
 
-def test_prediction_composes_branches():
-    net = _unit_network()
-    assert predict_output(net, (1.0, 0.9, 0.0), (0.0,), 2.0) == pytest.approx(6.4, abs=1e-12)
-
-
-def test_prediction_degenerate_theta_returns_offset():
-    net = _unit_network()
-    for u in (0.0, 1.0, -7.3):
-        assert predict_output(net, (0.0, 0.0, 5.25), (0.0,), u) == 5.25
-
-
-def test_prediction_zero_input_returns_drift():
-    net = _unit_network(f_value=-0.37)
-    assert predict_output(net, (1.0, 1.0, 0.0), (0.0,), 0.0) == pytest.approx(-0.37, abs=1e-15)
+def test_network_rejects_wrong_state_dimension():
+    with pytest.raises(ValueError, match="dimension 1, network expects 2"):
+        eval_network(_basis_network((1.5, -2.0), 0.7), (1.5,))
+    with pytest.raises(ValueError, match="dimension 2, network expects 1"):
+        eval_network(_unit_network(), (0.0, 0.0))
 
 
 @given(
-    theta=st.tuples(
-        st.floats(-2, 2, allow_nan=False),
-        st.floats(-2, 2, allow_nan=False),
-        st.floats(-2, 2, allow_nan=False),
-    ),
-    u=st.floats(-10, 10, allow_nan=False),
+    w_f=st.tuples(st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False)),
+    w_g=st.floats(-5, 5, allow_nan=False),
     x=st.floats(-3, 3, allow_nan=False),
 )
 @settings(max_examples=150)
-def test_prediction_is_affine_in_theta_and_u(theta, u, x):
+def test_network_matches_closed_form(w_f, w_g, x):
     net = RbfNetwork(
-        f_branch=branch(((-1.0,), (1.0,)), (1.0, 2.0), (0.8, -1.1)),
-        g_branch=branch(((0.0,),), (3.6,), (2.2,)),
+        f_branch=branch(((-1.0,), (1.0,)), (1.0, 2.0), w_f),
+        g_branch=branch(((0.0,),), (3.6,), (w_g,)),
     )
-    fh, gh = eval_network(net, (x,))
-    expected = theta[0] * fh + theta[1] * gh * u + theta[2]
-    assert predict_output(net, theta, (x,), u) == pytest.approx(expected, abs=1e-12)
+    f_hat, g_hat = eval_network(net, (x,))
+    expected_f = w_f[0] * math.exp(-((x + 1.0) ** 2) / 2.0) + w_f[1] * math.exp(
+        -((x - 1.0) ** 2) / 4.0
+    )
+    assert f_hat == pytest.approx(expected_f, abs=1e-12)
+    assert g_hat == pytest.approx(w_g * math.exp(-(x**2) / 7.2), abs=1e-12)
 
 
 def test_offline_fit_recovers_generating_weights():
@@ -86,14 +81,16 @@ def test_offline_fit_recovers_generating_weights():
                        g_branch=branch(g_geom.centers, g_geom.widths, w_g))
     states = rng.uniform(-2, 2, size=(200, 1))
     inputs = rng.uniform(-2, 2, size=200)
-    outputs = np.array([
-        predict_output(truth, (1.0, 1.0, 0.0), (s[0],), u)
-        for s, u in zip(states, inputs)
-    ])
+    outputs = []
+    for s, u in zip(states, inputs):
+        f_hat, g_hat = eval_network(truth, (s[0],))
+        outputs.append(f_hat + g_hat * u)
     net, rms = train_offline(
         TrainingDataset(states=states, inputs=inputs, outputs=outputs), f_geom, g_geom
     )
     assert rms < 1e-10
+    assert f_geom.weights == (0.0,) * 3  # a geometry is a branch with zero weights
+    assert (net.f_branch.centers, net.f_branch.widths) == (f_geom.centers, f_geom.widths)
     assert net.f_branch.weights == pytest.approx(w_f, abs=1e-8)
     assert net.g_branch.weights == pytest.approx(w_g, abs=1e-8)
 
