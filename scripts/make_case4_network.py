@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from dualctl.plants import TRAIN_DEFAULTS, train_f, train_g
-from dualctl.rbf import TrainingDataset, eval_network, geometry, save_network, train_offline
+from dualctl.rbf import eval_network, geometry, save_network, train_offline
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(HERE, "..", "configs", "networks", "case4_train.rbfnet")
@@ -33,8 +33,7 @@ def main() -> int:
 
     f_geom = geometry([float(c) for c in np.linspace(230.0, 360.0, 30)], 40.0)
     g_geom = geometry([260.0, 300.0, 340.0], 20000.0)
-    data = TrainingDataset(list(v), list(u), list(y), ridge=1e-8)
-    net, rms = train_offline(data, f_geom, g_geom)
+    net, rms = train_offline(v, u, y, f_geom, g_geom, ridge=1e-8)
 
     # fit quality on the band the closed loop actually occupies
     grid = np.linspace(295.0, 330.0, 141)

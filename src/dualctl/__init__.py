@@ -71,7 +71,6 @@ from .plants import (
 )
 from .rbf import (
     RbfNetwork,
-    TrainingDataset,
     branch,
     eval_network,
     geometry,

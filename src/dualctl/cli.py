@@ -14,7 +14,7 @@ import csv
 import os
 import sys
 
-from .config import parse_config
+from .config import check_grid_size, parse_config
 from .errors import DualctlError
 from .grid import BoundedInterval, partition_interval
 from .harness import (
@@ -23,7 +23,7 @@ from .harness import (
     run_metrics,
     write_trace,
 )
-from .rbf import TrainingDataset, geometry, save_network, train_offline
+from .rbf import geometry, save_network, train_offline
 
 
 def _float_list(text: str) -> list[float]:
@@ -54,9 +54,9 @@ def _cmd_partition(args) -> int:
         if None in (args.lower, args.upper, args.eps):
             print("partition: pass --config or all of --lower/--upper/--eps", file=sys.stderr)
             return 2
-        _print_partition(
-            "interval", BoundedInterval(args.lower, args.upper, args.eps)
-        )
+        interval = BoundedInterval(args.lower, args.upper, args.eps)
+        check_grid_size([interval], "interval")
+        _print_partition("interval", interval)
     return 0
 
 
@@ -65,14 +65,11 @@ def _read_samples(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DualctlError(f"{path}: empty sample file")
-        state_cols = sorted(c for c in reader.fieldnames if c == "x" or c.startswith("x"))
-        if not state_cols or "u" not in reader.fieldnames or "y" not in reader.fieldnames:
-            raise DualctlError(
-                f"{path}: need columns x[,x2,...], u, y; got {reader.fieldnames}"
-            )
+        if sorted(reader.fieldnames) != ["u", "x", "y"]:
+            raise DualctlError(f"{path}: need exactly the columns x, u, y; got {reader.fieldnames}")
         states, inputs, outputs = [], [], []
         for row in reader:
-            states.append([float(row[c]) for c in state_cols])
+            states.append(float(row["x"]))
             inputs.append(float(row["u"]))
             outputs.append(float(row["y"]))
     return states, inputs, outputs
@@ -80,10 +77,9 @@ def _read_samples(path):
 
 def _cmd_train(args) -> int:
     states, inputs, outputs = _read_samples(args.data)
-    data = TrainingDataset(states, inputs, outputs, ridge=args.ridge)
     f_geom = geometry(args.f_centers, args.f_width2)
     g_geom = geometry(args.g_centers, args.g_width2)
-    net, rms = train_offline(data, f_geom, g_geom)
+    net, rms = train_offline(states, inputs, outputs, f_geom, g_geom, ridge=args.ridge)
     save_network(net, args.out, comment=args.comment)
     print(f"fit {f_geom.size}+{g_geom.size} weights on {len(inputs)} samples, residual rms {rms:.6g}")
     print(f"wrote {args.out}")
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=_cmd_partition)
 
     pt = sub.add_parser("train", help="fit surrogate output weights from samples")
-    pt.add_argument("--data", required=True, help="CSV with columns x[,x2,...],u,y")
+    pt.add_argument("--data", required=True, help="CSV with columns x,u,y")
     pt.add_argument("--f-centers", type=_float_list, required=True)
     pt.add_argument("--f-width2", type=float, required=True, help="shared squared width of f bases")
     pt.add_argument("--g-centers", type=_float_list, required=True)

@@ -143,15 +143,15 @@ def _channel(raw, path, iterations) -> ChannelSpec:
     return ChannelSpec(interval=interval, schedule=sched)
 
 
-def _check_grid_size(channels) -> None:
+def check_grid_size(intervals, path: str) -> None:
     """Reject a grid above ``MAX_GRID_SIZE`` candidates without building it."""
     try:
-        counts = [partition_count(ch.interval) for ch in channels]
+        counts = [partition_count(interval) for interval in intervals]
     except OverflowError:  # width / eps is infinite
         counts = [math.inf]
     if math.prod(counts) > MAX_GRID_SIZE:
         raise ConfigError(
-            f"config.channels: the candidate grid has "
+            f"{path}: the candidate grid has "
             f"{' x '.join(map(str, counts))} candidates, more than {MAX_GRID_SIZE}"
         )
 
@@ -284,7 +284,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if name not in channels_raw:
             raise ConfigError(f"config.channels.{name}: missing required field")
         channels.append(_channel(channels_raw[name], f"config.channels.{name}", iterations))
-    _check_grid_size(channels)
+    check_grid_size([ch.interval for ch in channels], "config.channels")
 
     controller_raw = _expect(raw, "controller", dict, "config")
     lam = _number(controller_raw, "dual_lambda", "config.controller")

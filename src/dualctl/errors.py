@@ -30,12 +30,11 @@ class SimulationError(DualctlError):
 
 
 class RunError(DualctlError):
-    """A closed-loop run aborted; carries the offending iteration."""
+    """A closed-loop run aborted; carries the offending iteration (its cause is ``__cause__``)."""
 
-    def __init__(self, message: str, iteration: int, cause: Exception | None = None):
+    def __init__(self, message: str, iteration: int):
         super().__init__(message)
         self.iteration = iteration
-        self.cause = cause
 
 
 class BatchError(DualctlError):

@@ -166,7 +166,7 @@ def run_experiment(
     try:
         u_opt = optimal_input(theta, y, target)
     except DualctlError as exc:
-        raise RunError(f"iteration failed: {exc}", iteration=1, cause=exc) from exc
+        raise RunError(f"iteration failed: {exc}", iteration=1) from exc
     u = u_opt if controller == "optimal" else cfg.initial_control
     f_hat, g_hat = eval_network(net, (y,))
 
@@ -215,7 +215,7 @@ def run_experiment(
         except RunError:
             raise
         except DualctlError as exc:
-            raise RunError(f"iteration failed: {exc}", iteration=k + 1, cause=exc) from exc
+            raise RunError(f"iteration failed: {exc}", iteration=k + 1) from exc
 
         rows.append(
             (k + 1, y_r, y, u, u_opt, y_hat, y - y_r, t_star + 1, pi_star, int(triggered), *theta)
@@ -409,18 +409,12 @@ class BatchResult:
 
 
 def _mc_worker(args):
-    cfg, controller, index, seed, randomize, collect_posteriors = args
+    cfg, controller, seed = args
     try:
-        trace = run_experiment(
-            cfg,
-            controller=controller,
-            seed=seed,
-            collect_posteriors=collect_posteriors,
-            randomize=randomize,
-        )
-        return index, trace, None
+        trace = run_experiment(cfg, controller=controller, seed=seed, randomize=cfg.mc_randomize)
     except RunError as exc:
-        return index, None, str(exc)
+        return None, str(exc)
+    return trace, None
 
 
 def monte_carlo(
@@ -429,7 +423,6 @@ def monte_carlo(
     seed_base: int | None = None,
     controller: str = "proposed",
     jobs: int = 1,
-    collect_posteriors: bool = False,
 ) -> BatchResult:
     """Run ``runs`` independent experiments seeded seed_base..seed_base+runs-1.
 
@@ -442,20 +435,16 @@ def monte_carlo(
         raise ValueError("runs must be >= 1")
     _check_seed("seed_base", seed_base)
     base = cfg.seed if seed_base is None else seed_base
-    tasks = [
-        (cfg, controller, i, base + i, cfg.mc_randomize, collect_posteriors)
-        for i in range(runs)
-    ]
-    outcomes = []
+    tasks = [(cfg, controller, base + i) for i in range(runs)]
+    # Both paths return the outcomes in task order.
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_mc_worker, tasks))
     else:
         outcomes = [_mc_worker(t) for t in tasks]
 
-    outcomes.sort(key=lambda o: o[0])
     traces, seeds, failures = [], [], []
-    for index, trace, message in outcomes:
+    for index, (trace, message) in enumerate(outcomes):
         if trace is None:
             failures.append((index, message))
         else:

@@ -5,8 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+import dualctl.cli
 from dualctl import load_network, read_trace
 from dualctl.cli import main
+from dualctl.config import MAX_GRID_SIZE
 
 
 def test_partition_from_config(capsys):
@@ -20,6 +22,16 @@ def test_partition_from_interval(capsys):
     assert main(["partition", "--lower", "-1.45", "--upper", "0.55", "--eps", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "20" in out
+
+
+@pytest.mark.parametrize("eps", ["1e-9", "5e-324"])
+def test_partition_interval_is_bounded_without_building_it(monkeypatch, capsys, eps):
+    def unbuilt(interval):
+        raise AssertionError("an oversized interval must not be partitioned")
+
+    monkeypatch.setattr(dualctl.cli, "partition_interval", unbuilt)
+    assert main(["partition", "--lower", "0", "--upper", "1", "--eps", eps]) == 1
+    assert f"more than {MAX_GRID_SIZE}" in capsys.readouterr().err
 
 
 def test_partition_needs_arguments(capsys):
@@ -80,6 +92,12 @@ def test_train_fits_from_csv(tmp_path, capsys):
     net = load_network(out)
     assert net.f_branch.weights[0] == pytest.approx(0.7, abs=1e-6)
     assert net.g_branch.weights[0] == pytest.approx(1.3, abs=1e-6)
+    # The network state is the scalar output: a second state column is refused.
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows([("x", "x2", "u", "y"), (0.0, 0.0, 0.0, 0.0)])
+    assert main(["train", "--data", str(data), "--f-centers", "0", "--f-width2", "1",
+                 "--g-centers", "1", "--g-width2", "1", "--out", str(out)]) == 1
+    assert "need exactly the columns x, u, y" in capsys.readouterr().err
 
 
 def test_mc_writes_summary(tmp_path, capsys):

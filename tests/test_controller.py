@@ -70,8 +70,8 @@ def test_singular_denominator_raises_with_candidate_index():
 
 def test_candidate_control_evaluates_network_at_state():
     net = RbfNetwork(
-        f_branch=branch(((0.0,),), (1.0,), (1.0,)),
-        g_branch=branch(((0.0,),), (1.0,), (2.0,)),
+        f_branch=branch((0.0,), (1.0,), (1.0,)),
+        g_branch=branch((0.0,), (1.0,), (2.0,)),
     )
     cfg = ControllerConfig(dual_lambda=0.9)
     theta = (1.0, 1.0, 0.0)

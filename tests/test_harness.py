@@ -232,7 +232,7 @@ def test_zero_prediction_variance_is_a_typed_run_error(case1_cfg):
     with pytest.raises(RunError) as err:
         run_experiment(_zero_variance(case1_cfg), seed=0)
     assert err.value.iteration == 2
-    assert isinstance(err.value.cause, StateError)
+    assert isinstance(err.value.__cause__, StateError)
     assert "prediction variance" in str(err.value)
 
 
