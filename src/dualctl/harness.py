@@ -9,10 +9,11 @@ change detector inspects the leading candidate's residual and may reset the
 learner; finally the candidate covariances are renormalized.  Traces hold one
 row per iteration including row 1 (the initial condition).
 
-Each row's quantities are evaluated once, at the row's new output, and carried
-forward: the disturbance in force, the look-ahead reference (the next row's
-``y_r``) and the network outputs ``(f_hat, g_hat)``, which give the control law
-of this row and the regressor ``(f_hat, g_hat * u, 1)`` of the next.
+The disturbance of every row and the noise of every plant step are built once
+per run, before the loop.  Each row's other quantities are evaluated once, at
+the row's new output, and carried forward: the look-ahead reference (the next
+row's ``y_r``) and the network outputs ``(f_hat, g_hat)``, which give the
+control law of this row and the regressor ``(f_hat, g_hat * u, 1)`` of the next.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,8 +117,10 @@ def run_experiment(
     ``seed`` overrides ``cfg.seed``.  Channels named in ``randomize`` replace
     their configured schedule with a single constant drawn uniformly from the
     channel interval; the draws consume the run generator first (alpha, beta,
-    gamma order), then one noise draw follows per iteration, so equal seeds
-    give identical streams at every noise level.
+    gamma order), then the noise of all ``cfg.iterations - 1`` plant steps is
+    drawn in one call.  That call yields the same values as one draw per
+    iteration, so the stream order is unchanged and equal seeds give identical
+    streams at every noise level.
     """
     if controller not in CONTROLLER_KINDS:
         raise ValueError(f"controller must be one of {CONTROLLER_KINDS}, got {controller!r}")
@@ -144,7 +146,9 @@ def run_experiment(
         for name, ch in zip(CHANNELS, (cfg.alpha, cfg.beta, cfg.gamma))
         if name in randomize
     }
-    sched = replace(cfg.build_schedule(), **drawn)
+    n = cfg.iterations
+    noises = sample_noise(rng, plant.noise_variance, n - 1)
+    disturbances = replace(cfg.build_schedule(), **drawn).rows(n)
 
     def optimal_input(theta, y, target):
         try:
@@ -155,11 +159,10 @@ def run_experiment(
             return math.nan  # the proposed law never uses the true gain
 
     state = make_state(size, plant.noise_variance, cfg.initial_covariance)
-    n = cfg.iterations
 
     # Row 1: the given initial condition.  No prediction exists yet, so
     # y_hat mirrors y and the posterior columns show the uniform start.
-    theta = sched.at(1)
+    theta = disturbances[0]
     y = _bounded("initial output", cfg.initial_output, 1)
     y_r = reference_at(spec, 1)
     target = reference_at(spec, 2)
@@ -175,8 +178,7 @@ def run_experiment(
 
     for k in range(1, n):
         try:
-            noise = sample_noise(rng, plant.noise_variance)
-            y = _bounded("output", plant.step(y, u, theta, noise), k + 1)
+            y = _bounded("output", plant.step(y, u, theta, noises[k - 1]), k + 1)
 
             # The input enters the regressor, so it is bounded like the output.
             phi = (f_hat, g_hat * _bounded("input", u, k + 1), 1.0)
@@ -190,7 +192,7 @@ def run_experiment(
 
             y_r = target
             target = reference_at(spec, k + 2)
-            theta = sched.at(k + 1)
+            theta = disturbances[k]
             u_opt = optimal_input(theta, y, target)
             f_hat, g_hat = eval_network(net, (y,))
             if controller == "proposed":
@@ -438,6 +440,10 @@ def monte_carlo(
     tasks = [(cfg, controller, base + i) for i in range(runs)]
     # Both paths return the outcomes in task order.
     if jobs > 1:
+        # Imported here: the process pool module is a tenth of the package's
+        # import time, and only parallel batches need it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_mc_worker, tasks))
     else:

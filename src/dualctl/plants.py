@@ -103,7 +103,12 @@ class PlantModel:
     def step(self, y: float, u: float, disturbance, noise: float) -> float:
         """y(k+1) = alpha * f(y) + beta * g(y) * u + gamma + noise."""
         a, b, g = disturbance
-        _require_finite(y=y, u=u, alpha=a, beta=b, gamma=g, noise=noise)
+        isfinite = math.isfinite
+        if not (
+            isfinite(y) and isfinite(u) and isfinite(a) and isfinite(b) and isfinite(g)
+            and isfinite(noise)
+        ):
+            _require_finite(y=y, u=u, alpha=a, beta=b, gamma=g, noise=noise)
         return a * self._f(y) + b * self._g(y) * u + g + noise
 
 
@@ -148,6 +153,23 @@ class DisturbanceSchedule:
             segs[bisect_right([s for s, _ in segs], k) - 1][1]
             for segs in (self.alpha, self.beta, self.gamma)
         )
+
+    def rows(self, n: int) -> list[tuple[float, float, float]]:
+        """The (alpha, beta, gamma) values in force at k = 1..n: ``rows(n)[k - 1] == at(k)``.
+
+        Built by expanding the segments once, so a run indexes a list instead of
+        searching the schedule on every row.
+        """
+        if n < 0:
+            raise ValueError(f"row count must be >= 0, got {n}")
+        columns = []
+        for segs in (self.alpha, self.beta, self.gamma):
+            column = []
+            # A segment runs until the next one starts; the last until k = n.
+            for (start, value), (end, _) in zip(segs, segs[1:] + ((n + 1, 0.0),)):
+                column += [value] * (min(end, n + 1) - start)
+            columns.append(column)
+        return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +235,14 @@ def reference_at(spec: ReferenceSpec, k: int) -> float:
     return spec.values[min(k, len(spec.values)) - 1]
 
 
-def sample_noise(rng: np.random.Generator, noise_variance: float) -> float:
-    """One Gaussian draw with the given variance (exactly 0.0 when variance is 0).
+def sample_noise(rng: np.random.Generator, noise_variance: float, size: int) -> list[float]:
+    """``size`` Gaussian draws with the given variance (exactly 0.0 when variance is 0).
 
-    The draw happens regardless of the variance, so runs with different noise
-    levels but equal seeds see identical generator streams elsewhere.
+    The draws happen in one call, and equal ``size`` sequential scalar draws
+    from the same generator. They happen regardless of the variance, so runs
+    with different noise levels but equal seeds see identical generator
+    streams elsewhere.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
-    return float(rng.normal(0.0, math.sqrt(noise_variance)))
+    return rng.normal(0.0, math.sqrt(noise_variance), size=size).tolist()

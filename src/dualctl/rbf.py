@@ -123,6 +123,15 @@ def train_offline(
         raise ValueError("states, inputs and outputs must have equal length")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
+    # Checked here: LAPACK fails on non-finite data with stderr noise and a bare
+    # LinAlgError that names no sample.
+    finite = np.isfinite(states) & np.isfinite(inputs) & np.isfinite(outputs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"sample {i} is not finite: state {float(states[i])!r}, "
+            f"input {float(inputs[i])!r}, output {float(outputs[i])!r}"
+        )
     p = f_geometry.size + g_geometry.size
     if n < p:
         raise FitError(f"need at least {p} samples to fit {p} weights, got {n}")
@@ -166,13 +175,15 @@ def save_network(net: RbfNetwork, path, comment: str | None = None) -> None:
 def load_network(path) -> RbfNetwork:
     """Parse a parameter file written by :func:`save_network`."""
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        numbered = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)]
+    numbered = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise ValueError(f"{path}: empty parameter file")
 
     def fail(i, msg):
-        raise ValueError(f"{path}, line {i + 1}: {msg}")
+        # Past the end, the last line is the one that falls short.
+        raise ValueError(f"{path}, line {numbered[min(i, len(numbered) - 1)][0]}: {msg}")
 
     head = lines[0].split()
     if head != [FORMAT_TAG, FORMAT_VERSION]:
@@ -191,18 +202,22 @@ def load_network(path) -> RbfNetwork:
         centers, widths = [], []
         for _ in range(count):
             if i >= len(lines) or not lines[i].startswith("basis "):
-                fail(i if i < len(lines) else len(lines) - 1, f"branch {name}: missing basis line")
+                fail(i, f"branch {name}: missing basis line")
             vals = [float(v) for v in lines[i].split()[1:]]
             if len(vals) != 2:
                 fail(i, "basis line needs width^2 and one center")
+            if not all(map(math.isfinite, vals)):
+                fail(i, f"branch {name}: basis width^2 and center must be finite")
             widths.append(vals[0])
             centers.append(vals[1])
             i += 1
         if i >= len(lines) or not lines[i].startswith("weights "):
-            fail(min(i, len(lines) - 1), f"branch {name}: missing weights line")
+            fail(i, f"branch {name}: missing weights line")
         weights = [float(v) for v in lines[i].split()[1:]]
         if len(weights) != count:
             fail(i, f"branch {name}: expected {count} weights, got {len(weights)}")
+        if not all(map(math.isfinite, weights)):
+            fail(i, f"branch {name}: weights must be finite")
         i += 1
         branches[name] = RbfBranch(tuple(centers), tuple(widths), tuple(weights))
 

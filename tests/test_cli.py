@@ -100,6 +100,21 @@ def test_train_fits_from_csv(tmp_path, capsys):
     assert "need exactly the columns x, u, y" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_samples_before_the_fit(tmp_path, capfd):
+    data = tmp_path / "samples.csv"
+    data.write_text("x,u,y\n0.0,0.5,0.1\n0.5,nan,0.2\n1.0,0.1,0.3\n1.5,0.2,0.4\n")
+    argv = ["train", "--data", str(data), "--f-centers", "0", "--f-width2", "1",
+            "--g-centers", "1", "--g-width2", "1", "--out", str(tmp_path / "fit.rbfnet")]
+    for extra in ([], ["--ridge", "1"]):
+        assert main(argv + extra) == 1
+        out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+        assert out == ""
+        assert err.splitlines() == [
+            "error: sample 1 is not finite: state 0.5, input nan, output 0.2"
+        ]
+    assert not (tmp_path / "fit.rbfnet").exists()
+
+
 def test_mc_writes_summary(tmp_path, capsys):
     out_dir = tmp_path / "batch"
     code = main([

@@ -241,6 +241,23 @@ def test_network_path_resolves_relative_to_config(tmp_path):
     assert cfg.network.f_branch.size == 9
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("weights 11.2856", "weights nan", 17), ("basis 1.0 -2.0", "basis 1.0 inf", 8)],
+)
+def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old, new, line):
+    src = open("configs/networks/case1_affine.rbfnet").read()
+    assert src.count(old) == 1
+    (tmp_path / "bad.rbfnet").write_text(src.replace(old, new))
+    raw = _template()
+    raw["network"] = "bad.rbfnet"
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(raw, sort_keys=False))
+    with pytest.raises(ConfigError) as info:
+        parse_config(tmp_path / "exp.yaml")
+    assert f"bad.rbfnet, line {line}: branch f:" in str(info.value)
+    assert "must be finite" in str(info.value)
+
+
 def test_missing_network_file_reports_path():
     raw = _template()
     raw["network"] = "networks/nonexistent.rbfnet"

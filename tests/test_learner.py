@@ -1,6 +1,7 @@
 """Bayesian candidate learning: likelihoods, posterior updates, covariance
 rescaling and the change-detection reset."""
 
+import copy
 import math
 from collections import Counter
 from dataclasses import replace
@@ -501,3 +502,21 @@ def test_bayes_step_checks_candidate_count():
     state = make_state(3, 0.01, EYE)
     with pytest.raises(ValueError):
         bayes_step(state, (1.0, 1.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
+
+
+def test_successor_states_leave_their_input_untouched():
+    # Each stage returns a new state; a caller that keeps the old one (a
+    # trace, a retry) must see it as it was.
+    thetas = [(1.0, 1.0, 0.0), (0.8, 1.2, 0.1), (1.0, 1.0, 50.0)]
+    state = update_covariance(update_posteriors(make_state(3, 0.04, COV), [4.0, 1.0, 0.5]))
+    steps = [
+        lambda s: bayes_step(s, (0.5, -1.0, 1.0), 0.3, thetas)[0],
+        lambda s: bayes_step(s, (1.0, 0.0, 1.0), 2000.0, thetas)[0],  # log domain
+        update_covariance,
+        lambda s: reset(s, 3),
+    ]
+    for step in steps:
+        before = copy.deepcopy(state)
+        after = step(state)
+        assert state == before
+        assert after is not state and after != state

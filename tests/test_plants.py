@@ -5,11 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dualctl import (
     DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
+    SimulationError,
     affine_f,
     affine_g,
     parse_config,
@@ -49,6 +51,22 @@ def test_train_step_composition():
     expected = 1.05 * train_f(v) + 0.9 * train_g(v) * u - 12.5 + noise
     plant = PlantModel(kind="crh3_train", noise_variance=0.0)
     assert plant.step(v, u, theta, noise) == pytest.approx(expected, abs=1e-10)
+
+
+_STEP_ARGUMENTS = ("y", "u", "alpha", "beta", "gamma", "noise")
+
+
+@pytest.mark.parametrize("position", range(len(_STEP_ARGUMENTS)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_names_the_non_finite_argument(position, bad):
+    values = [0.4, -0.6, 1.1, 0.9, 0.05, 0.013]
+    values[position] = bad
+    y, u, a, b, g, noise = values
+    plant = PlantModel(kind="affine_case1", noise_variance=0.0)
+    name = _STEP_ARGUMENTS[position]
+    with pytest.raises(SimulationError) as info:
+        plant.step(y, u, (a, b, g), noise)
+    assert str(info.value) == f"{name} is not finite: {bad}"
 
 
 def test_plant_model_dispatch():
@@ -149,6 +167,29 @@ def _schedule():
     )
 
 
+_segments = st.lists(
+    st.tuples(st.integers(2, 40), st.floats(-2.0, 2.0)), max_size=4, unique_by=lambda s: s[0]
+).map(lambda tail: ((1, 0.5),) + tuple(sorted(tail)))
+
+
+@given(alpha=_segments, beta=_segments, gamma=_segments, n=st.integers(1, 45))
+def test_schedule_rows_match_lookup(alpha, beta, gamma, n):
+    # n ranges below and above the segment starts, so some segments start after n.
+    sched = DisturbanceSchedule(alpha=alpha, beta=beta, gamma=gamma)
+    rows = sched.rows(n)
+    assert len(rows) == n
+    assert rows == [sched.at(k) for k in range(1, n + 1)]
+
+
+def test_schedule_rows_of_one_and_late_segments():
+    sched = _schedule()
+    assert sched.rows(1) == [sched.at(1)]
+    assert sched.rows(100)[-2:] == [(1.0, 0.9, 0.0), (1.05, 0.9, -0.5)]
+    assert sched.rows(0) == []
+    with pytest.raises(ValueError):
+        sched.rows(-1)
+
+
 def test_schedule_piecewise_lookup():
     sched = _schedule()
     assert sched.at(1) == (1.0, 0.9, 0.0)
@@ -208,10 +249,10 @@ def test_reference_kind_validation():
 def test_noise_sampling_is_seeded_and_scaled():
     a = np.random.default_rng(42)
     b = np.random.default_rng(42)
-    assert sample_noise(a, 0.25) == sample_noise(b, 0.25)
-    assert sample_noise(np.random.default_rng(1), 0.0) == 0.0
+    assert sample_noise(a, 0.25, 1) == sample_noise(b, 0.25, 1)
+    assert sample_noise(np.random.default_rng(1), 0.0, 1) == [0.0]
     with pytest.raises(ValueError):
-        sample_noise(np.random.default_rng(1), -0.1)
+        sample_noise(np.random.default_rng(1), -0.1, 1)
 
 
 def test_zero_variance_consumes_the_stream_identically():
@@ -219,6 +260,22 @@ def test_zero_variance_consumes_the_stream_identically():
     # state for every other draw.
     a = np.random.default_rng(7)
     b = np.random.default_rng(7)
-    sample_noise(a, 0.0)
-    sample_noise(b, 4.0)
+    sample_noise(a, 0.0, 1)
+    sample_noise(b, 4.0, 1)
     assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 10, 399])
+@pytest.mark.parametrize("variance", [0.0, 1e-4, 0.25, 4.0])
+def test_batched_noise_equals_sequential_scalar_draws(seed, variance):
+    # run_experiment draws a run's noise in one call; the trace must not move.
+    batched_rng = np.random.default_rng(seed)
+    scalar_rng = np.random.default_rng(seed)
+    batched = sample_noise(batched_rng, variance, 599)
+    sd = math.sqrt(variance)
+    scalar = [float(scalar_rng.normal(0.0, sd)) for _ in range(599)]
+    assert all(type(v) is float for v in batched)
+    # Compared bit for bit, so a signed zero would show too.
+    assert np.asarray(batched).tobytes() == np.asarray(scalar).tobytes()
+    assert batched_rng.uniform() == scalar_rng.uniform()
+    assert sample_noise(np.random.default_rng(seed), variance, 0) == []

@@ -129,6 +129,10 @@ def test_offline_fit_rejects_malformed_samples():
         train_offline(rng.uniform(-1, 1, size=19), inputs, outputs, f_geom, g_geom)
     with pytest.raises(ValueError, match="ridge"):
         train_offline(rng.uniform(-1, 1, size=20), inputs, outputs, f_geom, g_geom, ridge=-1.0)
+    bad_inputs = inputs.copy()
+    bad_inputs[3] = np.nan
+    with pytest.raises(ValueError, match="sample 3 is not finite"):
+        train_offline(rng.uniform(-1, 1, size=20), bad_inputs, outputs, f_geom, g_geom, ridge=1.0)
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):
