@@ -66,20 +66,36 @@ def candidate_control_terms(
     # ``one_minus * g_hat * p_b`` evaluates as ``(one_minus * g_hat) * p_b``,
     # so hoisting the first product leaves every rounding unchanged.
     caution_g = one_minus * g_hat
+    p_b, p_ab, p_gb = covariances[1][1], covariances[0][1], covariances[2][1]
+    if not (any(p_ab) or any(p_gb)) and math.isfinite(f_hat) and math.isfinite(caution_g):
+        # Zero cross entries (all bundled configs): each candidate's caution
+        # term ``one_minus * (f_hat * p_ab + p_gb) * g_hat`` is a signed zero,
+        # which leaves a nonzero numerator unchanged.  A zero numerator would
+        # take its sign from it, so that rare case runs the full law below.
+        inputs = []
+        for t, ((t0, t1, t2), p) in enumerate(zip(thetas, p_b)):
+            t2g = t1 * g_hat
+            den = caution_g * p + t2g * t2g
+            if abs(den) < _SINGULAR_TOL:
+                raise _singular(den, t)
+            inputs.append((y_r_next - t0 * f_hat - t2) * t2g / den)
+        if 0.0 not in inputs:
+            return inputs
     inputs = []
-    for t, ((t0, t1, t2), p_b, p_ab, p_gb) in enumerate(
-        zip(thetas, covariances[1][1], covariances[0][1], covariances[2][1])
-    ):
+    for t, ((t0, t1, t2), p, p_a, p_g) in enumerate(zip(thetas, p_b, p_ab, p_gb)):
         t2g = t1 * g_hat
-        den = caution_g * p_b + t2g * t2g
+        den = caution_g * p + t2g * t2g
         if abs(den) < _SINGULAR_TOL:
-            raise SingularControlError(
-                f"control denominator {den} is singular for candidate {t}",
-                candidate_index=t,
-            )
-        num = (y_r_next - t0 * f_hat - t2) * t2g - one_minus * (f_hat * p_ab + p_gb) * g_hat
+            raise _singular(den, t)
+        num = (y_r_next - t0 * f_hat - t2) * t2g - one_minus * (f_hat * p_a + p_g) * g_hat
         inputs.append(num / den)
     return inputs
+
+
+def _singular(den: float, t: int) -> SingularControlError:
+    return SingularControlError(
+        f"control denominator {den} is singular for candidate {t}", candidate_index=t
+    )
 
 
 def blended_control(

@@ -97,8 +97,6 @@ def _check_seed(name: str, seed: int | None) -> None:
 
 
 def _fire(hooks, event, k, **info):
-    if hooks is None:
-        return
     fn = hooks.get(event)
     if fn is not None:
         fn(k, info)
@@ -188,7 +186,8 @@ def run_experiment(
             # The logged prediction belongs to the argmax candidate on this
             # row; its residual is y - y_hat by construction.
             y_hat = y - residuals[t_star]
-            _fire(hooks, "posterior_update", k + 1, argmax_t=t_star + 1, max_pi=pi_star)
+            if hooks is not None:
+                _fire(hooks, "posterior_update", k + 1, argmax_t=t_star + 1, max_pi=pi_star)
 
             y_r = target
             target = reference_at(spec, k + 2)
@@ -202,18 +201,21 @@ def run_experiment(
                 u = blended_control(state.posteriors, candidates, clamp).u_applied
             else:
                 u = u_opt
-            _fire(hooks, "control", k + 1, u=u)
+            if hooks is not None:
+                _fire(hooks, "control", k + 1, u=u)
 
             triggered = detect_change(residuals[t_star], pi_star, cfg.reset)
             if triggered:
                 state = reset_learner(state, size)
-            _fire(hooks, "reset_check", k + 1, triggered=triggered)
+            if hooks is not None:
+                _fire(hooks, "reset_check", k + 1, triggered=triggered)
 
             # Renormalize covariances under the posteriors now in effect.  A
             # fresh reset leaves them untouched (factor is exactly 1 at the
             # uniform posterior).
             state = update_covariance(state)
-            _fire(hooks, "covariance_update", k + 1)
+            if hooks is not None:
+                _fire(hooks, "covariance_update", k + 1)
         except RunError:
             raise
         except DualctlError as exc:
@@ -271,7 +273,7 @@ def write_trace(trace: RunTrace, path) -> None:
 
 def read_trace(path) -> RunTrace:
     """Read a trace CSV written by write_trace (wall_time is not persisted)."""
-    meta = {}
+    meta, meta_lines = {}, {}
     with open(path) as fh:
         lines = fh.read().splitlines()
     idx = 0
@@ -284,6 +286,7 @@ def read_trace(path) -> RunTrace:
     while idx < len(lines) and lines[idx].startswith("#"):
         key, _, value = lines[idx][1:].partition(":")
         meta[key.strip()] = value.strip()
+        meta_lines[key.strip()] = idx + 1
         idx += 1
     if idx >= len(lines):
         raise ValueError(f"{path}: missing column header")
@@ -300,19 +303,38 @@ def read_trace(path) -> RunTrace:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}, line {line_no}: expected {len(header)} fields")
-        rows.append(tuple(parse(raw) for parse, raw in zip(_PARSERS, parts)))
-        if pi_rows is not None:
-            pi_rows.append([float(v) for v in parts[len(TRACE_COLUMNS):]])
+        try:
+            rows.append(tuple(parse(raw) for parse, raw in zip(_PARSERS, parts)))
+            if pi_rows is not None:
+                pi_rows.append([float(v) for v in parts[len(TRACE_COLUMNS):]])
+        except ValueError:
+            # Some cell does not parse: name the first one.
+            for column, raw, parse in zip(header, parts, _PARSERS + (float,) * n_pi):
+                _parse_cell(parse, raw, f"{path}, line {line_no}, column {column}")
+
+    def integer(key, default):
+        if key not in meta:
+            return default
+        return _parse_cell(int, meta[key], f"{path}, line {meta_lines[key]}, {key}")
 
     return RunTrace(
         name=meta.get("name", ""),
         controller=meta.get("controller", ""),
-        seed=int(meta.get("seed", 0)),
-        grid_size=int(meta.get("grid_size", n_pi)),
+        seed=integer("seed", 0),
+        grid_size=integer("grid_size", n_pi),
         posteriors=pi_rows,
         wall_time=0.0,
         **_columns(rows),
     )
+
+
+def _parse_cell(parse, raw: str, where: str):
+    """``parse(raw)``; a ValueError names ``where`` and the expected type."""
+    try:
+        return parse(raw)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ValueError(f"{where}: expected {kind}, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,14 @@ State layout: the covariances are stored entry by entry across candidates.
 :func:`update_covariance`, the control law) is one call that loops over the
 candidates and does, per candidate, the same floating-point operations in the
 same order as a per-matrix implementation, so results are bit-identical to it.
-Entries that are zero in the initial covariance stay exactly zero (every
-rescale factor is finite and positive), so the rescale skips them.
+Entries that are zero in the initial covariance P0 stay exactly P0's value
+(every rescale factor is finite and positive), so the rescale skips them and
+:meth:`LearnerState.validate` checks it. When every off-diagonal entry of P0
+is zero, as in all covariance presets, :func:`bayes_step` adds their terms as
+one sum per call and the control law skips them; a P0 with a nonzero cross
+entry runs the general loop over all nine entry lists. A candidate at the
+covariance cap whose floored posterior is at most ``eta`` keeps factor 1
+without evaluating it.
 """
 
 from __future__ import annotations
@@ -101,6 +107,17 @@ class LearnerState:
         bad = np.abs(mats).max(axis=(1, 2)) != np.asarray(self.peaks, dtype=float)
         if bad.any():
             raise StateError(f"peak {int(np.argmax(bad))} is not the covariance's max |entry|")
+        zero = np.asarray(self.initial_covariance, dtype=float) == 0.0
+        bad = (mats[:, zero] != 0.0).any(axis=1)
+        if bad.any():
+            raise StateError(
+                f"covariance {int(np.argmax(bad))} is nonzero where the initial covariance is zero"
+            )
+
+
+def _is_diagonal(p0) -> bool:
+    """True when every off-diagonal entry of ``p0`` is zero (of either sign)."""
+    return p0[0][1] == p0[0][2] == p0[1][0] == p0[1][2] == p0[2][0] == p0[2][1] == 0.0
 
 
 def _initial_layout(p0, size: int):
@@ -185,19 +202,26 @@ def update_covariance(state: LearnerState) -> LearnerState:
     factors = []
     peaks = []
     for pi, peak in zip(state.posteriors, state.peaks):
-        factor = log2(eta / (POSTERIOR_FLOOR if POSTERIOR_FLOOR > pi else pi) + 1.0)
+        if POSTERIOR_FLOOR > pi:
+            pi = POSTERIOR_FLOOR
+        if peak == COVARIANCE_CAP and pi <= eta:
+            # Saturated: eta / pi + 1 >= 2, so the log2 is >= 1 and the cap
+            # rule would give CAP / CAP, exactly 1.
+            factors.append(1.0)
+            peaks.append(peak)
+            continue
+        factor = log2(eta / pi + 1.0)
         if peak * factor > COVARIANCE_CAP:
             factor = COVARIANCE_CAP / peak
         factors.append(factor)
         peaks.append(peak * factor)
-    # Entries that are zero in P0 stay exactly zero, so they are not rescaled.
-    p0 = state.initial_covariance
+    # Entries that are zero in P0 stay exactly P0's value, so they are not rescaled.
     covariances = [
         [
-            entry if p0[i][j] == 0.0 else [v * f for v, f in zip(entry, factors)]
-            for j, entry in enumerate(row)
+            entry if p == 0.0 else [v * f for v, f in zip(entry, factors)]
+            for entry, p in zip(row, p0_row)
         ]
-        for i, row in enumerate(state.covariances)
+        for row, p0_row in zip(state.covariances, state.initial_covariance)
     ]
     return _successor(state, state.posteriors, covariances, peaks)
 
@@ -245,6 +269,33 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
     a, b, c = regressor
     noise = state.noise_variance
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
+    p0 = state.initial_covariance
+    if _is_diagonal(p0):
+        # The off-diagonal entries hold P0's values in every candidate, so
+        # their terms are one sum per call.  Each term is a signed zero or NaN,
+        # which makes ``q + off`` equal to adding them one by one.
+        off = (
+            (p0[0][1] + p0[1][0]) * a * b
+            + (p0[0][2] + p0[2][0]) * a * c
+            + (p0[1][2] + p0[2][1]) * b * c
+        )
+        quads = [
+            q00 * a * a + q11 * b * b + q22 * c * c + off
+            for q00, q11, q22 in zip(p00, p11, p22)
+        ]
+    else:
+        # Keep this term order: traces are bit-exact to the per-matrix form.
+        quads = [
+            q00 * a * a
+            + q11 * b * b
+            + q22 * c * c
+            + (q01 + q10) * a * b
+            + (q02 + q20) * a * c
+            + (q12 + q21) * b * c
+            for q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
+                p00, p01, p02, p10, p11, p12, p20, p21, p22
+            )
+        ]
     exp = math.exp
     sqrt = math.sqrt
     residuals = []
@@ -252,19 +303,8 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
     densities = []
     add_residual, add_variance, add_density = residuals.append, variances.append, densities.append
     use_log = False
-    for (t0, t1, t2), q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
-        thetas, p00, p01, p02, p10, p11, p12, p20, p21, p22
-    ):
+    for (t0, t1, t2), quad in zip(thetas, quads):
         r = observed - (t0 * a + t1 * b + t2 * c)
-        # Keep this term order: traces are bit-exact to the per-matrix form.
-        quad = (
-            q00 * a * a
-            + q11 * b * b
-            + q22 * c * c
-            + (q01 + q10) * a * b
-            + (q02 + q20) * a * c
-            + (q12 + q21) * b * c
-        )
         if quad < 0.0:
             raise StateError(
                 f"covariance {len(residuals)} is indefinite along the regressor "

@@ -185,6 +185,12 @@ def load_network(path) -> RbfNetwork:
         # Past the end, the last line is the one that falls short.
         raise ValueError(f"{path}, line {numbered[min(i, len(numbered) - 1)][0]}: {msg}")
 
+    def numbers(i, what):
+        try:
+            return [float(v) for v in lines[i].split()[1:]]
+        except ValueError:
+            fail(i, f"{what}: expected numbers, got {lines[i]!r}")
+
     head = lines[0].split()
     if head != [FORMAT_TAG, FORMAT_VERSION]:
         fail(0, f"expected header '{FORMAT_TAG} {FORMAT_VERSION}', got {lines[0]!r}")
@@ -197,13 +203,17 @@ def load_network(path) -> RbfNetwork:
         parts = lines[i].split()
         if parts[0] != "branch" or len(parts) != 3:
             fail(i, f"expected 'branch <name> <count>', got {lines[i]!r}")
-        name, count = parts[1], int(parts[2])
+        name = parts[1]
+        try:
+            count = int(parts[2])
+        except ValueError:
+            fail(i, f"branch {name}: expected an integer basis count, got {parts[2]!r}")
         i += 1
         centers, widths = [], []
         for _ in range(count):
             if i >= len(lines) or not lines[i].startswith("basis "):
                 fail(i, f"branch {name}: missing basis line")
-            vals = [float(v) for v in lines[i].split()[1:]]
+            vals = numbers(i, f"branch {name}: basis")
             if len(vals) != 2:
                 fail(i, "basis line needs width^2 and one center")
             if not all(map(math.isfinite, vals)):
@@ -213,7 +223,7 @@ def load_network(path) -> RbfNetwork:
             i += 1
         if i >= len(lines) or not lines[i].startswith("weights "):
             fail(i, f"branch {name}: missing weights line")
-        weights = [float(v) for v in lines[i].split()[1:]]
+        weights = numbers(i, f"branch {name}: weights")
         if len(weights) != count:
             fail(i, f"branch {name}: expected {count} weights, got {len(weights)}")
         if not all(map(math.isfinite, weights)):

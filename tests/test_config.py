@@ -258,6 +258,28 @@ def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old
     assert "must be finite" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("weights 11.2856", "weights 11.2856x", 17, "branch f: weights: expected numbers"),
+        ("basis 1.0 -2.0", "basis 1.0 -2.0e", 8, "branch f: basis: expected numbers"),
+        ("branch f 9", "branch f nine", 7, "branch f: expected an integer basis count, got 'nine'"),
+    ],
+)
+def test_malformed_network_number_is_a_config_error_naming_file_and_line(
+    tmp_path, old, new, line, message
+):
+    src = open("configs/networks/case1_affine.rbfnet").read()
+    assert src.count(old) == 1
+    (tmp_path / "bad.rbfnet").write_text(src.replace(old, new))
+    raw = _template()
+    raw["network"] = "bad.rbfnet"
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(raw, sort_keys=False))
+    with pytest.raises(ConfigError) as info:
+        parse_config(tmp_path / "exp.yaml")
+    assert f"bad.rbfnet, line {line}: {message}" in str(info.value)
+
+
 def test_missing_network_file_reports_path():
     raw = _template()
     raw["network"] = "networks/nonexistent.rbfnet"

@@ -88,6 +88,36 @@ def test_trace_round_trip(case1_cfg, tmp_path):
     assert back.posteriors == trace.posteriors
 
 
+@pytest.mark.parametrize(
+    "row, cell, message",
+    [
+        (3, ("u", "0.12x"), "line 9, column u: expected a number, got '0.12x'"),
+        (1, ("argmax_t", "2.0"), "line 7, column argmax_t: expected an integer, got '2.0'"),
+        (2, ("pi_3", "p"), "line 8, column pi_3: expected a number, got 'p'"),
+        (None, ("seed", "one"), "line 4, seed: expected an integer, got 'one'"),
+        (None, ("grid_size", "15.5"), "line 5, grid_size: expected an integer, got '15.5'"),
+    ],
+)
+def test_read_trace_names_the_malformed_cell(case1_cfg, tmp_path, row, cell, message):
+    path = tmp_path / "t.csv"
+    trace = run_experiment(_short(case1_cfg, iterations=5), seed=1, collect_posteriors=True)
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    column, value = cell
+    if row is None:  # a metadata line
+        index = next(i for i, line in enumerate(lines) if line.startswith(f"# {column}:"))
+        lines[index] = f"# {column}: {value}"
+    else:
+        header = lines[5].split(",")
+        fields = lines[5 + row].split(",")
+        fields[header.index(column)] = value
+        lines[5 + row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == f"{path}, {message}"
+
+
 def test_first_row_conventions(case1_cfg):
     cfg = _short(case1_cfg)
     trace = run_experiment(cfg, seed=0)

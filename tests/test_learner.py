@@ -520,3 +520,135 @@ def test_successor_states_leave_their_input_untouched():
         after = step(state)
         assert state == before
         assert after is not state and after != state
+
+
+# ---------------------------------------------------------------------------
+# Structure-aware kernels: a P0 with zero cross entries runs the diagonal loops
+# of bayes_step and candidate_control_terms, and a candidate at the cap with
+# pi <= eta skips the factor formula.  Both must match the per-matrix oracles
+# bit for bit, signed zeros included, so values are compared by repr.
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+def _oracle_bayes_error(regressor, covariances, noise_variance):
+    """The StateError message of the first candidate the per-matrix form rejects."""
+    a, b, c = regressor
+    for t, p in enumerate(covariances):
+        quad = (
+            p[0][0] * a * a
+            + p[1][1] * b * b
+            + p[2][2] * c * c
+            + (p[0][1] + p[1][0]) * a * b
+            + (p[0][2] + p[2][0]) * a * c
+            + (p[1][2] + p[2][1]) * b * c
+        )
+        if quad < 0.0:
+            return f"covariance {t} is indefinite along the regressor (phi'P phi = {quad})"
+        if not quad + noise_variance > 0.0:
+            return f"prediction variance of candidate {t} is {quad + noise_variance}; it must"
+    return None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    cross=st.lists(_SIGNED_ZEROS, min_size=6, max_size=6),
+    diagonal=st.lists(
+        st.sampled_from([0.0, -0.0, -1e-12, 1e-300, 0.04, 1.0, 1e11]), min_size=3, max_size=3
+    ),
+    noise=st.sampled_from([0.0, -0.0, 1e-4, 0.01]),
+    regressors=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.0, 0.5, -1.5, math.inf]),
+            st.sampled_from([0.0, -0.0, 0.75, -2.0]),
+            st.sampled_from([1.0, 0.0, -0.0]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    f_hat=st.sampled_from([0.0, -0.0, 0.3, -1.1]),
+    g_hat=st.sampled_from([0.6, -1.3, 2.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_diagonal_loops_match_per_matrix_oracles(
+    seed, size, cross, diagonal, noise, regressors, f_hat, g_hat
+):
+    rng = np.random.default_rng(seed)
+    p0 = (
+        (diagonal[0], cross[0], cross[1]),
+        (cross[2], diagonal[1], cross[3]),
+        (cross[4], cross[5], diagonal[2]),
+    )
+    thetas = [
+        tuple(float(v) for v in rng.uniform((0.75, 0.75, -0.1), (1.25, 1.25, 0.1)))
+        for _ in range(size)
+    ]
+    state = make_state(size, noise, p0)
+    # Exact zeros and subnormal posteriors sit below the floor.
+    pi = rng.uniform(size=size) * (rng.uniform(size=size) > 0.3)
+    pi[rng.uniform(size=size) < 0.2] = 1e-310
+    state.posteriors = list(pi / pi.sum()) if pi.sum() > 0 else list(state.posteriors)
+    posteriors = list(state.posteriors)
+    covs = [[list(row) for row in p0] for _ in range(size)]
+    for step, regressor in enumerate(regressors):
+        observed = float(rng.normal()) + (1e3 if step % 3 == 2 else 0.0)  # log domain
+        expected_error = _oracle_bayes_error(regressor, covs, state.noise_variance)
+        if expected_error is not None:
+            with pytest.raises(StateError) as info:
+                bayes_step(state, regressor, observed, thetas)
+            assert str(info.value).startswith(expected_error)
+            return
+        state, residuals, variances = bayes_step(state, regressor, observed, thetas)
+        posteriors, o_residuals, o_variances, _ = _oracle_bayes_step(
+            state, posteriors, covs, regressor, observed, thetas
+        )
+        assert list(map(repr, state.posteriors)) == list(map(repr, posteriors))
+        assert list(map(repr, residuals)) == list(map(repr, o_residuals))
+        assert list(map(repr, variances)) == list(map(repr, o_variances))
+
+        # One candidate's numerator is an exact zero, whose sign the caution
+        # term sets.
+        y_r = thetas[0][0] * f_hat + thetas[0][2] if step % 2 else float(rng.normal())
+        inputs = candidate_control_terms(thetas, f_hat, g_hat, y_r, state.covariances, 0.9)
+        assert list(map(repr, inputs)) == [
+            repr(_oracle_candidate_control(theta, f_hat, g_hat, y_r, cov, 0.9))
+            for theta, cov in zip(thetas, covs)
+        ]
+
+        state = update_covariance(state)
+        covs = [_oracle_update_covariance(cov, p, state.eta)[0] for cov, p in zip(covs, posteriors)]
+        assert [list(map(repr, e)) for row in state.covariances for e in row] == [
+            [repr(cov[i][j]) for cov in covs] for i in range(3) for j in range(3)
+        ]
+
+
+@given(
+    size=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    eta_below_floor=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floor):
+    rng = np.random.default_rng(seed)
+    p0 = ((COVARIANCE_CAP, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 3.0))
+    state = make_state(size, 0.01, p0)
+    if eta_below_floor:
+        state = replace(state, eta=1e-305)
+    eta = state.eta
+    # At the cap: pi == eta, pi at or below the floor, and pi either side of eta.
+    choices = [eta, 0.0, POSTERIOR_FLOOR, 1e-310, eta * 0.5, eta * 1.5, float(rng.uniform())]
+    state.posteriors = [choices[int(i)] for i in rng.integers(len(choices), size=size)]
+    state.peaks = [COVARIANCE_CAP if rng.uniform() < 0.8 else 3.0 for _ in range(size)]
+    for t, peak in enumerate(state.peaks):
+        if peak != COVARIANCE_CAP:
+            state.covariances[0][0][t] = 1.0
+    covs = _matrices(state)
+    out = update_covariance(state)
+    expected = [
+        _oracle_update_covariance(cov, pi, eta)[0] for cov, pi in zip(covs, state.posteriors)
+    ]
+    assert [[list(map(repr, row)) for row in cov] for cov in _matrices(out)] == [
+        [list(map(repr, row)) for row in cov] for cov in expected
+    ]
+    assert out.peaks == [max(abs(v) for row in cov for v in row) for cov in expected]
