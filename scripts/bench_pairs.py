@@ -7,10 +7,11 @@
 Each pair runs the unchanged ``bench/run.py --workload all --trace 0`` once in
 each checkout; even pairs run the parent first, odd pairs the change.  Then
 one traced ``mc-fine`` pass per side shows where per-layer time moved.
-The output file holds every run, one summary per workload and end-to-end
-metric (medians, quartiles, pairs won, whether the change stays within the
-bound ``BENCHMARK.json`` fixes and whether it gains by more than the parent's
-interquartile range) and the host stamp of the parent's first run.
+The output file holds every run (without its sample lists), one summary per
+workload and end-to-end metric (medians, quartiles, pairs won, whether the
+change stays within the bound ``BENCHMARK.json`` fixes and whether it gains by
+more than the parent's interquartile range) and the host stamp of the
+parent's first run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# Per-unit and per-run sample lists of a result file; they are nine tenths of
+# its size and the summary reads none of them.
+SAMPLE_LISTS = ("run_samples_s", "unit_walls_s", "scales")
 # mc-fine spends its time in the per-candidate learner and control kernels.
 TRACED_WORKLOAD = "mc-fine"
 TRACED_SECONDS = 10
@@ -91,11 +95,16 @@ def _result_file(checkout: str, workload: str, seed: int, trace: int) -> dict:
         return json.load(fh)
 
 
+def slim(result: dict) -> dict:
+    """A result file without its sample lists."""
+    return {k: v for k, v in result.items() if k not in SAMPLE_LISTS}
+
+
 def run_pair(checkout: str, seed: int, seconds: float) -> dict:
     args = ["--workload", "all", "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     # Each workload runs in its own interpreter for up to 900 s.
     verdicts = json.loads(_bench(checkout, args, 3 * 900 + 60).strip().splitlines()[-1])
-    return {name: _result_file(checkout, name, seed, 0) for name in verdicts}
+    return {name: slim(_result_file(checkout, name, seed, 0)) for name in verdicts}
 
 
 def run_traced(checkout: str, workload: str, seed: int, seconds: float) -> dict:

@@ -67,3 +67,11 @@ def test_summary_gain_beyond_iqr_and_correctness():
     assert summary["w"]["wall_s"]["gain_beyond_parent_iqr"] is True
     assert summary["w"]["wall_s"]["change_rel"] == pytest.approx(-0.2)
     assert summary["w"]["correct"] is False
+
+
+def test_slim_drops_only_the_sample_lists():
+    result = {"result": {"correct": True}, "run_samples_s": [0.1] * 500, "unit_walls_s": [1.0],
+              "scales": [0.9], "setup_samples_s": [0.2], "raw": {"wall_s": 1.0}}
+    assert bench_pairs.slim(result) == {
+        "result": {"correct": True}, "setup_samples_s": [0.2], "raw": {"wall_s": 1.0}
+    }
