@@ -6,12 +6,14 @@
 
 Each pair runs the unchanged ``bench/run.py --workload all --trace 0`` once in
 each checkout; even pairs run the parent first, odd pairs the change.  Then
-one traced ``mc-fine`` pass per side shows where per-layer time moved.
-The output file holds every run (without its sample lists), one summary per
-workload and end-to-end metric (medians, quartiles, pairs won, whether the
-change stays within the bound ``BENCHMARK.json`` fixes and whether it gains by
-more than the parent's interquartile range) and the host stamp of the
-parent's first run.
+every workload gets three traced passes per side, alternating in the same way,
+to show where per-layer time moved: one unscaled traced pass on a 2-core host
+can move by a third from the next one.  The output file holds every run
+(without its sample lists), one summary per workload and end-to-end metric
+(medians, quartiles, pairs won, whether the change stays within the bound
+``BENCHMARK.json`` fixes and whether it gains by more than the parent's
+interquartile range), every traced pass with the per-side median of each
+self time and stage timer, and the host stamp of the parent's first run.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ SIDES = ("parent", "change")
 # Per-unit and per-run sample lists of a result file; they are nine tenths of
 # its size and the summary reads none of them.
 SAMPLE_LISTS = ("run_samples_s", "unit_walls_s", "scales")
-# mc-fine spends its time in the per-candidate learner and control kernels.
-TRACED_WORKLOAD = "mc-fine"
+TRACED_PASSES = 3
 TRACED_SECONDS = 10
 
 
@@ -77,6 +78,15 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
         rows["correct"] = all(r[workload]["result"]["correct"] for side in SIDES for r in runs[side])
         summary[workload] = rows
     return summary
+
+
+def traced_medians(passes: list[dict]) -> dict:
+    """Median over traced passes of every ``.self_s`` and ``stage.*`` metric.
+
+    ``passes`` holds what :func:`run_traced` returns, one entry per pass.
+    """
+    names = [n for n in passes[0]["metrics"] if n.endswith(".self_s") or n.startswith("stage.")]
+    return {n: statistics.median(p["metrics"][n] for p in passes) for n in names}
 
 
 def _bench(checkout: str, args: list[str], timeout: float) -> str:
@@ -137,13 +147,24 @@ def main(argv=None) -> int:
             runs[side].append(run_pair(dirs[side], args.seed, args.seconds))
             print(f"pair {i + 1}/{args.pairs} {side} done", file=sys.stderr, flush=True)
     traced = {
-        "command": f"python3 bench/run.py --workload {TRACED_WORKLOAD} --seed {args.seed} "
+        "command": f"python3 bench/run.py --workload WORKLOAD --seed {args.seed} "
         f"--seconds {TRACED_SECONDS} --trace 1",
-        "note": "one traced run per side, unscaled; "
-        "per-layer self times show where the saving sits",
+        "passes": TRACED_PASSES,
+        "order": "alternating: even passes run the parent first, odd passes the change first",
+        "note": "unscaled; the per-side medians of self times and stage timers show "
+        "where the saving sits",
+        "workloads": {},
     }
-    for side in SIDES:
-        traced[side] = run_traced(dirs[side], TRACED_WORKLOAD, args.seed, TRACED_SECONDS)
+    for workload in runs["parent"][0]:
+        passes = {side: [] for side in SIDES}
+        for i in range(TRACED_PASSES):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                passes[side].append(run_traced(dirs[side], workload, args.seed, TRACED_SECONDS))
+            print(f"traced {workload} {i + 1}/{TRACED_PASSES} done", file=sys.stderr, flush=True)
+        traced["workloads"][workload] = {
+            **passes,
+            "median": {side: traced_medians(passes[side]) for side in SIDES},
+        }
 
     with open(os.path.join(args.parent_dir, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SimulationError, SingularControlError
 
@@ -38,9 +39,12 @@ class ControllerConfig:
             raise ValueError("input_clamp must be > 0 when set")
 
 
-@dataclass(frozen=True)
-class ControlDecision:
-    """Blended input before and after the optional clamp."""
+class ControlDecision(NamedTuple):
+    """Blended input before and after the optional clamp.
+
+    A named tuple: as immutable as a frozen dataclass, and built once per
+    iteration at a fraction of its cost.
+    """
 
     u: float  # posterior-weighted mean of the candidate inputs
     u_applied: float  # after clamping (equals u when no clamp is active)
@@ -114,7 +118,7 @@ def blended_control(
     if input_clamp is not None and abs(u) > input_clamp:
         u_applied = math.copysign(input_clamp, u)
         clipped = True
-    return ControlDecision(u=u, u_applied=u_applied, clipped=clipped)
+    return ControlDecision(u, u_applied, clipped)
 
 
 def optimal_control(true_theta, f_value: float, g_value: float, y_r_next: float) -> float:

@@ -457,6 +457,8 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     _check_seed("seed_base", seed_base)
     base = cfg.seed if seed_base is None else seed_base
     tasks = [(cfg, controller, base + i) for i in range(runs)]

@@ -24,13 +24,17 @@ State layout: the covariances are stored entry by entry across candidates.
 candidates and does, per candidate, the same floating-point operations in the
 same order as a per-matrix implementation, so results are bit-identical to it.
 Entries that are zero in the initial covariance P0 stay exactly P0's value
-(every rescale factor is finite and positive), so the rescale skips them and
-:meth:`LearnerState.validate` checks it. When every off-diagonal entry of P0
-is zero, as in all covariance presets, :func:`bayes_step` adds their terms as
-one sum per call and the control law skips them; a P0 with a nonzero cross
-entry runs the general loop over all nine entry lists. A candidate at the
-covariance cap whose floored posterior is at most ``eta`` keeps factor 1
-without evaluating it.
+(every rescale factor is finite and positive), and :meth:`LearnerState.validate`
+checks it. When every off-diagonal entry of P0 is zero, as in all covariance
+presets, :func:`bayes_step` adds their terms as one sum per call, the control
+law skips them, and :func:`update_covariance` is one pass over the candidates
+that computes each factor and appends the three rescaled diagonal entries and
+the new peak, carrying the six off-diagonal lists over; a P0 with a nonzero
+cross entry runs the general loops over all nine entry lists. A candidate at
+the covariance cap whose floored posterior is at most ``eta`` keeps factor 1
+without evaluating it, and its entries unchanged. :func:`bayes_step` forms
+each floored prior times density inside the pass that computes the densities,
+then normalizes with the same fsum and division as :func:`update_posteriors`.
 """
 
 from __future__ import annotations
@@ -158,7 +162,13 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
         )
     if any(l < 0 or not math.isfinite(l) for l in likelihoods):
         raise ValueError("likelihoods must be finite and non-negative")
-    return _normalized(state, likelihoods)
+    return _normalized(
+        state,
+        [
+            (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * l
+            for p, l in zip(state.posteriors, likelihoods)
+        ],
+    )
 
 
 def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerState:
@@ -172,12 +182,8 @@ def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerSt
     )
 
 
-def _normalized(state: LearnerState, likelihoods) -> LearnerState:
-    """The Bayes step of :func:`update_posteriors` on likelihoods known to be valid."""
-    products = [
-        (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * l
-        for p, l in zip(state.posteriors, likelihoods)
-    ]
+def _normalized(state: LearnerState, products) -> LearnerState:
+    """Posteriors proportional to ``products``, the floored prior times likelihood."""
     total = math.fsum(products)
     if total <= 0.0:
         raise PosteriorUnderflowError(
@@ -196,17 +202,47 @@ def update_covariance(state: LearnerState) -> LearnerState:
     ``COVARIANCE_CAP / peak``. The new peak is ``peak * factor``, which equals
     the max of the rescaled entries because a positive factor preserves their
     order under correct rounding.
+
+    With a diagonal P0 one pass over the candidates computes each factor and
+    rescales the three diagonal entries; the off-diagonal lists, P0's zeros,
+    are carried over. A P0 with a nonzero cross entry collects the factors
+    first and rescales every entry that is nonzero in P0.
     """
     eta = state.eta
     log2 = math.log2
+    p0 = state.initial_covariance
+    if _is_diagonal(p0):
+        (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
+        n0, n1, n2, peaks = [], [], [], []
+        add0, add1, add2, add_peak = n0.append, n1.append, n2.append, peaks.append
+        for pi, peak, v0, v1, v2 in zip(state.posteriors, state.peaks, d0, d1, d2):
+            if POSTERIOR_FLOOR > pi:
+                pi = POSTERIOR_FLOOR
+            if peak == COVARIANCE_CAP and pi <= eta:
+                # Saturated: eta / pi + 1 >= 2, so the log2 is >= 1 and the
+                # cap rule gives CAP / CAP, exactly 1, and v * 1.0 == v.
+                add0(v0)
+                add1(v1)
+                add2(v2)
+                add_peak(peak)
+                continue
+            factor = log2(eta / pi + 1.0)
+            if peak * factor > COVARIANCE_CAP:
+                factor = COVARIANCE_CAP / peak
+            # A diagonal entry that is zero in P0 stays zero: the factor is
+            # finite and positive, so v * factor keeps its sign too.
+            add0(v0 * factor)
+            add1(v1 * factor)
+            add2(v2 * factor)
+            add_peak(peak * factor)
+        covariances = [[n0, o01, o02], [o10, n1, o12], [o20, o21, n2]]
+        return _successor(state, state.posteriors, covariances, peaks)
     factors = []
     peaks = []
     for pi, peak in zip(state.posteriors, state.peaks):
         if POSTERIOR_FLOOR > pi:
             pi = POSTERIOR_FLOOR
         if peak == COVARIANCE_CAP and pi <= eta:
-            # Saturated: eta / pi + 1 >= 2, so the log2 is >= 1 and the cap
-            # rule would give CAP / CAP, exactly 1.
             factors.append(1.0)
             peaks.append(peak)
             continue
@@ -221,7 +257,7 @@ def update_covariance(state: LearnerState) -> LearnerState:
             entry if p == 0.0 else [v * f for v, f in zip(entry, factors)]
             for entry, p in zip(row, p0_row)
         ]
-        for row, p0_row in zip(state.covariances, state.initial_covariance)
+        for row, p0_row in zip(state.covariances, p0)
     ]
     return _successor(state, state.posteriors, covariances, peaks)
 
@@ -300,10 +336,10 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
     sqrt = math.sqrt
     residuals = []
     variances = []
-    densities = []
-    add_residual, add_variance, add_density = residuals.append, variances.append, densities.append
+    products = []
+    add_residual, add_variance, add_product = residuals.append, variances.append, products.append
     use_log = False
-    for (t0, t1, t2), quad in zip(thetas, quads):
+    for (t0, t1, t2), quad, p in zip(thetas, quads, state.posteriors):
         r = observed - (t0 * a + t1 * b + t2 * c)
         if quad < 0.0:
             raise StateError(
@@ -319,14 +355,14 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
         d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
         add_residual(r)
         add_variance(var)
-        add_density(d)
+        add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
         if d < LOG_DOMAIN_TRIGGER:
             use_log = True
     if not use_log:
         # Each density is exp(<= 0) / sqrt(> 0), so finite and >= 0: the
         # likelihood check of update_posteriors would find nothing.
         try:
-            return _normalized(state, densities), residuals, variances
+            return _normalized(state, products), residuals, variances
         except PosteriorUnderflowError:
             pass
     log = math.log

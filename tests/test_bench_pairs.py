@@ -1,6 +1,7 @@
 """The summary of scripts/bench_pairs.py on synthetic benchmark results."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -75,3 +76,67 @@ def test_slim_drops_only_the_sample_lists():
     assert bench_pairs.slim(result) == {
         "result": {"correct": True}, "setup_samples_s": [0.2], "raw": {"wall_s": 1.0}
     }
+
+
+def _traced(self_s, stage, calls=7):
+    """One traced pass, shaped like bench_pairs.run_traced's result."""
+    return {
+        "host": {"commit": "c"},
+        "correct": True,
+        "metrics": {
+            "learner.bayes_step.calls": calls,
+            "learner.bayes_step.self_s": self_s,
+            "learner.bayes_step.share": 0.5,
+            "stage.observe": stage,
+            "trace.overhead": 1.3,
+        },
+    }
+
+
+def test_traced_medians_cover_self_times_and_stage_timers_only():
+    passes = [_traced(0.66, 900.0), _traced(0.52, 1100.0), _traced(0.60, 1000.0)]
+    assert bench_pairs.traced_medians(passes) == {
+        "learner.bayes_step.self_s": 0.60,
+        "stage.observe": 1000.0,
+    }
+
+
+def test_traced_passes_alternate_on_every_workload(tmp_path, monkeypatch):
+    dirs = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for d in dirs.values():
+        d.mkdir()
+    (dirs["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    side_of = {str(d): side for side, d in dirs.items()}
+    calls = []
+
+    def run_pair(checkout, seed, seconds):
+        rate = {"parent": 10.0, "change": 12.0}[side_of[checkout]]
+        result = _runs([(rate, 1.0)])[0]["w"]
+        result["host"] = {"commit": side_of[checkout]}
+        return {"w": result, "v": result}
+
+    def run_traced(checkout, workload, seed, seconds):
+        side = side_of[checkout]
+        calls.append((workload, side))
+        n = sum(1 for w, s in calls if (w, s) == (workload, side))
+        return _traced({"parent": 0.5, "change": 0.3}[side] + n / 100, 100.0 * n)
+
+    monkeypatch.setattr(bench_pairs, "run_pair", run_pair)
+    monkeypatch.setattr(bench_pairs, "run_traced", run_traced)
+    out = tmp_path / "BENCH.json"
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--pairs", "2", "--seed", "5",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    # Three passes per side and workload; even passes run the parent first.
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [("w", s) for s in order] + [("v", s) for s in order]
+    traced = json.loads(out.read_text())["traced"]
+    assert traced["passes"] == bench_pairs.TRACED_PASSES == 3
+    for workload in ("w", "v"):
+        entry = traced["workloads"][workload]
+        assert [len(entry[side]) for side in bench_pairs.SIDES] == [3, 3]
+        assert entry["median"]["parent"] == {
+            "learner.bayes_step.self_s": pytest.approx(0.52), "stage.observe": 200.0
+        }
+        assert entry["median"]["change"]["learner.bayes_step.self_s"] == pytest.approx(0.32)

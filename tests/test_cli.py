@@ -129,3 +129,14 @@ def test_mc_writes_summary(tmp_path, capsys):
     assert [r["seed"] for r in rows] == ["50", "51", "52"]
     trace = read_trace(out_dir / "run000.csv")
     assert trace.seed == 50
+
+
+def test_mc_rejects_zero_jobs(tmp_path, capsys):
+    out_dir = tmp_path / "batch"
+    code = main([
+        "mc", "--config", "configs/case1.yaml", "--runs", "2", "--jobs", "0",
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+    assert not out_dir.exists()

@@ -17,6 +17,7 @@ from dualctl import (
     eval_network,
     optimal_control,
 )
+from dualctl.controller import ControlDecision
 
 ZERO_COV = ((0.0,) * 3,) * 3
 
@@ -120,6 +121,16 @@ def test_blend_clamps_and_reports():
     assert decision.clipped
     neg = blended_control([1.0], [-12.0], input_clamp=5.0)
     assert neg.u_applied == -5.0
+
+
+def test_blend_decision_is_immutable_and_compares_by_fields():
+    decision = blended_control([0.25, 0.75], [2.0, 6.0], input_clamp=4.0)
+    assert decision == ControlDecision(u=5.0, u_applied=4.0, clipped=True)
+    assert decision != ControlDecision(u=5.0, u_applied=5.0, clipped=False)
+    for field in ("u", "u_applied", "clipped"):
+        with pytest.raises(AttributeError):
+            setattr(decision, field, 0.0)
+    assert (decision.u, decision.u_applied, decision.clipped) == (5.0, 4.0, True)
 
 
 def test_blend_validates_lengths_and_finiteness():

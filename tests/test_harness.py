@@ -69,6 +69,12 @@ def test_parallel_monte_carlo_matches_serial(case1_cfg, tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_monte_carlo_rejects_fewer_than_one_job(case1_cfg, jobs):
+    with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+        monte_carlo(_short(case1_cfg), runs=2, jobs=jobs)
+
+
 def test_trace_round_trip(case1_cfg, tmp_path):
     cfg = _short(case1_cfg)
     trace = run_experiment(cfg, seed=1, collect_posteriors=True)
