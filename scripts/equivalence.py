@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of dualctl produce the same closed-loop traces.
+
+    python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--limit N]
+
+Each checkout runs the same 668 units in a subprocess of its own, importing
+``dualctl`` from its ``src`` and reading its own ``configs``.  A unit is one
+``run_experiment`` call with full posteriors:
+
+- case3-eps005 seeds 0-399, case3-eps02 0-99 and case3g-eps04 0-99, each with
+  the config's ``mc_randomize`` channels;
+- case3-eps02 0-19 without them; case4 0-12; case1 and case2 0-4;
+- case1 0-4 with ``mc_randomize``, and a case1 copy with a full initial
+  covariance (every cross entry nonzero) 0-4;
+- the optimal controller on case1, case2 and case4 0-4.
+
+Every ``RunTrace`` field except ``wall_time`` is compared by the sha256 of its
+``repr``, so signed zeros and the last bit count.  A failed run is compared by
+the iteration and message of its ``RunError``.  The script also prints the
+sha256 of the ``write_trace`` file of case1 seed 0 (``mc_randomize``) and of
+case4 seed 0, both with full posteriors, for each side.  It exits 0 when every
+unit and both files match, 1 otherwise.  ``--limit N`` runs the first N units
+only, for a quick check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+FULL_COVARIANCE = ((0.04, 0.01, -0.005), (0.01, 0.09, 0.02), (-0.005, 0.02, 0.01))
+# (config stem, controller, seeds, randomize with the config's mc_randomize,
+# replace the initial covariance with FULL_COVARIANCE)
+GROUPS = (
+    ("case3-eps005", "proposed", range(400), True, False),
+    ("case3-eps02", "proposed", range(100), True, False),
+    ("case3g-eps04", "proposed", range(100), True, False),
+    ("case3-eps02", "proposed", range(20), False, False),
+    ("case4", "proposed", range(13), False, False),
+    ("case1", "proposed", range(5), False, False),
+    ("case2", "proposed", range(5), False, False),
+    ("case1", "proposed", range(5), True, False),
+    ("case1", "proposed", range(5), False, True),
+    ("case1", "optimal", range(5), False, False),
+    ("case2", "optimal", range(5), False, False),
+    ("case4", "optimal", range(5), False, False),
+)
+# (config stem, seed, randomize) of the trace files whose sha256 is printed.
+TRACE_FILES = (("case1", 0, True), ("case4", 0, False))
+SKIPPED_FIELDS = ("wall_time",)
+
+
+def units() -> list[tuple]:
+    """Every unit as ``(config stem, controller, seed, randomize, full covariance)``."""
+    return [
+        (stem, controller, seed, randomize, full)
+        for stem, controller, seeds, randomize, full in GROUPS
+        for seed in seeds
+    ]
+
+
+def unit_key(unit) -> str:
+    stem, controller, seed, randomize, full = unit
+    flags = "".join(f"/{flag}" for flag, on in (("mc", randomize), ("fullcov", full)) if on)
+    return f"{stem}/{controller}/{seed}{flags}"
+
+
+def digest(trace) -> dict[str, str]:
+    """sha256 of the repr of every compared ``RunTrace`` field."""
+    return {
+        field.name: hashlib.sha256(repr(getattr(trace, field.name)).encode()).hexdigest()
+        for field in dataclasses.fields(trace)
+        if field.name not in SKIPPED_FIELDS
+    }
+
+
+def run_unit(root: str, unit, configs: dict) -> dict:
+    """The digest of one unit's trace, or its failure's iteration and message."""
+    from dualctl import RunError, parse_config, run_experiment
+
+    stem, controller, seed, randomize, full = unit
+    if stem not in configs:
+        configs[stem] = parse_config(os.path.join(root, "configs", f"{stem}.yaml"))
+    cfg = configs[stem]
+    if full:
+        cfg = dataclasses.replace(cfg, initial_covariance=FULL_COVARIANCE)
+    try:
+        trace = run_experiment(
+            cfg,
+            controller=controller,
+            seed=seed,
+            collect_posteriors=True,
+            randomize=cfg.mc_randomize if randomize else (),
+        )
+    except RunError as exc:
+        return {"failure": [exc.iteration, str(exc)]}
+    return {"fields": digest(trace)}
+
+
+def trace_file_sums(root: str) -> dict[str, str]:
+    """sha256 of the ``write_trace`` file of each of ``TRACE_FILES``."""
+    from dualctl import parse_config, run_experiment, write_trace
+
+    sums = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, seed, randomize in TRACE_FILES:
+            cfg = parse_config(os.path.join(root, "configs", f"{stem}.yaml"))
+            trace = run_experiment(
+                cfg,
+                seed=seed,
+                collect_posteriors=True,
+                randomize=cfg.mc_randomize if randomize else (),
+            )
+            path = os.path.join(tmp, "trace.csv")
+            write_trace(trace, path)
+            with open(path, "rb") as fh:
+                sums[f"{stem}/{seed}" + ("/mc" if randomize else "")] = hashlib.sha256(
+                    fh.read()
+                ).hexdigest()
+    return sums
+
+
+def side(root: str, limit: int | None) -> dict:
+    """Every unit and trace file of one checkout (run inside its subprocess)."""
+    configs: dict = {}
+    return {
+        "units": {unit_key(u): run_unit(root, u, configs) for u in units()[:limit]},
+        "files": trace_file_sums(root),
+    }
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """One line per unit, field or trace file that differs between the sides."""
+    problems = []
+    for key in sorted(set(parent["units"]) | set(change["units"])):
+        a, b = parent["units"].get(key), change["units"].get(key)
+        if a is None or b is None:
+            problems.append(f"{key}: run on one side only")
+        elif "failure" in a or "failure" in b:
+            if a != b:
+                problems.append(f"{key}: parent {a.get('failure')}, change {b.get('failure')}")
+        else:
+            for field, value in a["fields"].items():
+                if b["fields"].get(field) != value:
+                    problems.append(f"{key}: field {field} differs")
+    for name, value in parent["files"].items():
+        if change["files"].get(name) != value:
+            problems.append(f"write_trace {name}: sha256 differs")
+    return problems
+
+
+def _launch(root: str, limit: int | None) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    command = [sys.executable, os.path.abspath(__file__), "--side", root]
+    if limit is not None:
+        command += ["--limit", str(limit)]
+    return subprocess.Popen(command, env=env, cwd=root, stdout=subprocess.PIPE, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("dirs", nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
+    parser.add_argument("--limit", type=int, default=None, help="run the first N units only")
+    parser.add_argument("--side", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side:
+        json.dump(side(os.path.abspath(args.side), args.limit), sys.stdout)
+        return 0
+    if len(args.dirs) != 2:
+        parser.error("expected PARENT_DIR and CHANGE_DIR")
+    roots = [os.path.abspath(d) for d in args.dirs]
+    # One subprocess per side, run side by side.
+    procs = [_launch(root, args.limit) for root in roots]
+    outputs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        print("a side failed to run", file=sys.stderr)
+        return 1
+    parent, change = (json.loads(out) for out in outputs)
+    failures = {
+        key: value["failure"]
+        for key, value in parent["units"].items()
+        if "failure" in value
+    }
+    for name in parent["files"]:
+        print(f"write_trace {name}: parent {parent['files'][name]}, change {change['files'].get(name)}")
+    for key, (iteration, message) in failures.items():
+        print(f"parent failure {key} at {iteration}: {message}")
+    problems = compare(parent, change)
+    for line in problems:
+        print(line)
+    print(
+        f"{len(parent['units'])} units, {len(failures)} failures in the parent, "
+        f"{len(problems)} differences"
+    )
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,7 @@ from .config import check_grid_size, parse_config
 from .errors import DualctlError
 from .grid import BoundedInterval, partition_interval
 from .harness import (
+    _parse_cell,
     monte_carlo,
     run_experiment,
     run_metrics,
@@ -69,9 +70,12 @@ def _read_samples(path):
             raise DualctlError(f"{path}: need exactly the columns x, u, y; got {reader.fieldnames}")
         states, inputs, outputs = [], [], []
         for row in reader:
-            states.append(float(row["x"]))
-            inputs.append(float(row["u"]))
-            outputs.append(float(row["y"]))
+            where = f"{path}, line {reader.line_num}"
+            if None in row.values() or None in row:
+                raise DualctlError(f"{where}: expected the 3 fields x, u, y")
+            states.append(_parse_cell(float, row["x"], f"{where}, column x"))
+            inputs.append(_parse_cell(float, row["u"], f"{where}, column u"))
+            outputs.append(_parse_cell(float, row["y"], f"{where}, column y"))
     return states, inputs, outputs
 
 
@@ -86,8 +90,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_writable(path: str, directory: str) -> None:
+    """Fail before any simulation when output ``path`` cannot be made in ``directory``."""
+    if not os.path.isdir(directory):
+        raise NotADirectoryError(f"{path}: {directory} is not an existing directory")
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(f"{path}: directory {directory} is not writable")
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
+    if args.out:
+        _check_writable(args.out, os.path.dirname(os.path.abspath(args.out)))
     trace = run_experiment(
         cfg,
         controller=args.controller,
@@ -113,6 +127,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_mc(args) -> int:
     cfg = parse_config(args.config)
+    if args.out_dir:
+        # The directory is made after the batch; its nearest existing
+        # ancestor must allow that.
+        existing = os.path.abspath(args.out_dir)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        _check_writable(args.out_dir, existing)
     result = monte_carlo(
         cfg,
         runs=args.runs,
@@ -194,10 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DualctlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (DualctlError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ with ``F = fhat(x)``, ``G = ghat(x)``, ``P_b = P[1][1]``, ``P_ab = P[0][1]``,
 ``P_gb = P[2][1]`` (channel order alpha, beta, gamma). ``lambda`` close to 1
 weighs tracking heavily; at ``P = 0`` the law collapses to the certainty-
 equivalence inversion. The applied input is the posterior-weighted mean of the
-candidate laws.
+candidate laws, formed by :func:`blended_control` in one call per iteration.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def candidate_control_terms(
 ) -> list[float]:
     """Dual law of every candidate given already-evaluated network outputs.
 
+    The general law, caution term included, for any covariance; it is what
+    :func:`blended_control` runs when its one-pass shortcut does not apply.
     ``covariances`` is the learner's entry-major layout: ``covariances[i][j][t]``
     is entry ``(i, j)`` of candidate ``t``'s covariance. Raises
     :class:`SingularControlError` carrying the index of the first candidate
@@ -70,55 +72,71 @@ def candidate_control_terms(
     # ``one_minus * g_hat * p_b`` evaluates as ``(one_minus * g_hat) * p_b``,
     # so hoisting the first product leaves every rounding unchanged.
     caution_g = one_minus * g_hat
-    p_b, p_ab, p_gb = covariances[1][1], covariances[0][1], covariances[2][1]
-    if not (any(p_ab) or any(p_gb)) and math.isfinite(f_hat) and math.isfinite(caution_g):
-        # Zero cross entries (all bundled configs): each candidate's caution
-        # term ``one_minus * (f_hat * p_ab + p_gb) * g_hat`` is a signed zero,
-        # which leaves a nonzero numerator unchanged.  A zero numerator would
-        # take its sign from it, so that rare case runs the full law below.
-        inputs = []
-        for t, ((t0, t1, t2), p) in enumerate(zip(thetas, p_b)):
-            t2g = t1 * g_hat
-            den = caution_g * p + t2g * t2g
-            if abs(den) < _SINGULAR_TOL:
-                raise _singular(den, t)
-            inputs.append((y_r_next - t0 * f_hat - t2) * t2g / den)
-        if 0.0 not in inputs:
-            return inputs
     inputs = []
-    for t, ((t0, t1, t2), p, p_a, p_g) in enumerate(zip(thetas, p_b, p_ab, p_gb)):
+    for t, ((t0, t1, t2), p, p_a, p_g) in enumerate(
+        zip(thetas, covariances[1][1], covariances[0][1], covariances[2][1])
+    ):
         t2g = t1 * g_hat
         den = caution_g * p + t2g * t2g
         if abs(den) < _SINGULAR_TOL:
-            raise _singular(den, t)
+            raise SingularControlError(
+                f"control denominator {den} is singular for candidate {t}", candidate_index=t
+            )
         num = (y_r_next - t0 * f_hat - t2) * t2g - one_minus * (f_hat * p_a + p_g) * g_hat
         inputs.append(num / den)
     return inputs
 
 
-def _singular(den: float, t: int) -> SingularControlError:
-    return SingularControlError(
-        f"control denominator {den} is singular for candidate {t}", candidate_index=t
-    )
-
-
 def blended_control(
-    posteriors, candidate_inputs, input_clamp: float | None = None
+    thetas,
+    f_hat: float,
+    g_hat: float,
+    y_r_next: float,
+    state,
+    dual_lambda: float,
+    input_clamp: float | None = None,
 ) -> ControlDecision:
-    """Posterior-weighted mean of the candidate inputs, optionally clamped."""
-    if len(posteriors) != len(candidate_inputs):
-        raise ValueError(
-            f"got {len(candidate_inputs)} candidate inputs for {len(posteriors)} posteriors"
-        )
-    u = math.fsum(map(operator.mul, posteriors, candidate_inputs))
+    """Posterior-weighted mean of the candidate laws, optionally clamped.
+
+    ``state`` is the learner state: its ``posteriors`` weigh the laws, its
+    ``covariances`` enter them, and its ``diagonal`` flag says that every
+    cross entry is zero.  Then each candidate's caution term
+    ``(1 - lambda) * (f_hat * P_ab + P_gb) * g_hat`` is a signed zero, which
+    leaves a nonzero numerator unchanged, so one pass evaluates each law
+    without it and keeps only ``pi_t * u_t``.  A zero input (whose sign that
+    term would set), a singular denominator, non-finite network outputs or a
+    P0 with cross entries run :func:`candidate_control_terms` instead.
+    """
+    posteriors = state.posteriors
+    if len(posteriors) != len(thetas):
+        raise ValueError(f"got {len(thetas)} candidates for {len(posteriors)} posteriors")
+    caution_g = (1.0 - dual_lambda) * g_hat
+    if state.diagonal and math.isfinite(f_hat) and math.isfinite(caution_g):
+        terms = []
+        add_term = terms.append
+        for (t0, t1, t2), p, pi in zip(thetas, state.covariances[1][1], posteriors):
+            t2g = t1 * g_hat
+            den = caution_g * p + t2g * t2g
+            if abs(den) < _SINGULAR_TOL:
+                break
+            u = (y_r_next - t0 * f_hat - t2) * t2g / den
+            if u == 0.0:
+                break
+            add_term(pi * u)
+        else:
+            return _decision(math.fsum(terms), input_clamp)
+    inputs = candidate_control_terms(
+        thetas, f_hat, g_hat, y_r_next, state.covariances, dual_lambda
+    )
+    return _decision(math.fsum(map(operator.mul, posteriors, inputs)), input_clamp)
+
+
+def _decision(u: float, input_clamp: float | None) -> ControlDecision:
     if not math.isfinite(u):
         raise SimulationError("blended input is not finite")
-    u_applied = u
-    clipped = False
     if input_clamp is not None and abs(u) > input_clamp:
-        u_applied = math.copysign(input_clamp, u)
-        clipped = True
-    return ControlDecision(u, u_applied, clipped)
+        return ControlDecision(u, math.copysign(input_clamp, u), True)
+    return ControlDecision(u, u, False)
 
 
 def optimal_control(true_theta, f_value: float, g_value: float, y_r_next: float) -> float:

@@ -4,10 +4,13 @@ One run iterates the plant under either the posterior-blended dual controller
 ("proposed") or the disturbance-aware baseline ("optimal").  Per iteration k,
 in order: the plant produces y(k+1); the candidate posteriors are updated from
 the regressor built at the previous state; the per-candidate control laws are
-evaluated at the new state against the next reference value and blended; the
-change detector inspects the leading candidate's residual and may reset the
-learner; finally the candidate covariances are renormalized.  Traces hold one
-row per iteration including row 1 (the initial condition).
+evaluated at the new state against the next reference value and blended into
+the applied input, in one call; the change detector inspects the leading
+candidate's residual and may reset the learner; finally the candidate
+covariances are renormalized.  Traces hold one row per iteration including
+row 1 (the initial condition).  Each stage returns only what the loop reads:
+the Bayes update returns the new state, and the loop recomputes the one
+residual it logs, the leading candidate's, with the update's own expression.
 
 The disturbance of every row and the noise of every plant step are built once
 per run, before the loop.  Each row's other quantities are evaluated once, at
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import CHANNELS, ExperimentConfig
-from .controller import blended_control, candidate_control_terms, optimal_control
+from .controller import blended_control, optimal_control
 from .errors import BatchError, ConfigError, DualctlError, RunError, SingularControlError
 from .learner import bayes_step, detect_change, make_state, update_covariance
 from .learner import reset as reset_learner
@@ -179,13 +182,16 @@ def run_experiment(
             y = _bounded("output", plant.step(y, u, theta, noises[k - 1]), k + 1)
 
             # The input enters the regressor, so it is bounded like the output.
-            phi = (f_hat, g_hat * _bounded("input", u, k + 1), 1.0)
-            state, residuals, _ = bayes_step(state, phi, y, thetas)
+            a, b, c = phi = (f_hat, g_hat * _bounded("input", u, k + 1), 1.0)
+            state = bayes_step(state, phi, y, thetas)
             pi_star = max(state.posteriors)
             t_star = state.posteriors.index(pi_star)
             # The logged prediction belongs to the argmax candidate on this
-            # row; its residual is y - y_hat by construction.
-            y_hat = y - residuals[t_star]
+            # row; its residual is y - y_hat by construction.  It is the
+            # expression bayes_step evaluates for that candidate.
+            t0, t1, t2 = thetas[t_star]
+            residual = y - (t0 * a + t1 * b + t2 * c)
+            y_hat = y - residual
             if hooks is not None:
                 _fire(hooks, "posterior_update", k + 1, argmax_t=t_star + 1, max_pi=pi_star)
 
@@ -195,16 +201,13 @@ def run_experiment(
             u_opt = optimal_input(theta, y, target)
             f_hat, g_hat = eval_network(net, (y,))
             if controller == "proposed":
-                candidates = candidate_control_terms(
-                    thetas, f_hat, g_hat, target, state.covariances, lam
-                )
-                u = blended_control(state.posteriors, candidates, clamp).u_applied
+                u = blended_control(thetas, f_hat, g_hat, target, state, lam, clamp).u_applied
             else:
                 u = u_opt
             if hooks is not None:
                 _fire(hooks, "control", k + 1, u=u)
 
-            triggered = detect_change(residuals[t_star], pi_star, cfg.reset)
+            triggered = detect_change(residual, pi_star, cfg.reset)
             if triggered:
                 state = reset_learner(state, size)
             if hooks is not None:

@@ -19,22 +19,26 @@ initial value, restarting active learning.
 State layout: the covariances are stored entry by entry across candidates.
 ``covariances[i][j]`` is a list with entry ``(i, j)`` of every candidate's
 ``P_t``, so ``covariances[i][j][t]`` is ``P_t[i][j]``, and ``peaks[t]`` is
-``max |P_t[i][j]|``. Each stage of an iteration (:func:`bayes_step`,
-:func:`update_covariance`, the control law) is one call that loops over the
-candidates and does, per candidate, the same floating-point operations in the
-same order as a per-matrix implementation, so results are bit-identical to it.
-Entries that are zero in the initial covariance P0 stay exactly P0's value
-(every rescale factor is finite and positive), and :meth:`LearnerState.validate`
-checks it. When every off-diagonal entry of P0 is zero, as in all covariance
-presets, :func:`bayes_step` adds their terms as one sum per call, the control
-law skips them, and :func:`update_covariance` is one pass over the candidates
-that computes each factor and appends the three rescaled diagonal entries and
-the new peak, carrying the six off-diagonal lists over; a P0 with a nonzero
-cross entry runs the general loops over all nine entry lists. A candidate at
-the covariance cap whose floored posterior is at most ``eta`` keeps factor 1
-without evaluating it, and its entries unchanged. :func:`bayes_step` forms
-each floored prior times density inside the pass that computes the densities,
-then normalizes with the same fsum and division as :func:`update_posteriors`.
+``max |P_t[i][j]|``. ``diagonal`` records, once per state, whether every
+off-diagonal entry of the initial covariance P0 is zero. Each stage of an
+iteration (:func:`bayes_step`, :func:`update_covariance`, the control law) is
+one call that loops over the candidates and does, per candidate, the same
+floating-point operations in the same order as a per-matrix implementation,
+so results are bit-identical to it, and each returns only what the run loop
+reads. Entries that are zero in P0 stay exactly P0's value (every rescale
+factor is finite and positive), and :meth:`LearnerState.validate` checks it.
+When every off-diagonal entry of P0 is zero, as in all covariance presets,
+:func:`bayes_step` adds their terms as one sum per call, the control law skips
+them, and :func:`update_covariance` is one pass over the candidates that
+computes each factor and appends the three rescaled diagonal entries and the
+new peak, carrying the six off-diagonal lists over; a P0 with a nonzero cross
+entry runs the general loops over all nine entry lists. A candidate at the
+covariance cap whose floored posterior is at most ``eta`` keeps factor 1
+without evaluating it, and its entries unchanged. The linear-domain pass of
+:func:`bayes_step` keeps only each floored prior times density, then
+normalizes with the same fsum and division as :func:`update_posteriors`; the
+residuals and variances that the rare log-domain update needs come from
+:func:`prediction_errors`.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ class LearnerState:
     eta: float
     noise_variance: float
     initial_covariance: tuple[tuple[float, ...], ...]
+    diagonal: bool  # every off-diagonal entry of initial_covariance is zero
 
     def validate(self) -> None:
         s = len(self.posteriors)
@@ -95,6 +100,10 @@ class LearnerState:
             raise StateError(
                 "posteriors, peaks and the 3 x 3 covariance entry lists must be "
                 "non-empty and equal-length"
+            )
+        if self.diagonal != _is_diagonal(self.initial_covariance):
+            raise StateError(
+                f"diagonal flag {self.diagonal} disagrees with the initial covariance"
             )
         total = math.fsum(self.posteriors)
         if abs(total - 1.0) > 1e-9:
@@ -131,23 +140,29 @@ def _initial_layout(p0, size: int):
 
 
 def make_state(grid_size: int, noise_variance: float, initial_covariance) -> LearnerState:
-    """Uniform posteriors with every covariance at the configured initial value."""
+    """Uniform posteriors with every covariance at the configured initial value.
+
+    Every candidate starts as the same copy of P0, so one candidate is
+    validated and stands for all of them.
+    """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
+    diagonal = _is_diagonal(p0)
+    noise = float(noise_variance)
+    LearnerState([1.0], *_initial_layout(p0, 1), 1.0, noise, p0, diagonal).validate()
     covariances, peaks = _initial_layout(p0, grid_size)
-    state = LearnerState(
+    return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=covariances,
         peaks=peaks,
         eta=1.0 / grid_size,
-        noise_variance=float(noise_variance),
+        noise_variance=noise,
         initial_covariance=p0,
+        diagonal=diagonal,
     )
-    state.validate()
-    return state
 
 
 def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
@@ -178,7 +193,13 @@ def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerSt
     a run makes up to three successors per iteration.
     """
     return LearnerState(
-        posteriors, covariances, peaks, state.eta, state.noise_variance, state.initial_covariance
+        posteriors,
+        covariances,
+        peaks,
+        state.eta,
+        state.noise_variance,
+        state.initial_covariance,
+        state.diagonal,
     )
 
 
@@ -210,8 +231,7 @@ def update_covariance(state: LearnerState) -> LearnerState:
     """
     eta = state.eta
     log2 = math.log2
-    p0 = state.initial_covariance
-    if _is_diagonal(p0):
+    if state.diagonal:
         (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
         n0, n1, n2, peaks = [], [], [], []
         add0, add1, add2, add_peak = n0.append, n1.append, n2.append, peaks.append
@@ -257,7 +277,7 @@ def update_covariance(state: LearnerState) -> LearnerState:
             entry if p == 0.0 else [v * f for v, f in zip(entry, factors)]
             for entry, p in zip(row, p0_row)
         ]
-        for row, p0_row in zip(state.covariances, p0)
+        for row, p0_row in zip(state.covariances, state.initial_covariance)
     ]
     return _successor(state, state.posteriors, covariances, peaks)
 
@@ -277,21 +297,90 @@ def reset(state: LearnerState, grid_size: int) -> LearnerState:
     return _successor(state, [1.0 / grid_size] * grid_size, covariances, peaks)
 
 
-def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple[
-    LearnerState, list[float], list[float]
+def _cross_terms(p0, a: float, b: float, c: float) -> float:
+    """The off-diagonal part of ``phi' P_t phi`` when every cross entry is P0's zero.
+
+    Each term is a signed zero or NaN, which makes ``q + off`` equal to adding
+    them one by one.
+    """
+    return (
+        (p0[0][1] + p0[1][0]) * a * b
+        + (p0[0][2] + p0[2][0]) * a * c
+        + (p0[1][2] + p0[2][1]) * b * c
+    )
+
+
+def _quadratic_forms(state: LearnerState, a: float, b: float, c: float) -> list[float]:
+    """``phi' P_t phi`` of every candidate for the regressor ``phi = (a, b, c)``."""
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
+    if state.diagonal:
+        off = _cross_terms(state.initial_covariance, a, b, c)
+        return [q00 * a * a + q11 * b * b + q22 * c * c + off for q00, q11, q22 in zip(p00, p11, p22)]
+    # Keep this term order: traces are bit-exact to the per-matrix form.
+    return [
+        q00 * a * a
+        + q11 * b * b
+        + q22 * c * c
+        + (q01 + q10) * a * b
+        + (q02 + q20) * a * c
+        + (q12 + q21) * b * c
+        for q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
+            p00, p01, p02, p10, p11, p12, p20, p21, p22
+        )
+    ]
+
+
+def _rejected(quads, noise: float) -> StateError | None:
+    """The error of the first candidate whose prediction variance is unusable."""
+    for t, quad in enumerate(quads):
+        if quad < 0.0:
+            return StateError(
+                f"covariance {t} is indefinite along the regressor (phi'P phi = {quad})"
+            )
+        var = quad + noise
+        if not var > 0.0:
+            return StateError(
+                f"prediction variance of candidate {t} is {var}; it must be > 0 "
+                "(zero noise with a covariance that vanishes along the regressor)"
+            )
+    return None
+
+
+def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -> tuple[
+    list[float], list[float]
 ]:
+    """Residual and prediction variance of every candidate.
+
+    With ``regressor = (a, b, c)``, candidate ``t`` predicts ``theta_t . phi``
+    with variance ``phi' P_t phi + sigma^2``; its residual is the observed
+    output minus that prediction.  Raises the same :class:`StateError` as
+    :func:`bayes_step` for an unusable variance.
+    """
+    a, b, c = regressor
+    noise = state.noise_variance
+    quads = _quadratic_forms(state, a, b, c)
+    error = _rejected(quads, noise)
+    if error is not None:
+        raise error
+    residuals = [observed - (t0 * a + t1 * b + t2 * c) for t0, t1, t2 in thetas]
+    return residuals, [quad + noise for quad in quads]
+
+
+def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
     """Full per-iteration posterior update over all candidates.
 
     Per candidate, with ``regressor = (a, b, c) = (fhat, ghat*u, 1)``: the
-    one-step prediction ``theta . phi`` and its residual against the observed
+    residual of the one-step prediction ``theta . phi`` against the observed
     output, the prediction variance ``phi' P_t phi + sigma^2`` and the
-    Gaussian density of the residual. Then the Bayes update, switching to the
+    Gaussian density of the residual.  Then the Bayes update, switching to the
     log domain whenever any density drops below ``LOG_DOMAIN_TRIGGER`` or the
-    linear-domain products all underflow. Returns the new state plus the
-    residual and prediction-variance vectors.
+    linear-domain products all underflow.  Returns the new state.
 
-    The log-domain update adds each log prior (floored) to the Gaussian
-    log-density, shifts by the max before exponentiating and normalizes.
+    The linear-domain pass keeps only each floored prior times density; the
+    residual and variance of a candidate stay local to it.  The log-domain
+    update takes them from :func:`prediction_errors`, adds each log prior
+    (floored) to the Gaussian log-density, shifts by the max before
+    exponentiating and normalizes.
 
     Raises :class:`StateError` when a covariance is indefinite along the
     regressor, a prediction variance is not positive (zero noise with a
@@ -304,67 +393,45 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
         )
     a, b, c = regressor
     noise = state.noise_variance
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
-    p0 = state.initial_covariance
-    if _is_diagonal(p0):
-        # The off-diagonal entries hold P0's values in every candidate, so
-        # their terms are one sum per call.  Each term is a signed zero or NaN,
-        # which makes ``q + off`` equal to adding them one by one.
-        off = (
-            (p0[0][1] + p0[1][0]) * a * b
-            + (p0[0][2] + p0[2][0]) * a * c
-            + (p0[1][2] + p0[2][1]) * b * c
-        )
-        quads = [
-            q00 * a * a + q11 * b * b + q22 * c * c + off
-            for q00, q11, q22 in zip(p00, p11, p22)
-        ]
-    else:
-        # Keep this term order: traces are bit-exact to the per-matrix form.
-        quads = [
-            q00 * a * a
-            + q11 * b * b
-            + q22 * c * c
-            + (q01 + q10) * a * b
-            + (q02 + q20) * a * c
-            + (q12 + q21) * b * c
-            for q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
-                p00, p01, p02, p10, p11, p12, p20, p21, p22
-            )
-        ]
     exp = math.exp
     sqrt = math.sqrt
-    residuals = []
-    variances = []
     products = []
-    add_residual, add_variance, add_product = residuals.append, variances.append, products.append
+    add_product = products.append
     use_log = False
-    for (t0, t1, t2), quad, p in zip(thetas, quads, state.posteriors):
-        r = observed - (t0 * a + t1 * b + t2 * c)
-        if quad < 0.0:
-            raise StateError(
-                f"covariance {len(residuals)} is indefinite along the regressor "
-                f"(phi'P phi = {quad})"
-            )
-        var = quad + noise
-        if not var > 0.0:
-            raise StateError(
-                f"prediction variance of candidate {len(residuals)} is {var}; it must "
-                "be > 0 (zero noise with a covariance that vanishes along the regressor)"
-            )
-        d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
-        add_residual(r)
-        add_variance(var)
-        add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
-        if d < LOG_DOMAIN_TRIGGER:
-            use_log = True
+    # Two copies of one pass: the diagonal one forms each quadratic form from
+    # three entries in place, the general one reads the nine-entry forms.
+    if state.diagonal:
+        (p00, _, _), (_, p11, _), (_, _, p22) = state.covariances
+        off = _cross_terms(state.initial_covariance, a, b, c)
+        for (t0, t1, t2), q00, q11, q22, p in zip(thetas, p00, p11, p22, state.posteriors):
+            quad = q00 * a * a + q11 * b * b + q22 * c * c + off
+            var = quad + noise
+            if quad < 0.0 or not var > 0.0:
+                raise _rejected(_quadratic_forms(state, a, b, c), noise)
+            r = observed - (t0 * a + t1 * b + t2 * c)
+            d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
+            add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
+            if d < LOG_DOMAIN_TRIGGER:
+                use_log = True
+    else:
+        quads = _quadratic_forms(state, a, b, c)
+        for (t0, t1, t2), quad, p in zip(thetas, quads, state.posteriors):
+            var = quad + noise
+            if quad < 0.0 or not var > 0.0:
+                raise _rejected(quads, noise)
+            r = observed - (t0 * a + t1 * b + t2 * c)
+            d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
+            add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
+            if d < LOG_DOMAIN_TRIGGER:
+                use_log = True
     if not use_log:
         # Each density is exp(<= 0) / sqrt(> 0), so finite and >= 0: the
         # likelihood check of update_posteriors would find nothing.
         try:
-            return _normalized(state, products), residuals, variances
+            return _normalized(state, products)
         except PosteriorUnderflowError:
             pass
+    residuals, variances = prediction_errors(state, regressor, observed, thetas)
     log = math.log
     logs = [
         log(max(p, POSTERIOR_FLOOR)) + (-0.5 * (_LOG_2PI + log(v)) - (r * r) / (2.0 * v))
@@ -375,8 +442,4 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> tuple
         raise StateError(f"log-posteriors are not finite (max {m})")
     weights = [exp(v - m) for v in logs]
     total = math.fsum(weights)
-    return (
-        _successor(state, [w / total for w in weights], state.covariances, state.peaks),
-        residuals,
-        variances,
-    )
+    return _successor(state, [w / total for w in weights], state.covariances, state.peaks)

@@ -52,6 +52,13 @@ class RbfBranch:
             )
         if any(not (math.isfinite(w) and w > 0) for w in self.widths):
             raise ValueError("squared widths must be finite and > 0")
+        # A private attribute, not a field: equality, repr and the parameter
+        # file stay those of the declared fields.
+        object.__setattr__(
+            self,
+            "_terms",
+            tuple((w, c, 2.0 * b2) for w, c, b2 in zip(self.weights, self.centers, self.widths)),
+        )
 
     @property
     def size(self) -> int:
@@ -70,10 +77,11 @@ def branch(centers, widths, weights) -> RbfBranch:
 
 def _branch_value(br: RbfBranch, y: float) -> float:
     """The branch output ``w . h(y)``, summed with ``math.fsum``."""
+    exp = math.exp
     terms = []
-    for w, c, b2 in zip(br.weights, br.centers, br.widths):
+    for w, c, two_b2 in br._terms:
         d = y - c
-        terms.append(w * math.exp(-(d * d) / (2.0 * b2)))
+        terms.append(w * exp(-(d * d) / two_b2))
     return math.fsum(terms)
 
 

@@ -34,6 +34,7 @@ from dualctl import (
     update_posteriors,
     write_trace,
 )
+from dualctl.learner import prediction_errors
 from conftest import record_criterion
 
 MC_RUNS = 100
@@ -278,7 +279,11 @@ def _prop_blend_oracle():
         pi = rng.uniform(0.01, 1.0, size=size)
         pi /= pi.sum()
         u = rng.uniform(-100.0, 100.0, size=size)
-        got = blended_control(list(pi), list(u)).u
+        # Zero covariance, f_hat = 0, g_hat = 1 and y_r = 0: candidate
+        # (0, 1, -u_t) has the input u_t exactly.
+        state = make_state(size, 0.01, ((0.0,) * 3,) * 3)
+        state.posteriors = list(pi)
+        got = blended_control([(0.0, 1.0, -v) for v in u], 0.0, 1.0, 0.0, state, 0.9).u
         worst = max(worst, abs(got - float(pi @ u)))
     assert worst < 1e-12
 
@@ -351,7 +356,8 @@ def _prop_residual_variance_separation():
             noise = float(rng.normal(0.0, math.sqrt(plant.noise_variance)))
             y_next = plant.step(y, u, truth, noise)
             fh, gh = eval_network(net, (y,))
-            state, residuals, _ = bayes_step(state, (fh, gh * u, 1.0), y_next, grid.vectors)
+            residuals, _ = prediction_errors(state, (fh, gh * u, 1.0), y_next, grid.vectors)
+            state = bayes_step(state, (fh, gh * u, 1.0), y_next, grid.vectors)
             sq_sums += np.square(residuals)
             u = optimal_control(
                 truth, plant.f_value(y_next), plant.g_value(y_next), reference_at(spec, k + 2)

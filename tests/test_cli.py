@@ -140,3 +140,67 @@ def test_mc_rejects_zero_jobs(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
     assert not out_dir.exists()
+
+
+_TRAIN = ["--f-centers", "0", "--f-width2", "1", "--g-centers", "1", "--g-width2", "1"]
+
+
+def test_missing_input_files_exit_with_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["run", "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+    missing = tmp_path / "missing.csv"
+    argv = ["train", "--data", str(missing), *_TRAIN, "--out", str(tmp_path / "fit.rbfnet")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unusable_output_paths_fail_before_the_simulation(tmp_path, monkeypatch, capsys):
+    def unrun(*args, **kwargs):
+        raise AssertionError("no simulation may start")
+
+    monkeypatch.setattr(dualctl.cli, "run_experiment", unrun)
+    monkeypatch.setattr(dualctl.cli, "monte_carlo", unrun)
+    out = tmp_path / "no" / "such" / "t.csv"
+    assert main(["run", "--config", "configs/case1.yaml", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: {tmp_path / 'no' / 'such'} is not an existing directory\n"
+    )
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub" / "dir"):
+        argv = ["mc", "--config", "configs/case1.yaml", "--runs", "2", "--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir}: {blocker} is not an existing directory\n"
+        )
+
+
+def test_os_errors_while_writing_exit_with_an_error(tmp_path, monkeypatch, capsys):
+    def full_disk(trace, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(dualctl.cli, "write_trace", full_disk)
+    argv = ["run", "--config", "configs/case1.yaml", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("x,u,y\n0.0,0.5,0.1\n0.5,abc,0.2\n", "line 3, column u: expected a number, got 'abc'"),
+        ("x,u,y\n0.0,0.5,0.1\n1e400x,0.5,0.2\n", "line 3, column x: expected a number, got '1e400x'"),
+        ("y,u,x\n0.1,0.5,\n", "line 2, column x: expected a number, got ''"),
+        ("x,u,y\n0.0,0.5,0.1\n\n0.5,0.2\n", "line 4: expected the 3 fields x, u, y"),
+        ("x,u,y\n0.0,0.5,0.1,9\n", "line 2: expected the 3 fields x, u, y"),
+    ],
+)
+def test_train_names_the_malformed_cell(tmp_path, capsys, text, where):
+    data = tmp_path / "samples.csv"
+    data.write_text(text)
+    argv = ["train", "--data", str(data), *_TRAIN, "--out", str(tmp_path / "fit.rbfnet")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {data}, {where}\n"

@@ -18,6 +18,7 @@ from dualctl import (
     batch_metrics,
     config_from_dict,
     config_to_dict,
+    eval_network,
     monte_carlo,
     parse_config,
     read_trace,
@@ -134,6 +135,25 @@ def test_first_row_conventions(case1_cfg):
     assert trace.argmax_t[0] == 1
     assert trace.max_pi[0] == pytest.approx(1.0 / cfg.build_grid().size, abs=1e-15)
     assert trace.reset[0] == 0
+
+
+def test_logged_prediction_and_reset_use_the_leading_candidates_residual():
+    # case2 has candidates with nonzero gamma, so every regressor entry
+    # shows in the residual.  Row i predicts y[i] from row i-1.
+    cfg = parse_config("configs/case2.yaml")
+    thetas = cfg.build_grid().vectors
+    trace = run_experiment(cfg, seed=0)
+    assert sum(trace.reset) > 0
+    for i in range(1, len(trace)):
+        f_hat, g_hat = eval_network(cfg.network, (trace.y[i - 1],))
+        t0, t1, t2 = thetas[trace.argmax_t[i] - 1]
+        residual = trace.y[i] - (t0 * f_hat + t1 * (g_hat * trace.u[i - 1]) + t2 * 1.0)
+        assert trace.y_hat[i] == trace.y[i] - residual
+        locked_and_wrong = (
+            abs(residual) > cfg.reset.admissible_error
+            and trace.max_pi[i] > cfg.reset.posterior_threshold
+        )
+        assert trace.reset[i] == int(locked_and_wrong)
 
 
 def test_hooks_fire_in_loop_order(case1_cfg):

@@ -25,7 +25,7 @@ from dualctl import (
     update_covariance,
     update_posteriors,
 )
-from dualctl.learner import LOG_DOMAIN_TRIGGER
+from dualctl.learner import LOG_DOMAIN_TRIGGER, prediction_errors
 
 EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 COV = ((1.25, 0.5, -0.75), (0.5, 2.0, 0.25), (-0.75, 0.25, 3.5))
@@ -156,9 +156,10 @@ def test_gaussian_likelihood_matches_closed_form():
     # none, so from a uniform prior pi_0 = d(r, v) / (d(r, v) + d(0, v)).
     for r, v in [(0.0, 1.0), (0.5, 0.25), (-2.0, 0.0004), (3.0, 10.0)]:
         state = make_state(2, v, ZERO)
-        new, residuals, variances = bayes_step(
+        residuals, variances = prediction_errors(
             state, (0.0, 0.0, 1.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)]
         )
+        new = bayes_step(state, (0.0, 0.0, 1.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)])
         assert residuals == [r, 0.0]
         assert variances == [v, v]
         d0 = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
@@ -183,7 +184,7 @@ def test_prediction_variance_is_quadratic_form_plus_noise():
         sigma2 = float(rng.uniform(0, 2))
         expected = float(phi @ p @ phi) + sigma2
         state = make_state(1, sigma2, p.tolist())
-        _, _, variances = bayes_step(state, tuple(phi), 0.0, [(1.0, 1.0, 0.0)])
+        _, variances = prediction_errors(state, tuple(phi), 0.0, [(1.0, 1.0, 0.0)])
         assert variances[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -198,6 +199,7 @@ def test_prediction_variance_rejects_indefinite_covariance():
         eta=1.0,
         noise_variance=0.1,
         initial_covariance=p,
+        diagonal=True,
     )
     with pytest.raises(StateError):
         bayes_step(state, (0.0, 0.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
@@ -235,7 +237,7 @@ def test_log_domain_update_agrees_with_linear_domain():
             noise_variance=1.0,
         )
         residuals = list(rng.uniform(-3.0, 3.0, size=size - 1)) + [100.0]
-        new, _, _ = _gamma_step(state, 0.0, [-r for r in residuals])
+        new = _gamma_step(state, 0.0, [-r for r in residuals])
         lin = np.asarray(state.posteriors) * np.exp(-np.square(residuals) / 2.0)
         lin /= lin.sum()
         assert np.max(np.abs(np.asarray(new.posteriors) - lin)) < 1e-12
@@ -250,7 +252,7 @@ def test_underflow_raises_then_log_domain_recovers():
     # different magnitude still yield a normalized posterior.
     state = make_state(4, 1.0, ZERO)
     residuals = [math.sqrt(2e6), 2000.0, math.sqrt(2e6 + 2.0), math.sqrt(6e6)]
-    new, _, _ = _gamma_step(state, 0.0, [-r for r in residuals])
+    new = _gamma_step(state, 0.0, [-r for r in residuals])
     assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
     assert new.posteriors[0] > new.posteriors[2] > 0.0
     assert new.posteriors[2] / new.posteriors[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
@@ -390,7 +392,8 @@ def test_fused_stages_match_per_matrix_oracle(p0):
         observed = sum(t * x for t, x in zip(truth, regressor)) + float(rng.normal(0.0, 0.1))
         if step % 37 == 36:
             observed += 1e3
-        state, residuals, variances = bayes_step(state, regressor, observed, thetas)
+        residuals, variances = prediction_errors(state, regressor, observed, thetas)
+        state = bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, used_log = _oracle_bayes_step(
             state, posteriors, covs, regressor, observed, thetas
         )
@@ -474,7 +477,8 @@ def test_bayes_step_reports_residuals_and_variances():
     state = make_state(2, 0.04, EYE)
     phi = (0.5, -1.0, 1.0)
     observed = 0.3
-    new, residuals, variances = bayes_step(state, phi, observed, thetas)
+    residuals, variances = prediction_errors(state, phi, observed, thetas)
+    new = bayes_step(state, phi, observed, thetas)
     for t, theta in enumerate(thetas):
         pred = theta[0] * phi[0] + theta[1] * phi[1] + theta[2] * phi[2]
         assert residuals[t] == pytest.approx(observed - pred, abs=1e-15)
@@ -493,7 +497,7 @@ def test_bayes_step_switches_to_log_domain_on_underflow():
     phi = (1.0, 0.0, 1.0)
     # Both candidates are hundreds of sigma away: every density underflows,
     # yet the step must return a normalized posterior favoring the closer one.
-    new, residuals, _ = bayes_step(state, phi, 2000.0, thetas)
+    new = bayes_step(state, phi, 2000.0, thetas)
     assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
     assert new.posteriors[1] > 0.999
 
@@ -510,8 +514,8 @@ def test_successor_states_leave_their_input_untouched():
     thetas = [(1.0, 1.0, 0.0), (0.8, 1.2, 0.1), (1.0, 1.0, 50.0)]
     state = update_covariance(update_posteriors(make_state(3, 0.04, COV), [4.0, 1.0, 0.5]))
     steps = [
-        lambda s: bayes_step(s, (0.5, -1.0, 1.0), 0.3, thetas)[0],
-        lambda s: bayes_step(s, (1.0, 0.0, 1.0), 2000.0, thetas)[0],  # log domain
+        lambda s: bayes_step(s, (0.5, -1.0, 1.0), 0.3, thetas),
+        lambda s: bayes_step(s, (1.0, 0.0, 1.0), 2000.0, thetas),  # log domain
         update_covariance,
         lambda s: reset(s, 3),
     ]
@@ -599,7 +603,8 @@ def test_diagonal_loops_match_per_matrix_oracles(
                 bayes_step(state, regressor, observed, thetas)
             assert str(info.value).startswith(expected_error)
             return
-        state, residuals, variances = bayes_step(state, regressor, observed, thetas)
+        residuals, variances = prediction_errors(state, regressor, observed, thetas)
+        state = bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, _ = _oracle_bayes_step(
             state, posteriors, covs, regressor, observed, thetas
         )
@@ -652,3 +657,131 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
         [list(map(repr, row)) for row in cov] for cov in expected
     ]
     assert out.peaks == [max(abs(v) for row in cov for v in row) for cov in expected]
+
+
+# ---------------------------------------------------------------------------
+# The products-only Bayes pass and prediction_errors: bayes_step keeps only
+# the floored prior times density of each candidate, prediction_errors gives
+# the residuals and variances the log domain and the callers read.  Both must
+# raise the per-matrix form's StateError for the same candidate.
+
+
+def _scaled_state(p0, scales, posteriors, noise):
+    """A state whose candidate t holds ``scales[t] * P0``, P0 not validated."""
+    covs = [[[v * f for v in row] for row in p0] for f in scales]
+    return LearnerState(
+        posteriors=list(posteriors),
+        covariances=[[[cov[i][j] for cov in covs] for j in range(3)] for i in range(3)],
+        peaks=[max(abs(v) for row in cov for v in row) for cov in covs],
+        eta=1.0 / len(scales),
+        noise_variance=noise,
+        initial_covariance=p0,
+        diagonal=all(p0[i][j] == 0.0 for i in range(3) for j in range(3) if i != j),
+    ), covs
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 10),
+    cross=st.lists(st.sampled_from([0.0, -0.0, 0.0, 0.01, -0.3]), min_size=3, max_size=3),
+    diagonal=st.lists(
+        st.sampled_from([0.0, -0.0, -1e-12, 1e-300, 0.04, 1.0]), min_size=3, max_size=3
+    ),
+    scales=st.lists(st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e11]), min_size=10, max_size=10),
+    noise=st.sampled_from([0.0, -0.0, 1e-4, 0.01]),
+    # Regressors whose squares stay finite: with a cross entry in P0 an
+    # infinite one makes an infinite residual and variance, whose NaN density
+    # bayes_step does not reject (the run loop bounds the regressor); the
+    # diagonal property above covers infinite regressors with a diagonal P0.
+    regressor=st.tuples(
+        st.sampled_from([0.0, -0.0, 0.5, -1.5, 1e100]),
+        st.sampled_from([0.0, -0.0, 0.75, -2.0]),
+        st.sampled_from([1.0, 0.0, -0.0]),
+    ),
+    far=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_products_pass_and_prediction_errors_match_oracles(
+    seed, size, cross, diagonal, scales, noise, regressor, far
+):
+    rng = np.random.default_rng(seed)
+    p0 = (
+        (diagonal[0], cross[0], cross[1]),
+        (cross[0], diagonal[1], cross[2]),
+        (cross[1], cross[2], diagonal[2]),
+    )
+    pi = rng.uniform(size=size) * (rng.uniform(size=size) > 0.3)
+    pi[rng.uniform(size=size) < 0.2] = 1e-310
+    posteriors = (pi / pi.sum()).tolist() if pi.sum() > 0 else [1.0 / size] * size
+    state, covs = _scaled_state(p0, scales[:size], posteriors, noise)
+    thetas = [
+        tuple(float(v) for v in rng.uniform((0.75, 0.75, -0.1), (1.25, 1.25, 0.1)))
+        for _ in range(size)
+    ]
+    observed = float(rng.normal()) + (1e3 if far else 0.0)  # far: the log domain
+    expected_error = _oracle_bayes_error(regressor, covs, noise)
+    if expected_error is not None:
+        for stage in (bayes_step, prediction_errors):
+            with pytest.raises(StateError) as info:
+                stage(state, regressor, observed, thetas)
+            assert str(info.value).startswith(expected_error)
+        return
+    residuals, variances = prediction_errors(state, regressor, observed, thetas)
+    o_posteriors, o_residuals, o_variances, used_log = _oracle_bayes_step(
+        state, posteriors, covs, regressor, observed, thetas
+    )
+    assert list(map(repr, residuals)) == list(map(repr, o_residuals))
+    assert list(map(repr, variances)) == list(map(repr, o_variances))
+    if used_log and not all(map(math.isfinite, o_posteriors)):
+        # Every log-density is -inf (a huge residual over a tiny variance):
+        # bayes_step raises where the oracle's arithmetic gives NaN.
+        with pytest.raises(StateError, match="log-posteriors are not finite"):
+            bayes_step(state, regressor, observed, thetas)
+        return
+    new = bayes_step(state, regressor, observed, thetas)
+    assert list(map(repr, new.posteriors)) == list(map(repr, o_posteriors))
+    assert new.diagonal == state.diagonal
+
+
+def test_make_state_sets_the_diagonal_flag_and_validate_checks_it():
+    assert make_state(3, 0.01, EYE).diagonal
+    assert make_state(3, 0.01, ((1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 0.0, 1.0))).diagonal
+    assert not make_state(3, 0.01, COV).diagonal
+    for p0, flag in ((EYE, False), (COV, True)):
+        state = replace(make_state(3, 0.01, p0), diagonal=flag)
+        with pytest.raises(StateError, match=f"diagonal flag {flag} disagrees"):
+            state.validate()
+    # Every successor carries the flag over.
+    state = make_state(3, 0.04, COV)
+    state = bayes_step(state, (0.5, -1.0, 1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
+    for successor in (update_covariance(state), reset(state, 3)):
+        assert successor.diagonal is False
+        successor.validate()
+
+
+def test_make_state_validates_one_copy_of_p0(monkeypatch):
+    sizes = []
+    validate = LearnerState.validate
+
+    def counting(self):
+        sizes.append(len(self.posteriors))
+        validate(self)
+
+    monkeypatch.setattr(LearnerState, "validate", counting)
+    state = make_state(60, 0.01, COV)
+    assert sizes == [1]
+    assert state.covariances == _layout(COV, 60) and state.peaks == [3.5] * 60
+    indefinite = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+    with pytest.raises(StateError, match="covariance 0 is not positive semidefinite"):
+        make_state(60, 0.01, indefinite)
+
+
+def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():
+    # Candidate 1's quadratic form is -2e-300: the noise makes its variance
+    # positive, yet the covariance is indefinite along the regressor.
+    p0 = ((1.0, -2.0, 0.0), (-2.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    state, _ = _scaled_state(p0, [0.0, 1e-300, 1.0], [0.5, 0.25, 0.25], 0.01)
+    regressor, thetas = (1.0, 1.0, 0.0), [(1.0, 1.0, 0.0)] * 3
+    for stage in (bayes_step, prediction_errors):
+        with pytest.raises(StateError, match=r"^covariance 1 is indefinite .* = -2e-300\)$"):
+            stage(state, regressor, 0.5, thetas)
