@@ -3,7 +3,7 @@
 
     python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--limit N]
 
-Each checkout runs the same 668 units in a subprocess of its own, importing
+Each checkout runs the same 678 units in a subprocess of its own, importing
 ``dualctl`` from its ``src`` and reading its own ``configs``.  A unit is one
 ``run_experiment`` call with full posteriors:
 
@@ -12,6 +12,9 @@ Each checkout runs the same 668 units in a subprocess of its own, importing
 - case3-eps02 0-19 without them; case4 0-12; case1 and case2 0-4;
 - case1 0-4 with ``mc_randomize``, and a case1 copy with a full initial
   covariance (every cross entry nonzero) 0-4;
+- a case3-eps005 copy with the full initial covariance, seeds 0-9 with
+  ``mc_randomize``: its posterior locks, so the general covariance rescale
+  runs with most candidates saturated at the cap;
 - the optimal controller on case1, case2 and case4 0-4.
 
 Every ``RunTrace`` field except ``wall_time`` is compared by the sha256 of its
@@ -47,6 +50,7 @@ GROUPS = (
     ("case2", "proposed", range(5), False, False),
     ("case1", "proposed", range(5), True, False),
     ("case1", "proposed", range(5), False, True),
+    ("case3-eps005", "proposed", range(10), True, True),
     ("case1", "optimal", range(5), False, False),
     ("case2", "optimal", range(5), False, False),
     ("case4", "optimal", range(5), False, False),

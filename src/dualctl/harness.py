@@ -275,7 +275,11 @@ def write_trace(trace: RunTrace, path) -> None:
 
 
 def read_trace(path) -> RunTrace:
-    """Read a trace CSV written by write_trace (wall_time is not persisted)."""
+    """Read a trace CSV written by write_trace (wall_time is not persisted).
+
+    A malformed cell, or a ``grid_size`` line that disagrees with the ``pi_*``
+    columns, is a ValueError that names its line.
+    """
     meta, meta_lines = {}, {}
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -320,11 +324,17 @@ def read_trace(path) -> RunTrace:
             return default
         return _parse_cell(int, meta[key], f"{path}, line {meta_lines[key]}, {key}")
 
+    grid_size = integer("grid_size", n_pi)
+    if n_pi and grid_size != n_pi:
+        raise ValueError(
+            f"{path}, line {meta_lines['grid_size']}, grid_size: {grid_size} disagrees "
+            f"with the {n_pi} pi_* columns"
+        )
     return RunTrace(
         name=meta.get("name", ""),
         controller=meta.get("controller", ""),
         seed=integer("seed", 0),
-        grid_size=integer("grid_size", n_pi),
+        grid_size=grid_size,
         posteriors=pi_rows,
         wall_time=0.0,
         **_columns(rows),

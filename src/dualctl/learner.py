@@ -29,16 +29,17 @@ reads. Entries that are zero in P0 stay exactly P0's value (every rescale
 factor is finite and positive), and :meth:`LearnerState.validate` checks it.
 When every off-diagonal entry of P0 is zero, as in all covariance presets,
 :func:`bayes_step` adds their terms as one sum per call, the control law skips
-them, and :func:`update_covariance` is one pass over the candidates that
-computes each factor and appends the three rescaled diagonal entries and the
-new peak, carrying the six off-diagonal lists over; a P0 with a nonzero cross
-entry runs the general loops over all nine entry lists. A candidate at the
-covariance cap whose floored posterior is at most ``eta`` keeps factor 1
-without evaluating it, and its entries unchanged. The linear-domain pass of
-:func:`bayes_step` keeps only each floored prior times density, then
+them, and :func:`update_covariance` copies the three diagonal lists and
+rescales them in place, sharing the six off-diagonal lists; a P0 with a
+nonzero cross entry runs the general loops over all nine entry lists. In both
+rescale paths a candidate at the covariance cap whose floored posterior is at
+most ``eta`` has factor exactly 1, so it costs one comparison and is left as it
+is; once the posterior locks, most candidates are such. The linear-domain
+pass of :func:`bayes_step` keeps only each floored prior times density, then
 normalizes with the same fsum and division as :func:`update_posteriors`; the
 residuals and variances that the rare log-domain update needs come from
-:func:`prediction_errors`.
+:func:`prediction_errors`. A NaN normalizing total is a :class:`StateError`
+that names the first candidate whose density is NaN.
 """
 
 from __future__ import annotations
@@ -177,13 +178,16 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
         )
     if any(l < 0 or not math.isfinite(l) for l in likelihoods):
         raise ValueError("likelihoods must be finite and non-negative")
-    return _normalized(
-        state,
-        [
-            (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * l
-            for p, l in zip(state.posteriors, likelihoods)
-        ],
-    )
+    products = [
+        (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * l
+        for p, l in zip(state.posteriors, likelihoods)
+    ]
+    total = math.fsum(products)
+    if total <= 0.0:
+        raise PosteriorUnderflowError(
+            "all posterior-likelihood products underflowed; use the log-domain update"
+        )
+    return _normalized(state, products, total)
 
 
 def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerState:
@@ -203,13 +207,8 @@ def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerSt
     )
 
 
-def _normalized(state: LearnerState, products) -> LearnerState:
-    """Posteriors proportional to ``products``, the floored prior times likelihood."""
-    total = math.fsum(products)
-    if total <= 0.0:
-        raise PosteriorUnderflowError(
-            "all posterior-likelihood products underflowed; use the log-domain update"
-        )
+def _normalized(state: LearnerState, products, total: float) -> LearnerState:
+    """Posteriors ``products[t] / total``, where ``total`` is the fsum of ``products``."""
     return _successor(state, [v / total for v in products], state.covariances, state.peaks)
 
 
@@ -224,61 +223,63 @@ def update_covariance(state: LearnerState) -> LearnerState:
     the max of the rescaled entries because a positive factor preserves their
     order under correct rounding.
 
-    With a diagonal P0 one pass over the candidates computes each factor and
-    rescales the three diagonal entries; the off-diagonal lists, P0's zeros,
-    are carried over. A P0 with a nonzero cross entry collects the factors
-    first and rescales every entry that is nonzero in P0.
+    Both paths copy ``peaks`` and the entry lists they rescale once, then
+    multiply in place only the candidates whose factor may differ from 1. A
+    candidate at the cap whose floored posterior is at most ``eta`` is
+    skipped after that one comparison: ``eta / pi + 1 >= 2``, so the log2 is
+    at least 1 and the cap rule gives ``CAP / CAP``, exactly 1, which leaves
+    every entry and the peak as they are. With a diagonal P0 the copies are
+    the three diagonal lists, rescaled entry by entry; a P0 with a nonzero
+    cross entry copies and rescales every entry list that is nonzero in P0.
+    Lists that are zero in P0 are shared with ``state``, which is never
+    modified.
     """
     eta = state.eta
     log2 = math.log2
+    peaks = state.peaks[:]
     if state.diagonal:
         (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
-        n0, n1, n2, peaks = [], [], [], []
-        add0, add1, add2, add_peak = n0.append, n1.append, n2.append, peaks.append
-        for pi, peak, v0, v1, v2 in zip(state.posteriors, state.peaks, d0, d1, d2):
+        n0, n1, n2 = d0[:], d1[:], d2[:]
+        for t, pi in enumerate(state.posteriors):
             if POSTERIOR_FLOOR > pi:
                 pi = POSTERIOR_FLOOR
+            peak = peaks[t]
             if peak == COVARIANCE_CAP and pi <= eta:
-                # Saturated: eta / pi + 1 >= 2, so the log2 is >= 1 and the
-                # cap rule gives CAP / CAP, exactly 1, and v * 1.0 == v.
-                add0(v0)
-                add1(v1)
-                add2(v2)
-                add_peak(peak)
                 continue
             factor = log2(eta / pi + 1.0)
             if peak * factor > COVARIANCE_CAP:
                 factor = COVARIANCE_CAP / peak
             # A diagonal entry that is zero in P0 stays zero: the factor is
             # finite and positive, so v * factor keeps its sign too.
-            add0(v0 * factor)
-            add1(v1 * factor)
-            add2(v2 * factor)
-            add_peak(peak * factor)
+            n0[t] *= factor
+            n1[t] *= factor
+            n2[t] *= factor
+            peaks[t] = peak * factor
         covariances = [[n0, o01, o02], [o10, n1, o12], [o20, o21, n2]]
         return _successor(state, state.posteriors, covariances, peaks)
-    factors = []
-    peaks = []
-    for pi, peak in zip(state.posteriors, state.peaks):
+    # Entries that are zero in P0 stay exactly P0's value, so they are not rescaled.
+    covariances = [
+        [entry if p == 0.0 else entry[:] for entry, p in zip(row, p0_row)]
+        for row, p0_row in zip(state.covariances, state.initial_covariance)
+    ]
+    moving = [
+        entry
+        for row, p0_row in zip(covariances, state.initial_covariance)
+        for entry, p in zip(row, p0_row)
+        if p != 0.0
+    ]
+    for t, pi in enumerate(state.posteriors):
         if POSTERIOR_FLOOR > pi:
             pi = POSTERIOR_FLOOR
+        peak = peaks[t]
         if peak == COVARIANCE_CAP and pi <= eta:
-            factors.append(1.0)
-            peaks.append(peak)
             continue
         factor = log2(eta / pi + 1.0)
         if peak * factor > COVARIANCE_CAP:
             factor = COVARIANCE_CAP / peak
-        factors.append(factor)
-        peaks.append(peak * factor)
-    # Entries that are zero in P0 stay exactly P0's value, so they are not rescaled.
-    covariances = [
-        [
-            entry if p == 0.0 else [v * f for v, f in zip(entry, factors)]
-            for entry, p in zip(row, p0_row)
-        ]
-        for row, p0_row in zip(state.covariances, state.initial_covariance)
-    ]
+        for entry in moving:
+            entry[t] *= factor
+        peaks[t] = peak * factor
     return _successor(state, state.posteriors, covariances, peaks)
 
 
@@ -366,6 +367,22 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
     return residuals, [quad + noise for quad in quads]
 
 
+def _not_a_number(state: LearnerState, regressor, observed: float, thetas) -> StateError:
+    """The error of the first candidate whose Gaussian density is NaN.
+
+    The density and the log-density are NaN exactly when ``r * r / (2 var)``
+    is: an infinite ``r * r`` over an infinite ``2 var``, or a NaN residual.
+    """
+    residuals, variances = prediction_errors(state, regressor, observed, thetas)
+    for t, (r, var) in enumerate(zip(residuals, variances)):
+        if math.isnan((r * r) / (2.0 * var)):
+            return StateError(
+                f"density of candidate {t} is not a number (residual {r}, prediction "
+                f"variance {var}); the residual and the variance must be finite"
+            )
+    return StateError("posteriors are not a number")
+
+
 def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
     """Full per-iteration posterior update over all candidates.
 
@@ -384,8 +401,9 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
 
     Raises :class:`StateError` when a covariance is indefinite along the
     regressor, a prediction variance is not positive (zero noise with a
-    covariance that vanishes along the regressor) or no log-posterior is
-    finite.
+    covariance that vanishes along the regressor), no log-posterior is finite
+    or the normalizing total is NaN (an infinite squared residual over an
+    infinite variance, or a NaN observed output).
     """
     if len(thetas) != len(state.posteriors):
         raise ValueError(
@@ -425,12 +443,15 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
             if d < LOG_DOMAIN_TRIGGER:
                 use_log = True
     if not use_log:
-        # Each density is exp(<= 0) / sqrt(> 0), so finite and >= 0: the
-        # likelihood check of update_posteriors would find nothing.
-        try:
-            return _normalized(state, products)
-        except PosteriorUnderflowError:
-            pass
+        # Each density is exp(<= 0) / sqrt(> 0), so finite and >= 0, unless
+        # its exponent is NaN (an infinite r * r over an infinite 2 * var, or
+        # a NaN observation); then the total is NaN.
+        total = math.fsum(products)
+        if total > 0.0:
+            return _normalized(state, products, total)
+        if total != total:
+            raise _not_a_number(state, regressor, observed, thetas)
+        # Every product underflowed: redo the step in the log domain.
     residuals, variances = prediction_errors(state, regressor, observed, thetas)
     log = math.log
     logs = [
@@ -438,8 +459,14 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
         for p, r, v in zip(state.posteriors, residuals, variances)
     ]
     m = max(logs)
+    # max() returns a NaN log-posterior that comes first and passes over a
+    # later one, which then makes the total NaN.
+    if m != m:
+        raise _not_a_number(state, regressor, observed, thetas)
     if not math.isfinite(m):
         raise StateError(f"log-posteriors are not finite (max {m})")
     weights = [exp(v - m) for v in logs]
     total = math.fsum(weights)
-    return _successor(state, [w / total for w in weights], state.covariances, state.peaks)
+    if total != total:
+        raise _not_a_number(state, regressor, observed, thetas)
+    return _normalized(state, weights, total)

@@ -103,6 +103,7 @@ def test_trace_round_trip(case1_cfg, tmp_path):
         (2, ("pi_3", "p"), "line 8, column pi_3: expected a number, got 'p'"),
         (None, ("seed", "one"), "line 4, seed: expected an integer, got 'one'"),
         (None, ("grid_size", "15.5"), "line 5, grid_size: expected an integer, got '15.5'"),
+        (None, ("grid_size", "99"), "line 5, grid_size: 99 disagrees with the 15 pi_* columns"),
     ],
 )
 def test_read_trace_names_the_malformed_cell(case1_cfg, tmp_path, row, cell, message):

@@ -632,11 +632,15 @@ def test_diagonal_loops_match_per_matrix_oracles(
     size=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
     eta_below_floor=st.booleans(),
+    cross=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floor):
+def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floor, cross):
     rng = np.random.default_rng(seed)
-    p0 = ((COVARIANCE_CAP, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 3.0))
+    # With cross, P0 has a nonzero (0, 1) entry and runs the general path;
+    # its (0, 2) and (1, 2) entries stay zero.
+    c = 0.5 if cross else 0.0
+    p0 = ((COVARIANCE_CAP, c, 0.0), (c, 0.25, 0.0), (0.0, 0.0, 3.0))
     state = make_state(size, 0.01, p0)
     if eta_below_floor:
         state = replace(state, eta=1e-305)
@@ -649,6 +653,7 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
         if peak != COVARIANCE_CAP:
             state.covariances[0][0][t] = 1.0
     covs = _matrices(state)
+    before = copy.deepcopy(state)
     out = update_covariance(state)
     expected = [
         _oracle_update_covariance(cov, pi, eta)[0] for cov, pi in zip(covs, state.posteriors)
@@ -657,6 +662,14 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
         [list(map(repr, row)) for row in cov] for cov in expected
     ]
     assert out.peaks == [max(abs(v) for row in cov for v in row) for cov in expected]
+    # The rescale works on copies: the input keeps its contents, and the
+    # lists that are zero in P0 come back as the same objects.
+    assert state == before
+    for i in range(3):
+        for j in range(3):
+            shared = out.covariances[i][j] is state.covariances[i][j]
+            assert shared == (p0[i][j] == 0.0), (i, j)
+    assert out.peaks is not state.peaks
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +702,8 @@ def _scaled_state(p0, scales, posteriors, noise):
     ),
     scales=st.lists(st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e11]), min_size=10, max_size=10),
     noise=st.sampled_from([0.0, -0.0, 1e-4, 0.01]),
-    # Regressors whose squares stay finite: with a cross entry in P0 an
-    # infinite one makes an infinite residual and variance, whose NaN density
-    # bayes_step does not reject (the run loop bounds the regressor); the
+    # Regressors whose squares stay finite: an infinite square can make a NaN
+    # density, which test_bayes_step_rejects_a_nan_density covers; the
     # diagonal property above covers infinite regressors with a diagonal P0.
     regressor=st.tuples(
         st.sampled_from([0.0, -0.0, 0.5, -1.5, 1e100]),
@@ -741,6 +753,43 @@ def test_products_pass_and_prediction_errors_match_oracles(
     new = bayes_step(state, regressor, observed, thetas)
     assert list(map(repr, new.posteriors)) == list(map(repr, o_posteriors))
     assert new.diagonal == state.diagonal
+
+
+# Both Bayes branches turn a NaN normalizing total into a StateError that names
+# the candidate.
+@pytest.mark.parametrize("p0", [EYE, COV], ids=["diagonal", "cross"])
+@pytest.mark.parametrize(
+    "thetas, scales, regressor, observed, candidate",
+    [
+        # r * r and the variance are both inf: the linear domain.
+        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (1e200, 1e200, 1.0), 0.3, 0),
+        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (0.5, -1.0, 1.0), math.nan, 0),
+        # Candidate 2's density underflows, so the log domain runs, and max()
+        # passes over candidate 1's NaN log-posterior.
+        (
+            [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1e3)],
+            [0.0, 1.0, 0.0],
+            (1e200, 1e200, 1.0),
+            0.3,
+            1,
+        ),
+        # The log domain again, with the NaN log-posterior first: max() is NaN.
+        (
+            [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e3)],
+            [1.0, 0.0, 0.0],
+            (1e200, 1e200, 1.0),
+            0.3,
+            0,
+        ),
+    ],
+    ids=["inf-over-inf", "nan-output", "log-domain", "log-domain-nan-max"],
+)
+def test_bayes_step_rejects_a_nan_density(p0, thetas, scales, regressor, observed, candidate):
+    state, _ = _scaled_state(p0, scales, [1.0 / len(scales)] * len(scales), 0.01)
+    before = copy.deepcopy(state)
+    with pytest.raises(StateError, match=f"density of candidate {candidate} is not a number"):
+        bayes_step(state, regressor, observed, thetas)
+    assert state == before
 
 
 def test_make_state_sets_the_diagonal_flag_and_validate_checks_it():
