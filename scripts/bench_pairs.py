@@ -14,6 +14,10 @@ can move by a third from the next one.  The output file holds every run
 ``BENCHMARK.json`` fixes and whether it gains by more than the parent's
 interquartile range), every traced pass with the per-side median of each
 self time and stage timer, and the host stamp of the parent's first run.
+
+Both directories must be checkouts with a commit, such as ``git worktree add
+DIR COMMIT`` makes; a ``git archive`` tree is refused before the first run.
+The output records each side's ``git rev-parse HEAD``.
 """
 
 from __future__ import annotations
@@ -110,6 +114,25 @@ def slim(result: dict) -> dict:
     return {k: v for k, v in result.items() if k not in SAMPLE_LISTS}
 
 
+def checkout_commit(checkout: str) -> str:
+    """The commit ``checkout`` is at, from ``git rev-parse HEAD`` in it.
+
+    Git does not look above ``checkout`` for a repository, so a tree unpacked
+    by ``git archive`` inside another repository is refused too.
+    """
+    parent = os.path.dirname(os.path.abspath(checkout))
+    done = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "GIT_CEILING_DIRECTORIES": parent},
+    )
+    if done.returncode != 0:
+        raise SystemExit(
+            f"{checkout}: not a checkout with a commit (git rev-parse HEAD failed); "
+            "make each side with `git worktree add DIR COMMIT`"
+        )
+    return done.stdout.strip()
+
+
 def run_pair(checkout: str, seed: int, seconds: float) -> dict:
     args = ["--workload", "all", "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     # Each workload runs in its own interpreter for up to 900 s.
@@ -140,6 +163,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be >= 2: quartiles need two runs per side")
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
+    commits = {side: checkout_commit(dirs[side]) for side in SIDES}
 
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):
@@ -168,15 +192,14 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.parent_dir, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    first = {side: next(iter(runs[side][0].values())) for side in SIDES}
     out = {
         "command": f"python3 bench/run.py --workload all --seed {args.seed} "
         f"--seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
         "order": "alternating: even pairs run the parent first, odd pairs the change first",
-        "parent_commit": first["parent"]["host"]["commit"],
-        "change_commit": first["change"]["host"]["commit"],
-        "host": first["parent"]["host"],
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "host": next(iter(runs["parent"][0].values()))["host"],
         "summary": summarize(runs, end_to_end),
         "runs": runs,
         "traced": traced,

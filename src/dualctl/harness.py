@@ -209,7 +209,7 @@ def run_experiment(
 
             triggered = detect_change(residual, pi_star, cfg.reset)
             if triggered:
-                state = reset_learner(state, size)
+                state = reset_learner(state)
             if hooks is not None:
                 _fire(hooks, "reset_check", k + 1, triggered=triggered)
 

@@ -14,32 +14,35 @@ A locked posterior cannot move by Bayes updates alone, so disturbance changes
 are detected separately: when the maximum-posterior candidate is both dominant
 and persistently wrong (one-step residual beyond the admissible error), the
 posteriors are reset to uniform and every covariance is restored to its
-initial value, restarting active learning.
+initial value, restarting active learning; :func:`reset` needs only the state.
 
 State layout: the covariances are stored entry by entry across candidates.
 ``covariances[i][j]`` is a list with entry ``(i, j)`` of every candidate's
-``P_t``, so ``covariances[i][j][t]`` is ``P_t[i][j]``, and ``peaks[t]`` is
-``max |P_t[i][j]|``. ``diagonal`` records, once per state, whether every
-off-diagonal entry of the initial covariance P0 is zero. Each stage of an
-iteration (:func:`bayes_step`, :func:`update_covariance`, the control law) is
-one call that loops over the candidates and does, per candidate, the same
-floating-point operations in the same order as a per-matrix implementation,
-so results are bit-identical to it, and each returns only what the run loop
-reads. Entries that are zero in P0 stay exactly P0's value (every rescale
-factor is finite and positive), and :meth:`LearnerState.validate` checks it.
-When every off-diagonal entry of P0 is zero, as in all covariance presets,
-:func:`bayes_step` adds their terms as one sum per call, the control law skips
-them, and :func:`update_covariance` copies the three diagonal lists and
-rescales them in place, sharing the six off-diagonal lists; a P0 with a
-nonzero cross entry runs the general loops over all nine entry lists. In both
-rescale paths a candidate at the covariance cap whose floored posterior is at
-most ``eta`` has factor exactly 1, so it costs one comparison and is left as it
-is; once the posterior locks, most candidates are such. The linear-domain
-pass of :func:`bayes_step` keeps only each floored prior times density, then
-normalizes with the same fsum and division as :func:`update_posteriors`; the
-residuals and variances that the rare log-domain update needs come from
-:func:`prediction_errors`. A NaN normalizing total is a :class:`StateError`
-that names the first candidate whose density is NaN.
+``P_t``, so ``covariances[i][j][t]`` is ``P_t[i][j]``. No peak is stored: a
+rescale multiplies all of a candidate's entries by one positive factor, so
+its largest ``|entry|`` stays at the position of P0's largest ``|entry|``.
+``diagonal`` records, once per state, that every off-diagonal entry of the
+initial covariance P0 is zero and no diagonal entry is negative (``-0.0`` is
+not). Each stage of an iteration (:func:`bayes_step`,
+:func:`update_covariance`, the control law) is one call that loops over the
+candidates and does, per candidate, the same floating-point operations in
+the same order as a per-matrix implementation, so results are bit-identical
+to it, and each returns only what the run loop reads. Entries that are zero
+in P0 stay exactly P0's value (every rescale factor is finite and positive),
+and :meth:`LearnerState.validate` checks it. With a diagonal P0, as in all
+covariance presets, :func:`bayes_step` adds the off-diagonal terms as one sum
+per call, the control law skips them, and :func:`update_covariance` copies
+the three diagonal lists and rescales them in place, sharing the six
+off-diagonal lists; any other P0 runs the general loops over all nine entry
+lists. In both rescale paths a candidate at the covariance cap whose floored
+posterior is at most ``eta`` has factor exactly 1, so it costs one comparison
+and is left as it is; once the posterior locks, most candidates are such.
+The linear-domain pass of :func:`bayes_step` keeps only each floored prior
+times density, then normalizes with the same fsum and division as
+:func:`update_posteriors`; the residuals and variances that the rare
+log-domain update needs come from :func:`prediction_errors`. A NaN
+normalizing total is a :class:`StateError` that names the first candidate
+whose density is NaN.
 """
 
 from __future__ import annotations
@@ -84,23 +87,21 @@ class LearnerState:
 
     posteriors: list[float]
     covariances: list[list[list[float]]]  # 3 x 3 x size: [i][j][t] is P_t[i][j]
-    peaks: list[float]  # max |P_t[i][j]| of each candidate
     eta: float
     noise_variance: float
     initial_covariance: tuple[tuple[float, ...], ...]
-    diagonal: bool  # every off-diagonal entry of initial_covariance is zero
+    diagonal: bool  # initial_covariance has zero cross entries and no negative entry
 
     def validate(self) -> None:
         s = len(self.posteriors)
         if (
             s == 0
-            or len(self.peaks) != s
             or len(self.covariances) != 3
             or any(len(row) != 3 or any(len(e) != s for e in row) for row in self.covariances)
         ):
             raise StateError(
-                "posteriors, peaks and the 3 x 3 covariance entry lists must be "
-                "non-empty and equal-length"
+                "posteriors and the 3 x 3 covariance entry lists must be non-empty and "
+                "equal-length"
             )
         if self.diagonal != _is_diagonal(self.initial_covariance):
             raise StateError(
@@ -118,9 +119,6 @@ class LearnerState:
         bad = np.linalg.eigvalsh(mats).min(axis=1) < -1e-9
         if bad.any():
             raise StateError(f"covariance {int(np.argmax(bad))} is not positive semidefinite")
-        bad = np.abs(mats).max(axis=(1, 2)) != np.asarray(self.peaks, dtype=float)
-        if bad.any():
-            raise StateError(f"peak {int(np.argmax(bad))} is not the covariance's max |entry|")
         zero = np.asarray(self.initial_covariance, dtype=float) == 0.0
         bad = (mats[:, zero] != 0.0).any(axis=1)
         if bad.any():
@@ -130,14 +128,17 @@ class LearnerState:
 
 
 def _is_diagonal(p0) -> bool:
-    """True when every off-diagonal entry of ``p0`` is zero (of either sign)."""
-    return p0[0][1] == p0[0][2] == p0[1][0] == p0[1][2] == p0[2][0] == p0[2][1] == 0.0
+    """True when every off-diagonal entry of ``p0`` is zero (of either sign) and
+    no diagonal entry is negative (``-0.0`` is not)."""
+    return (
+        p0[0][1] == p0[0][2] == p0[1][0] == p0[1][2] == p0[2][0] == p0[2][1] == 0.0
+        and min(p0[0][0], p0[1][1], p0[2][2]) >= 0.0
+    )
 
 
 def _initial_layout(p0, size: int):
-    """Covariance entry lists and peaks with every candidate at ``p0``."""
-    peak = max(abs(v) for row in p0 for v in row)
-    return [[[v] * size for v in row] for row in p0], [peak] * size
+    """Covariance entry lists with every candidate at ``p0``."""
+    return [[[v] * size for v in row] for row in p0]
 
 
 def make_state(grid_size: int, noise_variance: float, initial_covariance) -> LearnerState:
@@ -153,12 +154,10 @@ def make_state(grid_size: int, noise_variance: float, initial_covariance) -> Lea
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
     diagonal = _is_diagonal(p0)
     noise = float(noise_variance)
-    LearnerState([1.0], *_initial_layout(p0, 1), 1.0, noise, p0, diagonal).validate()
-    covariances, peaks = _initial_layout(p0, grid_size)
+    LearnerState([1.0], _initial_layout(p0, 1), 1.0, noise, p0, diagonal).validate()
     return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
-        covariances=covariances,
-        peaks=peaks,
+        covariances=_initial_layout(p0, grid_size),
         eta=1.0 / grid_size,
         noise_variance=noise,
         initial_covariance=p0,
@@ -190,16 +189,17 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
     return _normalized(state, products, total)
 
 
-def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerState:
-    """A new state with these posteriors, covariances and peaks; ``state`` is untouched.
+def _successor(state: LearnerState, posteriors, covariances) -> LearnerState:
+    """A new state with these posteriors and covariances; ``state`` is untouched.
 
+    The rest is carried over: ``eta``, the noise variance, P0 and ``diagonal``.
+    Nothing derived from the covariances, such as their peaks, is stored.
     Built positionally: ``dataclasses.replace`` costs several microseconds, and
     a run makes up to three successors per iteration.
     """
     return LearnerState(
         posteriors,
         covariances,
-        peaks,
         state.eta,
         state.noise_variance,
         state.initial_covariance,
@@ -209,7 +209,7 @@ def _successor(state: LearnerState, posteriors, covariances, peaks) -> LearnerSt
 
 def _normalized(state: LearnerState, products, total: float) -> LearnerState:
     """Posteriors ``products[t] / total``, where ``total`` is the fsum of ``products``."""
-    return _successor(state, [v / total for v in products], state.covariances, state.peaks)
+    return _successor(state, [v / total for v in products], state.covariances)
 
 
 def update_covariance(state: LearnerState) -> LearnerState:
@@ -219,31 +219,35 @@ def update_covariance(state: LearnerState) -> LearnerState:
     covariance bit-identical) and 2 at ``pi_t == eta / 3``. A candidate's
     entries saturate at ``COVARIANCE_CAP``, to keep long-dead candidates
     finite: when ``peak * factor`` would exceed it, the factor becomes
-    ``COVARIANCE_CAP / peak``. The new peak is ``peak * factor``, which equals
-    the max of the rescaled entries because a positive factor preserves their
-    order under correct rounding.
+    ``COVARIANCE_CAP / peak``. The peak, a candidate's largest ``|entry|``,
+    is not stored: it is read from the entry list at the position of P0's
+    largest ``|entry|``, picked once per call. Every rescale multiplies all
+    of a candidate's entries by one positive factor, and correct rounding is
+    monotone and sign-symmetric, so that entry stays the largest.
 
-    Both paths copy ``peaks`` and the entry lists they rescale once, then
-    multiply in place only the candidates whose factor may differ from 1. A
-    candidate at the cap whose floored posterior is at most ``eta`` is
-    skipped after that one comparison: ``eta / pi + 1 >= 2``, so the log2 is
-    at least 1 and the cap rule gives ``CAP / CAP``, exactly 1, which leaves
-    every entry and the peak as they are. With a diagonal P0 the copies are
-    the three diagonal lists, rescaled entry by entry; a P0 with a nonzero
-    cross entry copies and rescales every entry list that is nonzero in P0.
-    Lists that are zero in P0 are shared with ``state``, which is never
-    modified.
+    Both paths copy the entry lists they rescale once, then multiply in place
+    only the candidates whose factor may differ from 1. A candidate at the
+    cap whose floored posterior is at most ``eta`` is skipped after that one
+    comparison: ``eta / pi + 1 >= 2``, so the log2 is at least 1 and the cap
+    rule gives ``CAP / CAP``, exactly 1, which leaves every entry as it is.
+    With a diagonal P0 the copies are the three diagonal lists, rescaled
+    entry by entry, and the peak is read without ``abs`` since no diagonal
+    entry is negative; any other P0 copies and rescales every entry list
+    that is nonzero in P0. Lists that are zero in P0 are shared with
+    ``state``, which is never modified.
     """
     eta = state.eta
     log2 = math.log2
-    peaks = state.peaks[:]
     if state.diagonal:
         (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
         n0, n1, n2 = d0[:], d1[:], d2[:]
+        # No diagonal entry of P0 is negative: its largest is its largest |entry|.
+        (v0, _, _), (_, v1, _), (_, _, v2) = state.initial_covariance
+        top = (n0 if v0 >= v2 else n2) if v0 >= v1 else (n1 if v1 >= v2 else n2)
         for t, pi in enumerate(state.posteriors):
             if POSTERIOR_FLOOR > pi:
                 pi = POSTERIOR_FLOOR
-            peak = peaks[t]
+            peak = top[t]
             if peak == COVARIANCE_CAP and pi <= eta:
                 continue
             factor = log2(eta / pi + 1.0)
@@ -254,24 +258,18 @@ def update_covariance(state: LearnerState) -> LearnerState:
             n0[t] *= factor
             n1[t] *= factor
             n2[t] *= factor
-            peaks[t] = peak * factor
         covariances = [[n0, o01, o02], [o10, n1, o12], [o20, o21, n2]]
-        return _successor(state, state.posteriors, covariances, peaks)
+        return _successor(state, state.posteriors, covariances)
     # Entries that are zero in P0 stay exactly P0's value, so they are not rescaled.
-    covariances = [
-        [entry if p == 0.0 else entry[:] for entry, p in zip(row, p0_row)]
-        for row, p0_row in zip(state.covariances, state.initial_covariance)
-    ]
-    moving = [
-        entry
-        for row, p0_row in zip(covariances, state.initial_covariance)
-        for entry, p in zip(row, p0_row)
-        if p != 0.0
-    ]
+    sizes = [abs(p) for row in state.initial_covariance for p in row]
+    entries = [e for row in state.covariances for e in row]
+    entries = [e if w == 0.0 else e[:] for e, w in zip(entries, sizes)]
+    moving = [e for e, w in zip(entries, sizes) if w != 0.0]
+    top = entries[sizes.index(max(sizes))]
     for t, pi in enumerate(state.posteriors):
         if POSTERIOR_FLOOR > pi:
             pi = POSTERIOR_FLOOR
-        peak = peaks[t]
+        peak = abs(top[t])
         if peak == COVARIANCE_CAP and pi <= eta:
             continue
         factor = log2(eta / pi + 1.0)
@@ -279,8 +277,8 @@ def update_covariance(state: LearnerState) -> LearnerState:
             factor = COVARIANCE_CAP / peak
         for entry in moving:
             entry[t] *= factor
-        peaks[t] = peak * factor
-    return _successor(state, state.posteriors, covariances, peaks)
+    covariances = [entries[0:3], entries[3:6], entries[6:9]]
+    return _successor(state, state.posteriors, covariances)
 
 
 def detect_change(residual: float, max_posterior: float, policy: ResetPolicy) -> bool:
@@ -288,14 +286,10 @@ def detect_change(residual: float, max_posterior: float, policy: ResetPolicy) ->
     return abs(residual) > policy.admissible_error and max_posterior > policy.posterior_threshold
 
 
-def reset(state: LearnerState, grid_size: int) -> LearnerState:
+def reset(state: LearnerState) -> LearnerState:
     """Restart active learning: uniform posteriors, initial covariances."""
-    if grid_size != len(state.posteriors):
-        raise ValueError(
-            f"grid_size {grid_size} does not match state with {len(state.posteriors)} candidates"
-        )
-    covariances, peaks = _initial_layout(state.initial_covariance, grid_size)
-    return _successor(state, [1.0 / grid_size] * grid_size, covariances, peaks)
+    size = len(state.posteriors)
+    return _successor(state, [1.0 / size] * size, _initial_layout(state.initial_covariance, size))
 
 
 def _cross_terms(p0, a: float, b: float, c: float) -> float:
@@ -312,11 +306,12 @@ def _cross_terms(p0, a: float, b: float, c: float) -> float:
 
 
 def _quadratic_forms(state: LearnerState, a: float, b: float, c: float) -> list[float]:
-    """``phi' P_t phi`` of every candidate for the regressor ``phi = (a, b, c)``."""
+    """``phi' P_t phi`` of every candidate for the regressor ``phi = (a, b, c)``.
+
+    With signed-zero cross entries each cross term is a signed zero or NaN, so
+    this equals the diagonal pass of :func:`bayes_step` bit for bit.
+    """
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
-    if state.diagonal:
-        off = _cross_terms(state.initial_covariance, a, b, c)
-        return [q00 * a * a + q11 * b * b + q22 * c * c + off for q00, q11, q22 in zip(p00, p11, p22)]
     # Keep this term order: traces are bit-exact to the per-matrix form.
     return [
         q00 * a * a

@@ -250,7 +250,7 @@ def _prop_normalization():
         state = update_posteriors(state, list(like))
         assert abs(math.fsum(state.posteriors) - 1.0) < 1e-12
         if step % 50 == 49:
-            state = reset(state, 20)
+            state = reset(state)
             assert abs(math.fsum(state.posteriors) - 1.0) < 1e-12
 
 

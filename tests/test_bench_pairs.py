@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -121,6 +122,7 @@ def test_traced_passes_alternate_on_every_workload(tmp_path, monkeypatch):
         n = sum(1 for w, s in calls if (w, s) == (workload, side))
         return _traced({"parent": 0.5, "change": 0.3}[side] + n / 100, 100.0 * n)
 
+    monkeypatch.setattr(bench_pairs, "checkout_commit", lambda checkout: side_of[checkout])
     monkeypatch.setattr(bench_pairs, "run_pair", run_pair)
     monkeypatch.setattr(bench_pairs, "run_traced", run_traced)
     out = tmp_path / "BENCH.json"
@@ -131,7 +133,9 @@ def test_traced_passes_alternate_on_every_workload(tmp_path, monkeypatch):
     # Three passes per side and workload; even passes run the parent first.
     order = ["parent", "change", "change", "parent", "parent", "change"]
     assert calls == [("w", s) for s in order] + [("v", s) for s in order]
-    traced = json.loads(out.read_text())["traced"]
+    written = json.loads(out.read_text())
+    assert (written["parent_commit"], written["change_commit"]) == bench_pairs.SIDES
+    traced = written["traced"]
     assert traced["passes"] == bench_pairs.TRACED_PASSES == 3
     for workload in ("w", "v"):
         entry = traced["workloads"][workload]
@@ -140,3 +144,30 @@ def test_traced_passes_alternate_on_every_workload(tmp_path, monkeypatch):
             "learner.bayes_step.self_s": pytest.approx(0.52), "stage.observe": 200.0
         }
         assert entry["median"]["change"]["learner.bayes_step.self_s"] == pytest.approx(0.32)
+
+
+def test_a_directory_without_a_commit_is_refused_before_any_run(tmp_path, monkeypatch):
+    # The parent is a repository with one commit; the change is a plain tree,
+    # as git archive leaves it.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(parent)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    head = subprocess.run(
+        [*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    assert bench_pairs.checkout_commit(str(parent)) == head
+
+    def run_pair(checkout, seed, seconds):
+        raise AssertionError("ran a benchmark")
+
+    monkeypatch.setattr(bench_pairs, "run_pair", run_pair)
+    argv = [str(parent), str(change), "--pairs", "2", "--seed", "5", "--seconds", "1",
+            "--out", str(tmp_path / "BENCH.json")]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    message = str(info.value)
+    assert message.startswith(f"{change}: ") and "git worktree add" in message
+    assert not (tmp_path / "BENCH.json").exists()

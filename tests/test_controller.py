@@ -17,8 +17,10 @@ from dualctl import (
     eval_network,
     optimal_control,
 )
-from dualctl import LearnerState, make_state
+from dualctl import make_state
 from dualctl.controller import ControlDecision
+
+import oracle
 
 ZERO_COV = ((0.0,) * 3,) * 3
 
@@ -183,18 +185,6 @@ def test_controller_config_validation():
 # law's blend bit for bit, errors included.
 
 
-def _oracle_law(theta, f_hat, g_hat, y_r_next, cov, dual_lambda):
-    t2g = theta[1] * g_hat
-    one_minus = 1.0 - dual_lambda
-    den = one_minus * g_hat * cov[1][1] + t2g * t2g
-    if abs(den) < 1e-12:
-        return None
-    num = (y_r_next - theta[0] * f_hat - theta[2]) * t2g - one_minus * (
-        f_hat * cov[0][1] + cov[2][1]
-    ) * g_hat
-    return num / den
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(1, 10),
@@ -217,18 +207,12 @@ def test_blended_control_matches_weighted_per_matrix_law(
         (cross[0], diagonal[1], cross[2]),
         (cross[1], cross[2], diagonal[2]),
     )
-    covs = [[[v * f for v in row] for row in p0] for f in rng.choice([1.0, 0.5, 1e-300, 4.0], size).tolist()]
+    scales = rng.choice([1.0, 0.5, 1e-300, 4.0], size).tolist()
     pi = rng.uniform(size=size) * (rng.uniform(size=size) > 0.3)
     pi[rng.uniform(size=size) < 0.2] = 1e-310
-    state = LearnerState(
-        posteriors=(pi / pi.sum()).tolist() if pi.sum() > 0 else [1.0 / size] * size,
-        covariances=[[[cov[i][j] for cov in covs] for j in range(3)] for i in range(3)],
-        peaks=[max(abs(v) for row in cov for v in row) for cov in covs],
-        eta=1.0 / size,
-        noise_variance=0.01,
-        initial_covariance=p0,
-        diagonal=cross == [0.0, 0.0, 0.0],
-    )
+    posteriors = (pi / pi.sum()).tolist() if pi.sum() > 0 else [1.0 / size] * size
+    state, covs = oracle.scaled_state(p0, scales, posteriors, 0.01)
+    assert state.diagonal == (cross == [0.0, 0.0, 0.0])
     thetas = [
         tuple(float(v) for v in rng.uniform((0.75, 0.75, -0.1), (1.25, 1.25, 0.1)))
         for _ in range(size)
@@ -239,7 +223,10 @@ def test_blended_control_matches_weighted_per_matrix_law(
     # An exact-zero numerator, whose sign the caution term sets.
     y_r = thetas[pick][0] * f_hat + thetas[pick][2] if zero_numerator else float(rng.normal())
 
-    laws = [_oracle_law(theta, f_hat, g_hat, y_r, cov, dual_lambda) for theta, cov in zip(thetas, covs)]
+    laws = [
+        oracle.control_law(theta, f_hat, g_hat, y_r, cov, dual_lambda)
+        for theta, cov in zip(thetas, covs)
+    ]
     call = lambda: blended_control(thetas, f_hat, g_hat, y_r, state, dual_lambda, input_clamp)
     if None in laws:
         with pytest.raises(SingularControlError) as info:
@@ -269,9 +256,9 @@ def test_zero_input_takes_the_sign_of_the_full_law(f_hat, g_hat):
     p0 = ((0.04, 0.0, 0.0), (0.0, 0.09, 0.0), (0.0, 0.0, 0.01))
     state = make_state(2, 0.01, p0)
     state.posteriors = [1.0, 0.0]
-    law = _oracle_law(theta, f_hat, g_hat, 0.2, p0, 0.9)
+    law = oracle.control_law(theta, f_hat, g_hat, 0.2, p0, 0.9)
     assert law == 0.0
     decision = blended_control([theta, (1.0, 1.0, 0.0)], f_hat, g_hat, 0.2, state, 0.9)
-    assert repr(decision.u) == repr(math.fsum([1.0 * law, 0.0 * _oracle_law(
+    assert repr(decision.u) == repr(math.fsum([1.0 * law, 0.0 * oracle.control_law(
         (1.0, 1.0, 0.0), f_hat, g_hat, 0.2, p0, 0.9
     )]))

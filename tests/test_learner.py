@@ -25,92 +25,13 @@ from dualctl import (
     update_covariance,
     update_posteriors,
 )
-from dualctl.learner import LOG_DOMAIN_TRIGGER, prediction_errors
+from dualctl.learner import prediction_errors
+
+import oracle
 
 EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 COV = ((1.25, 0.5, -0.75), (0.5, 2.0, 0.25), (-0.75, 0.25, 3.5))
 ZERO = ((0.0,) * 3,) * 3
-
-
-# ---------------------------------------------------------------------------
-# Per-matrix oracles: one candidate and one 3x3 covariance per call, the
-# arithmetic the fused stages must reproduce bit for bit.
-
-
-def _oracle_prediction_variance(regressor, covariance, noise_variance):
-    a, b, c = regressor
-    p = covariance
-    quad = (
-        p[0][0] * a * a
-        + p[1][1] * b * b
-        + p[2][2] * c * c
-        + (p[0][1] + p[1][0]) * a * b
-        + (p[0][2] + p[2][0]) * a * c
-        + (p[1][2] + p[2][1]) * b * c
-    )
-    assert quad >= 0.0
-    return quad + noise_variance
-
-
-def _oracle_likelihood(residual, variance):
-    assert variance > 0.0
-    return math.exp(-(residual * residual) / (2.0 * variance)) / math.sqrt(
-        2.0 * math.pi * variance
-    )
-
-
-def _oracle_log_update(posteriors, residuals, variances):
-    """The log-domain Bayes update: floored log prior plus Gaussian log-density,
-    shifted by the max before exponentiating."""
-    logs = [
-        math.log(max(p, POSTERIOR_FLOOR))
-        + (-0.5 * (math.log(2.0 * math.pi) + math.log(v)) - (r * r) / (2.0 * v))
-        for p, r, v in zip(posteriors, residuals, variances)
-    ]
-    m = max(logs)
-    weights = [math.exp(v - m) for v in logs]
-    total = math.fsum(weights)
-    return [w / total for w in weights]
-
-
-def _oracle_update_covariance(covariance, posterior, eta):
-    """Returns the rescaled matrix and whether the cap bound the factor."""
-    factor = math.log2(eta / max(posterior, POSTERIOR_FLOOR) + 1.0)
-    peak = max(abs(v) for row in covariance for v in row)
-    capped = peak * factor > COVARIANCE_CAP
-    if capped:
-        factor = COVARIANCE_CAP / peak
-    return [[v * factor for v in row] for row in covariance], capped
-
-
-def _oracle_candidate_control(theta, f_hat, g_hat, y_r_next, covariance, dual_lambda):
-    t2g = theta[1] * g_hat
-    one_minus = 1.0 - dual_lambda
-    den = one_minus * g_hat * covariance[1][1] + t2g * t2g
-    num = (y_r_next - theta[0] * f_hat - theta[2]) * t2g - one_minus * (
-        f_hat * covariance[0][1] + covariance[2][1]
-    ) * g_hat
-    return num / den
-
-
-def _oracle_bayes_step(template, posteriors, covariances, regressor, observed, thetas):
-    """Returns posteriors, residuals, variances and whether the log domain ran."""
-    a, b, c = regressor
-    residuals, variances, densities = [], [], []
-    for theta, cov in zip(thetas, covariances):
-        r = observed - (theta[0] * a + theta[1] * b + theta[2] * c)
-        var = _oracle_prediction_variance(regressor, cov, template.noise_variance)
-        residuals.append(r)
-        variances.append(var)
-        densities.append(_oracle_likelihood(r, var))
-    prior = replace(template, posteriors=list(posteriors))
-    if not any(d < LOG_DOMAIN_TRIGGER for d in densities):
-        try:
-            new = update_posteriors(prior, densities)
-            return new.posteriors, residuals, variances, False
-        except PosteriorUnderflowError:
-            pass
-    return _oracle_log_update(posteriors, residuals, variances), residuals, variances, True
 
 
 def _matrices(state):
@@ -123,6 +44,18 @@ def _matrices(state):
 
 def _layout(cov, size):
     return [[[v] * size for v in row] for row in cov]
+
+
+def _max_entries(state):
+    """Each candidate's largest |entry|."""
+    return [max(abs(v) for row in cov for v in row) for cov in _matrices(state)]
+
+
+def _peak_position_entries(state):
+    """Each candidate's |entry| at the position of P0's largest |entry|."""
+    p0 = state.initial_covariance
+    i, j = max(((i, j) for i in range(3) for j in range(3)), key=lambda ij: abs(p0[ij[0]][ij[1]]))
+    return [abs(v) for v in state.covariances[i][j]]
 
 
 def _random_state(rng, size):
@@ -139,7 +72,7 @@ def test_make_state_is_uniform():
     assert state.eta == 1.0 / 15
     assert state.covariances == _layout(EYE, 15)
     assert _matrices(state)[3] == [list(r) for r in EYE]
-    assert state.peaks == [1.0] * 15
+    assert _max_entries(state) == [1.0] * 15
     state.validate()
 
 
@@ -192,15 +125,7 @@ def test_prediction_variance_rejects_indefinite_covariance():
     p = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
     with pytest.raises(StateError):
         make_state(1, 0.1, p)
-    state = LearnerState(
-        posteriors=[1.0],
-        covariances=_layout(p, 1),
-        peaks=[1.0],
-        eta=1.0,
-        noise_variance=0.1,
-        initial_covariance=p,
-        diagonal=True,
-    )
+    state, _ = oracle.scaled_state(p, [1.0], [1.0], 0.1)
     with pytest.raises(StateError):
         bayes_step(state, (0.0, 0.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
 
@@ -212,9 +137,9 @@ def test_posterior_update_matches_brute_force_oracle():
         state = _random_state(rng, size)
         like = rng.uniform(1e-6, 50.0, size=size)
         new = update_posteriors(state, list(like))
-        oracle = np.asarray(state.posteriors) * like
-        oracle /= oracle.sum()
-        assert np.max(np.abs(np.asarray(new.posteriors) - oracle)) < 1e-12
+        expected = np.asarray(state.posteriors) * like
+        expected /= expected.sum()
+        assert np.max(np.abs(np.asarray(new.posteriors) - expected)) < 1e-12
         assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -233,7 +158,6 @@ def test_log_domain_update_agrees_with_linear_domain():
         state = replace(
             _random_state(rng, size),
             covariances=_layout(ZERO, size),
-            peaks=[0.0] * size,
             noise_variance=1.0,
         )
         residuals = list(rng.uniform(-3.0, 3.0, size=size - 1)) + [100.0]
@@ -293,7 +217,7 @@ def test_covariance_fixed_point_at_uniform_mass_is_bit_exact():
     state = make_state(15, 0.01, COV)  # uniform posteriors at eta = 1/15
     out = update_covariance(state)
     assert _matrices(out) == [[list(r) for r in COV]] * 15  # log2(1 + 1) == 1.0 exactly
-    assert out.peaks == state.peaks
+    assert _max_entries(out) == _max_entries(state)
 
 
 def test_covariance_doubles_at_one_third_of_uniform_mass():
@@ -306,7 +230,7 @@ def test_covariance_doubles_at_one_third_of_uniform_mass():
         for row, row0 in zip(cov, COV):
             for v, v0 in zip(row, row0):
                 assert v == 2.0 * v0  # log2(3 + 1) == 2.0 exactly
-    assert out.peaks == [2.0 * 3.5] * 5
+    assert _max_entries(out) == [2.0 * 3.5] * 5
 
 
 def test_covariance_growth_saturates():
@@ -316,7 +240,7 @@ def test_covariance_growth_saturates():
     out = update_covariance(state)
     peak = max(abs(v) for row in _matrices(out)[0] for v in row)
     assert peak <= 1e12 * (1 + 1e-12)
-    assert out.peaks[0] == peak
+    assert _peak_position_entries(out)[0] == peak
 
 
 @given(
@@ -353,7 +277,7 @@ def test_peaks_track_max_entry_through_rescales_and_resets(size, seed, scale, op
     state = make_state(size, 0.01, _symmetric_pd(rng, scale))
     for op in ops:
         if op == "reset":
-            state = reset(state, size)
+            state = reset(state)
         else:
             # Skewed posteriors with exact zeros: candidates shrink, grow and
             # hit the cap.
@@ -361,8 +285,8 @@ def test_peaks_track_max_entry_through_rescales_and_resets(size, seed, scale, op
             pi[rng.uniform(size=size) < 0.3] = 0.0
             state.posteriors = list(pi / pi.sum()) if pi.sum() > 0 else [1.0 / size] * size
             state = update_covariance(state)
-        for t, cov in enumerate(_matrices(state)):
-            assert state.peaks[t] == max(abs(v) for row in cov for v in row)
+        # update_covariance reads each candidate's peak at this position.
+        assert _peak_position_entries(state) == _max_entries(state)
         for i in range(3):
             for j in range(i):
                 assert state.covariances[i][j] == state.covariances[j][i]
@@ -394,7 +318,7 @@ def test_fused_stages_match_per_matrix_oracle(p0):
             observed += 1e3
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
         state = bayes_step(state, regressor, observed, thetas)
-        posteriors, o_residuals, o_variances, used_log = _oracle_bayes_step(
+        posteriors, o_residuals, o_variances, used_log = oracle.bayes_step(
             state, posteriors, covs, regressor, observed, thetas
         )
         seen["log"] += used_log
@@ -405,24 +329,26 @@ def test_fused_stages_match_per_matrix_oracle(p0):
         f_hat, g_hat, y_r = float(rng.normal()), float(rng.uniform(0.5, 2.0)), float(rng.normal())
         inputs = candidate_control_terms(thetas, f_hat, g_hat, y_r, state.covariances, lam)
         assert inputs == [
-            _oracle_candidate_control(theta, f_hat, g_hat, y_r, cov, lam)
+            oracle.control_law(theta, f_hat, g_hat, y_r, cov, lam)
             for theta, cov in zip(thetas, covs)
         ]
 
         if step == 250:
-            state = reset(state, size)
+            state = reset(state)
             posteriors = [1.0 / size] * size
             covs = [[list(row) for row in p0] for _ in range(size)]
             seen["reset"] += 1
         state = update_covariance(state)
         rescaled = [
-            _oracle_update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, posteriors)
+            oracle.update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, posteriors)
         ]
         covs = [cov for cov, _ in rescaled]
         seen["cap"] += sum(capped for _, capped in rescaled)
         seen["floor"] += sum(pi < POSTERIOR_FLOOR for pi in posteriors)
         assert _matrices(state) == covs
-        assert state.peaks == [max(abs(v) for row in cov for v in row) for cov in covs]
+        assert _peak_position_entries(state) == [
+            max(abs(v) for row in cov for v in row) for cov in covs
+        ]
     assert seen["log"] > 0 and seen["reset"] == 1
     assert seen["cap"] > 0 and seen["floor"] > 0, seen
 
@@ -449,12 +375,10 @@ def test_reset_restores_uniform_and_initial_covariance():
     state = update_posteriors(state, [10.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     state = update_covariance(state)
     assert state.covariances[0][0][0] < 1.0 < state.covariances[0][0][1]
-    fresh = reset(state, 6)
+    fresh = reset(state)
     assert fresh.posteriors == [1.0 / 6] * 6
     assert fresh.covariances == _layout(EYE, 6)
-    assert fresh.peaks == [1.0] * 6
-    with pytest.raises(ValueError):
-        reset(state, 7)
+    assert _max_entries(fresh) == [1.0] * 6
 
 
 def test_state_validation_catches_broken_invariants():
@@ -464,10 +388,6 @@ def test_state_validation_catches_broken_invariants():
         state.validate()
     state = make_state(3, 0.01, EYE)
     state.covariances[1][0][1] = 0.9  # asymmetric
-    with pytest.raises(StateError):
-        state.validate()
-    state = make_state(3, 0.01, EYE)
-    state.peaks[2] = 2.0  # not the max |entry|
     with pytest.raises(StateError):
         state.validate()
 
@@ -483,7 +403,7 @@ def test_bayes_step_reports_residuals_and_variances():
         pred = theta[0] * phi[0] + theta[1] * phi[1] + theta[2] * phi[2]
         assert residuals[t] == pytest.approx(observed - pred, abs=1e-15)
         assert variances[t] == pytest.approx(
-            _oracle_prediction_variance(phi, EYE, 0.04), abs=1e-15
+            oracle.prediction_variance(phi, EYE, 0.04), abs=1e-15
         )
     # The closer candidate gains mass.
     better = min(range(2), key=lambda t: abs(residuals[t]))
@@ -517,7 +437,7 @@ def test_successor_states_leave_their_input_untouched():
         lambda s: bayes_step(s, (0.5, -1.0, 1.0), 0.3, thetas),
         lambda s: bayes_step(s, (1.0, 0.0, 1.0), 2000.0, thetas),  # log domain
         update_covariance,
-        lambda s: reset(s, 3),
+        reset,
     ]
     for step in steps:
         before = copy.deepcopy(state)
@@ -533,25 +453,6 @@ def test_successor_states_leave_their_input_untouched():
 # bit for bit, signed zeros included, so values are compared by repr.
 
 _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
-
-
-def _oracle_bayes_error(regressor, covariances, noise_variance):
-    """The StateError message of the first candidate the per-matrix form rejects."""
-    a, b, c = regressor
-    for t, p in enumerate(covariances):
-        quad = (
-            p[0][0] * a * a
-            + p[1][1] * b * b
-            + p[2][2] * c * c
-            + (p[0][1] + p[1][0]) * a * b
-            + (p[0][2] + p[2][0]) * a * c
-            + (p[1][2] + p[2][1]) * b * c
-        )
-        if quad < 0.0:
-            return f"covariance {t} is indefinite along the regressor (phi'P phi = {quad})"
-        if not quad + noise_variance > 0.0:
-            return f"prediction variance of candidate {t} is {quad + noise_variance}; it must"
-    return None
 
 
 @given(
@@ -597,7 +498,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
     covs = [[list(row) for row in p0] for _ in range(size)]
     for step, regressor in enumerate(regressors):
         observed = float(rng.normal()) + (1e3 if step % 3 == 2 else 0.0)  # log domain
-        expected_error = _oracle_bayes_error(regressor, covs, state.noise_variance)
+        expected_error = oracle.bayes_error(regressor, covs, state.noise_variance)
         if expected_error is not None:
             with pytest.raises(StateError) as info:
                 bayes_step(state, regressor, observed, thetas)
@@ -605,7 +506,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
             return
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
         state = bayes_step(state, regressor, observed, thetas)
-        posteriors, o_residuals, o_variances, _ = _oracle_bayes_step(
+        posteriors, o_residuals, o_variances, _ = oracle.bayes_step(
             state, posteriors, covs, regressor, observed, thetas
         )
         assert list(map(repr, state.posteriors)) == list(map(repr, posteriors))
@@ -617,12 +518,12 @@ def test_diagonal_loops_match_per_matrix_oracles(
         y_r = thetas[0][0] * f_hat + thetas[0][2] if step % 2 else float(rng.normal())
         inputs = candidate_control_terms(thetas, f_hat, g_hat, y_r, state.covariances, 0.9)
         assert list(map(repr, inputs)) == [
-            repr(_oracle_candidate_control(theta, f_hat, g_hat, y_r, cov, 0.9))
+            repr(oracle.control_law(theta, f_hat, g_hat, y_r, cov, 0.9))
             for theta, cov in zip(thetas, covs)
         ]
 
         state = update_covariance(state)
-        covs = [_oracle_update_covariance(cov, p, state.eta)[0] for cov, p in zip(covs, posteriors)]
+        covs = [oracle.update_covariance(cov, p, state.eta)[0] for cov, p in zip(covs, posteriors)]
         assert [list(map(repr, e)) for row in state.covariances for e in row] == [
             [repr(cov[i][j]) for cov in covs] for i in range(3) for j in range(3)
         ]
@@ -648,20 +549,20 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
     # At the cap: pi == eta, pi at or below the floor, and pi either side of eta.
     choices = [eta, 0.0, POSTERIOR_FLOOR, 1e-310, eta * 0.5, eta * 1.5, float(rng.uniform())]
     state.posteriors = [choices[int(i)] for i in rng.integers(len(choices), size=size)]
-    state.peaks = [COVARIANCE_CAP if rng.uniform() < 0.8 else 3.0 for _ in range(size)]
-    for t, peak in enumerate(state.peaks):
-        if peak != COVARIANCE_CAP:
+    # Most candidates sit at the cap; the others hold 1.0 at (0, 0).
+    for t in range(size):
+        if not rng.uniform() < 0.8:
             state.covariances[0][0][t] = 1.0
     covs = _matrices(state)
     before = copy.deepcopy(state)
     out = update_covariance(state)
     expected = [
-        _oracle_update_covariance(cov, pi, eta)[0] for cov, pi in zip(covs, state.posteriors)
+        oracle.update_covariance(cov, pi, eta)[0] for cov, pi in zip(covs, state.posteriors)
     ]
     assert [[list(map(repr, row)) for row in cov] for cov in _matrices(out)] == [
         [list(map(repr, row)) for row in cov] for cov in expected
     ]
-    assert out.peaks == [max(abs(v) for row in cov for v in row) for cov in expected]
+    assert _max_entries(out) == [max(abs(v) for row in cov for v in row) for cov in expected]
     # The rescale works on copies: the input keeps its contents, and the
     # lists that are zero in P0 come back as the same objects.
     assert state == before
@@ -669,7 +570,33 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
         for j in range(3):
             shared = out.covariances[i][j] is state.covariances[i][j]
             assert shared == (p0[i][j] == 0.0), (i, j)
-    assert out.peaks is not state.peaks
+
+
+def test_negative_largest_entry_caps_as_the_per_matrix_rescale():
+    # validate's 1e-9 PSD tolerance admits a tiny negative variance. Here it is
+    # P0's largest |entry|, so P0 does not count as diagonal, and the general
+    # rescale reads each peak with abs: the dying candidates reach the cap at
+    # the 8th rescale, bit for bit as the per-matrix rescale does.
+    p0 = ((-1e-10, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 5e-11))
+    state = make_state(4, 0.01, p0)
+    assert not state.diagonal
+    state.posteriors = [1.0, 0.0, 1e-310, POSTERIOR_FLOOR]
+    covs = _matrices(state)
+    first_capped = [None] * 4
+    for step in range(1, 13):
+        state = update_covariance(state)
+        rescaled = [
+            oracle.update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, state.posteriors)
+        ]
+        covs = [cov for cov, _ in rescaled]
+        assert [[list(map(repr, row)) for row in cov] for cov in _matrices(state)] == [
+            [list(map(repr, row)) for row in cov] for cov in covs
+        ], step
+        for t, (_, capped) in enumerate(rescaled):
+            if capped and first_capped[t] is None:
+                first_capped[t] = step
+    assert first_capped == [None, 8, 8, 8]
+    assert _peak_position_entries(state) == _max_entries(state)
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +604,6 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
 # the floored prior times density of each candidate, prediction_errors gives
 # the residuals and variances the log domain and the callers read.  Both must
 # raise the per-matrix form's StateError for the same candidate.
-
-
-def _scaled_state(p0, scales, posteriors, noise):
-    """A state whose candidate t holds ``scales[t] * P0``, P0 not validated."""
-    covs = [[[v * f for v in row] for row in p0] for f in scales]
-    return LearnerState(
-        posteriors=list(posteriors),
-        covariances=[[[cov[i][j] for cov in covs] for j in range(3)] for i in range(3)],
-        peaks=[max(abs(v) for row in cov for v in row) for cov in covs],
-        eta=1.0 / len(scales),
-        noise_variance=noise,
-        initial_covariance=p0,
-        diagonal=all(p0[i][j] == 0.0 for i in range(3) for j in range(3) if i != j),
-    ), covs
 
 
 @given(
@@ -725,13 +638,13 @@ def test_products_pass_and_prediction_errors_match_oracles(
     pi = rng.uniform(size=size) * (rng.uniform(size=size) > 0.3)
     pi[rng.uniform(size=size) < 0.2] = 1e-310
     posteriors = (pi / pi.sum()).tolist() if pi.sum() > 0 else [1.0 / size] * size
-    state, covs = _scaled_state(p0, scales[:size], posteriors, noise)
+    state, covs = oracle.scaled_state(p0, scales[:size], posteriors, noise)
     thetas = [
         tuple(float(v) for v in rng.uniform((0.75, 0.75, -0.1), (1.25, 1.25, 0.1)))
         for _ in range(size)
     ]
     observed = float(rng.normal()) + (1e3 if far else 0.0)  # far: the log domain
-    expected_error = _oracle_bayes_error(regressor, covs, noise)
+    expected_error = oracle.bayes_error(regressor, covs, noise)
     if expected_error is not None:
         for stage in (bayes_step, prediction_errors):
             with pytest.raises(StateError) as info:
@@ -739,7 +652,7 @@ def test_products_pass_and_prediction_errors_match_oracles(
             assert str(info.value).startswith(expected_error)
         return
     residuals, variances = prediction_errors(state, regressor, observed, thetas)
-    o_posteriors, o_residuals, o_variances, used_log = _oracle_bayes_step(
+    o_posteriors, o_residuals, o_variances, used_log = oracle.bayes_step(
         state, posteriors, covs, regressor, observed, thetas
     )
     assert list(map(repr, residuals)) == list(map(repr, o_residuals))
@@ -785,7 +698,7 @@ def test_products_pass_and_prediction_errors_match_oracles(
     ids=["inf-over-inf", "nan-output", "log-domain", "log-domain-nan-max"],
 )
 def test_bayes_step_rejects_a_nan_density(p0, thetas, scales, regressor, observed, candidate):
-    state, _ = _scaled_state(p0, scales, [1.0 / len(scales)] * len(scales), 0.01)
+    state, _ = oracle.scaled_state(p0, scales, [1.0 / len(scales)] * len(scales), 0.01)
     before = copy.deepcopy(state)
     with pytest.raises(StateError, match=f"density of candidate {candidate} is not a number"):
         bayes_step(state, regressor, observed, thetas)
@@ -796,14 +709,18 @@ def test_make_state_sets_the_diagonal_flag_and_validate_checks_it():
     assert make_state(3, 0.01, EYE).diagonal
     assert make_state(3, 0.01, ((1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 0.0, 1.0))).diagonal
     assert not make_state(3, 0.01, COV).diagonal
-    for p0, flag in ((EYE, False), (COV, True)):
+    # A negative variance inside validate's tolerance is not diagonal; -0.0 is.
+    tiny_negative = ((-1e-10, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 5e-11))
+    assert not make_state(3, 0.01, tiny_negative).diagonal
+    assert make_state(3, 0.01, ((-0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -0.0))).diagonal
+    for p0, flag in ((EYE, False), (COV, True), (tiny_negative, True)):
         state = replace(make_state(3, 0.01, p0), diagonal=flag)
         with pytest.raises(StateError, match=f"diagonal flag {flag} disagrees"):
             state.validate()
     # Every successor carries the flag over.
     state = make_state(3, 0.04, COV)
     state = bayes_step(state, (0.5, -1.0, 1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
-    for successor in (update_covariance(state), reset(state, 3)):
+    for successor in (update_covariance(state), reset(state)):
         assert successor.diagonal is False
         successor.validate()
 
@@ -819,7 +736,7 @@ def test_make_state_validates_one_copy_of_p0(monkeypatch):
     monkeypatch.setattr(LearnerState, "validate", counting)
     state = make_state(60, 0.01, COV)
     assert sizes == [1]
-    assert state.covariances == _layout(COV, 60) and state.peaks == [3.5] * 60
+    assert state.covariances == _layout(COV, 60) and _max_entries(state) == [3.5] * 60
     indefinite = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
     with pytest.raises(StateError, match="covariance 0 is not positive semidefinite"):
         make_state(60, 0.01, indefinite)
@@ -829,7 +746,7 @@ def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():
     # Candidate 1's quadratic form is -2e-300: the noise makes its variance
     # positive, yet the covariance is indefinite along the regressor.
     p0 = ((1.0, -2.0, 0.0), (-2.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    state, _ = _scaled_state(p0, [0.0, 1e-300, 1.0], [0.5, 0.25, 0.25], 0.01)
+    state, _ = oracle.scaled_state(p0, [0.0, 1e-300, 1.0], [0.5, 0.25, 0.25], 0.01)
     regressor, thetas = (1.0, 1.0, 0.0), [(1.0, 1.0, 0.0)] * 3
     for stage in (bayes_step, prediction_errors):
         with pytest.raises(StateError, match=r"^covariance 1 is indefinite .* = -2e-300\)$"):
