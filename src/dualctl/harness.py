@@ -172,7 +172,7 @@ def run_experiment(
     except DualctlError as exc:
         raise RunError(f"iteration failed: {exc}", iteration=1) from exc
     u = u_opt if controller == "optimal" else cfg.initial_control
-    f_hat, g_hat = eval_network(net, (y,))
+    f_hat, g_hat = eval_network(net, y)
 
     rows = [(1, y_r, y, u, u_opt, y, y - y_r, 1, state.eta, 0, *theta)]
     pi_rows = [list(state.posteriors)] if collect_posteriors else None
@@ -199,7 +199,7 @@ def run_experiment(
             target = reference_at(spec, k + 2)
             theta = disturbances[k]
             u_opt = optimal_input(theta, y, target)
-            f_hat, g_hat = eval_network(net, (y,))
+            f_hat, g_hat = eval_network(net, y)
             if controller == "proposed":
                 u = blended_control(thetas, f_hat, g_hat, target, state, lam, clamp).u_applied
             else:

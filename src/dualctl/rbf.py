@@ -75,14 +75,17 @@ def branch(centers, widths, weights) -> RbfBranch:
     return RbfBranch(cents, widths, tuple(float(w) for w in weights))
 
 
-def _branch_value(br: RbfBranch, y: float) -> float:
-    """The branch output ``w . h(y)``, summed with ``math.fsum``."""
+def _weighted_bases(br: RbfBranch, y: float) -> list[float]:
+    """Each basis times its weight, ``w_i * h_i(y)``, in basis order.
+
+    The run loop sums these; the offline fit regresses on them at unit weight.
+    """
     exp = math.exp
     terms = []
     for w, c, two_b2 in br._terms:
         d = y - c
         terms.append(w * exp(-(d * d) / two_b2))
-    return math.fsum(terms)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -93,23 +96,15 @@ class RbfNetwork:
     g_branch: RbfBranch
 
 
-def eval_network(net: RbfNetwork, x) -> tuple[float, float]:
-    """Return ``(fhat(y), ghat(y))`` for the one-element state ``x = (y,)``."""
-    if len(x) != 1:
-        raise ValueError(f"state has {len(x)} elements, the network expects the scalar output (y,)")
-    (y,) = x
-    return _branch_value(net.f_branch, y), _branch_value(net.g_branch, y)
+def eval_network(net: RbfNetwork, y: float) -> tuple[float, float]:
+    """Return ``(fhat(y), ghat(y))``, each summed with ``math.fsum``."""
+    fsum = math.fsum
+    return fsum(_weighted_bases(net.f_branch, y)), fsum(_weighted_bases(net.g_branch, y))
 
 
 def geometry(centers, widths) -> RbfBranch:
     """A branch with zero weights: the fixed bases that :func:`train_offline` fits."""
     return branch(centers, widths, (0.0,) * len(centers))
-
-
-def _activation_matrix(geom: RbfBranch, states: np.ndarray) -> np.ndarray:
-    centers = np.asarray(geom.centers, dtype=float)  # (m,)
-    widths = np.asarray(geom.widths, dtype=float)  # (m,)
-    return np.exp(-((states[:, None] - centers) ** 2) / (2.0 * widths))
 
 
 def train_offline(
@@ -144,8 +139,11 @@ def train_offline(
     if n < p:
         raise FitError(f"need at least {p} samples to fit {p} weights, got {n}")
 
-    hf = _activation_matrix(f_geometry, states)
-    hg = _activation_matrix(g_geometry, states) * inputs[:, None]
+    # The loop's own evaluator at unit weight (``1.0 * h == h`` exactly).
+    unit_f, unit_g = (replace(g, weights=(1.0,) * g.size) for g in (f_geometry, g_geometry))
+    ys = states.tolist()
+    hf = np.array([_weighted_bases(unit_f, y) for y in ys])
+    hg = np.array([_weighted_bases(unit_g, y) for y in ys]) * inputs[:, None]
     design = np.hstack([hf, hg])
     target = outputs
 

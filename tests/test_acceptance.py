@@ -355,7 +355,7 @@ def _prop_residual_variance_separation():
         for k in range(1, steps + 1):
             noise = float(rng.normal(0.0, math.sqrt(plant.noise_variance)))
             y_next = plant.step(y, u, truth, noise)
-            fh, gh = eval_network(net, (y,))
+            fh, gh = eval_network(net, y)
             residuals, _ = prediction_errors(state, (fh, gh * u, 1.0), y_next, grid.vectors)
             state = bayes_step(state, (fh, gh * u, 1.0), y_next, grid.vectors)
             sq_sums += np.square(residuals)

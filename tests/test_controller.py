@@ -91,7 +91,7 @@ def test_candidate_control_evaluates_network_at_state():
     )
     cfg = ControllerConfig(dual_lambda=0.9)
     theta = (1.0, 1.0, 0.0)
-    f, g = eval_network(net, (0.0,))
+    f, g = eval_network(net, 0.0)
     (u,) = candidate_control_terms([theta], f, g, 0.8, _layout(ZERO_COV), cfg.dual_lambda)
     # At the center the branches read exactly (1, 2).
     assert u == pytest.approx((0.8 - 1.0) / 2.0, rel=1e-14)

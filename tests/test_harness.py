@@ -146,7 +146,7 @@ def test_logged_prediction_and_reset_use_the_leading_candidates_residual():
     trace = run_experiment(cfg, seed=0)
     assert sum(trace.reset) > 0
     for i in range(1, len(trace)):
-        f_hat, g_hat = eval_network(cfg.network, (trace.y[i - 1],))
+        f_hat, g_hat = eval_network(cfg.network, trace.y[i - 1])
         t0, t1, t2 = thetas[trace.argmax_t[i] - 1]
         residual = trace.y[i] - (t0 * f_hat + t1 * (g_hat * trace.u[i - 1]) + t2 * 1.0)
         assert trace.y_hat[i] == trace.y[i] - residual

@@ -22,13 +22,6 @@ from dualctl import (
 )
 
 
-def _unit_network(f_value=1.0, g_value=3.0, at=0.0):
-    """Network whose branches evaluate to constants at the point ``at``."""
-    f = branch((at,), (1.0,), (f_value,))
-    g = branch((at,), (1.0,), (g_value,))
-    return RbfNetwork(f_branch=f, g_branch=g)
-
-
 def _basis_network(center, width2):
     """One basis of unit weight in each branch: the network returns h(y) twice."""
     br = branch((center,), (width2,), (1.0,))
@@ -36,23 +29,16 @@ def _basis_network(center, width2):
 
 
 def test_basis_is_gaussian_in_squared_width():
-    assert eval_network(_basis_network(0.0, 1.0), (1.0,))[0] == pytest.approx(
+    assert eval_network(_basis_network(0.0, 1.0), 1.0)[0] == pytest.approx(
         math.exp(-0.5), abs=1e-15
     )
-    assert eval_network(_basis_network(0.0, 4.0), (2.0,))[1] == pytest.approx(
+    assert eval_network(_basis_network(0.0, 4.0), 2.0)[1] == pytest.approx(
         math.exp(-0.5), abs=1e-15
     )
 
 
 def test_basis_peaks_at_center():
-    assert eval_network(_basis_network(-2.0, 0.7), (-2.0,)) == (1.0, 1.0)
-
-
-def test_network_rejects_wrong_state_dimension():
-    with pytest.raises(ValueError, match="state has 2 elements"):
-        eval_network(_unit_network(), (0.0, 0.0))
-    with pytest.raises(ValueError, match="state has 0 elements"):
-        eval_network(_unit_network(), ())
+    assert eval_network(_basis_network(-2.0, 0.7), -2.0) == (1.0, 1.0)
 
 
 @given(
@@ -66,7 +52,7 @@ def test_network_matches_closed_form(w_f, w_g, x):
         f_branch=branch((-1.0, 1.0), (1.0, 2.0), w_f),
         g_branch=branch((0.0,), (3.6,), (w_g,)),
     )
-    f_hat, g_hat = eval_network(net, (x,))
+    f_hat, g_hat = eval_network(net, x)
     expected_f = w_f[0] * math.exp(-((x + 1.0) ** 2) / 2.0) + w_f[1] * math.exp(
         -((x - 1.0) ** 2) / 4.0
     )
@@ -86,7 +72,7 @@ def test_offline_fit_recovers_generating_weights():
     inputs = rng.uniform(-2, 2, size=200)
     outputs = []
     for s, u in zip(states, inputs):
-        f_hat, g_hat = eval_network(truth, (s,))
+        f_hat, g_hat = eval_network(truth, s)
         outputs.append(f_hat + g_hat * u)
     net, rms = train_offline(states, inputs, outputs, f_geom, g_geom)
     assert rms < 1e-10
@@ -193,8 +179,8 @@ def test_bundled_affine_network_tracks_plant_nonlinearities():
 
     net = load_network("configs/networks/case1_affine.rbfnet")
     ys = np.linspace(-1.2, 1.2, 61)
-    err_f = max(abs(eval_network(net, (y,))[0] - affine_f(y)) for y in ys)
-    err_g = max(abs(eval_network(net, (y,))[1] - affine_g(y)) for y in ys)
+    err_f = max(abs(eval_network(net, y)[0] - affine_f(y)) for y in ys)
+    err_g = max(abs(eval_network(net, y)[1] - affine_g(y)) for y in ys)
     # Surrogate quality on the band the reference trajectory occupies;
     # generous bounds, the point is that the file was not corrupted.
     assert err_f < 0.05
@@ -206,8 +192,8 @@ def test_bundled_train_network_represents_resistance_curve():
 
     net = load_network("configs/networks/case4_train.rbfnet")
     vs = np.linspace(295.0, 330.0, 71)
-    err_f = max(abs(eval_network(net, (v,))[0] - train_f(v)) for v in vs)
-    err_g = max(abs(eval_network(net, (v,))[1] - train_g(v)) for v in vs)
+    err_f = max(abs(eval_network(net, v)[0] - train_f(v)) for v in vs)
+    err_g = max(abs(eval_network(net, v)[1] - train_g(v)) for v in vs)
     assert err_f < 0.01
     assert err_g < 1e-4
 
