@@ -157,11 +157,13 @@ def _cmd_mc(args) -> int:
         summary = os.path.join(args.out_dir, "summary.csv")
         with open(summary, "w") as fh:
             fh.write("run,seed,j_index\n")
-            for i, (s, j) in enumerate(zip(result.seeds, m.j_values)):
-                fh.write(f"{i},{s},{j!r}\n")
+            # A run keeps its batch index, the one "failed runs:" reports.
+            for s, j in zip(result.seeds, m.j_values):
+                fh.write(f"{s - result.seed_base},{s},{j!r}\n")
         if args.save_traces:
-            for i, trace in enumerate(result.traces):
-                write_trace(trace, os.path.join(args.out_dir, f"run{i:03d}.csv"))
+            for trace in result.traces:
+                name = f"run{trace.seed - result.seed_base:03d}.csv"
+                write_trace(trace, os.path.join(args.out_dir, name))
         print(f"wrote {args.out_dir}")
     return 0
 

@@ -129,6 +129,22 @@ def test_mc_writes_summary(tmp_path, capsys):
     assert [r["seed"] for r in rows] == ["50", "51", "52"]
     trace = read_trace(out_dir / "run000.csv")
     assert trace.seed == 50
+    # Seed 10 of case3-eps02 diverges: the rows and trace files after it keep
+    # their batch index, the one "failed runs:" reports.
+    out_dir = tmp_path / "with-failure"
+    with pytest.warns(UserWarning, match="1/12 runs failed"):
+        code = main([
+            "mc", "--config", "configs/case3-eps02.yaml", "--runs", "12",
+            "--seed-base", "5", "--out-dir", str(out_dir), "--save-traces",
+        ])
+    assert code == 0
+    assert "failed runs: [5]" in capsys.readouterr().out
+    with open(out_dir / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 11
+    assert "5" not in [r["run"] for r in rows]
+    assert read_trace(out_dir / "run006.csv").seed == 11
+    assert not (out_dir / "run005.csv").exists()
 
 
 def test_mc_rejects_zero_jobs(tmp_path, capsys):
