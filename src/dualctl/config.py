@@ -85,7 +85,8 @@ def _expect(mapping, key, types, path, required=True, default=None):
     # Explicit nulls on optional fields mean "not set".
     if value is None and not required:
         return default
-    if types is not None and not isinstance(value, types):
+    # A bool is an int to isinstance, but never what a typed field means.
+    if types is not None and (isinstance(value, bool) or not isinstance(value, types)):
         raise ConfigError(
             f"{path}.{key}: expected {getattr(types, '__name__', types)}, got {type(value).__name__}"
         )
@@ -183,7 +184,7 @@ def _reference(raw, path) -> ReferenceSpec:
                 kind=kind,
                 amplitude=_number(raw, "amplitude", path, required=False, default=1.0),
                 half_cycles=_number(raw, "half_cycles", path),
-                span=int(_number(raw, "span", path)),
+                span=_number(raw, "span", path),
             )
         if kind == "square":
             return ReferenceSpec(
@@ -272,7 +273,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if iterations < 2:
         raise ConfigError("config.iterations: must be >= 2")
     seed = _expect(raw, "seed", int, "config")
-    if isinstance(seed, bool) or seed < 0:
+    if seed < 0:
         raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
     rng = _expect(raw, "rng", str, "config", required=False, default=RNG)
     if rng != RNG:

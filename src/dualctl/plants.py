@@ -118,9 +118,18 @@ class PlantModel:
 Segments = tuple[tuple[int, float], ...]
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; a bool or a number with a fractional part is a ValueError."""
+    if isinstance(value, bool) or value != int(value):
+        raise ValueError(f"{name}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 def validate_segments(segments, name: str = "schedule") -> Segments:
-    """Check (start_k, value) segments: first start 1, strictly increasing."""
-    segs = tuple((int(k), float(v)) for k, v in segments)
+    """Check (start_k, value) segments: whole starts, the first 1, strictly increasing."""
+    segs = tuple(
+        (_whole_number(k, f"{name}[{i}][0]"), float(v)) for i, (k, v) in enumerate(segments)
+    )
     if not segs:
         raise ValueError(f"{name}: needs at least one segment")
     if segs[0][0] != 1:
@@ -212,8 +221,10 @@ class ReferenceSpec:
             raise ValueError(f"logistic_train form must be 'logistic' or 'expanded', got {self.form!r}")
         if self.kind == "user_table" and not self.values:
             raise ValueError("user_table reference needs values")
-        if self.kind == "cosine" and self.span <= 0:
-            raise ValueError("cosine reference span must be > 0")
+        if self.kind == "cosine":
+            object.__setattr__(self, "span", _whole_number(self.span, "span"))
+            if self.span <= 0:
+                raise ValueError("cosine reference span must be > 0")
 
 
 def reference_at(spec: ReferenceSpec, k: int) -> float:

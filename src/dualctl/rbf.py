@@ -7,7 +7,9 @@ output ``y``. Basis i of a branch responds with
 weighted sum ``w . h(y)``. Centers and widths are fixed design choices; only
 the output weights are fit, by (optionally ridge-regularized) linear least
 squares on recorded ``(y, u, y_next)`` triples collected while the plant is
-undisturbed.
+undisturbed. One function evaluates the terms ``w_i * h_i(y)``: the run
+loop's ``eval_network(net, y)`` sums them per branch, and the fit calls it at
+unit weight to build its design, so it regresses on the bases the loop uses.
 
 Parameter file format (plain text, ``#`` comments allowed anywhere):
 
@@ -210,6 +212,8 @@ def load_network(path) -> RbfNetwork:
         if parts[0] != "branch" or len(parts) != 3:
             fail(i, f"expected 'branch <name> <count>', got {lines[i]!r}")
         name = parts[1]
+        if name in branches:
+            fail(i, f"branch {name}: defined a second time")
         try:
             count = int(parts[2])
         except ValueError:

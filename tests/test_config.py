@@ -118,6 +118,44 @@ def test_schedule_start_beyond_horizon_is_rejected():
         config_from_dict(raw, base_dir="configs")
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (
+            ("channels", "alpha", "schedule"),
+            [[1, 1.0], [100.7, 1.11]],
+            "config.channels.alpha.schedule[1][0]: expected a whole number, got 100.7",
+        ),
+        (
+            ("reference",),
+            {"kind": "square", "segments": [[1, 1.0], [150.9, -1.0]]},
+            "config.reference.segments[1][0]: expected a whole number, got 150.9",
+        ),
+        (("reference", "span"), 600.9, "config.reference: span: expected a whole number, got 600.9"),
+        (("schema_version",), True, "config.schema_version: expected int, got bool"),
+        (("seed",), False, "config.seed: expected int, got bool"),
+    ],
+    ids=["schedule-start", "square-segment-start", "span", "schema-version-bool", "seed-bool"],
+)
+def test_integer_fields_reject_fractions_and_booleans(keys, value, message):
+    raw = _template()
+    *parents, key = keys
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw, base_dir="configs")
+    assert message in str(info.value)
+
+
+def test_whole_number_floats_are_integer_fields():
+    raw = _template()
+    raw["reference"]["span"] = 600.0
+    raw["channels"]["alpha"]["schedule"][1][0] = 85.0
+    assert config_from_dict(raw, base_dir="configs") == parse_config("configs/case1.yaml")
+
+
 def test_schema_version_is_checked():
     raw = _template()
     raw["schema_version"] = 99
@@ -264,6 +302,12 @@ def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old
         ("weights 11.2856", "weights 11.2856x", 17, "branch f: weights: expected numbers"),
         ("basis 1.0 -2.0", "basis 1.0 -2.0e", 8, "branch f: basis: expected numbers"),
         ("branch f 9", "branch f nine", 7, "branch f: expected an integer basis count, got 'nine'"),
+        (
+            "weights -0.4449 3.5097 -0.4449",
+            "weights -0.4449 3.5097 -0.4449\nbranch f 1\nbasis 1.0 0.0\nweights 99.0",
+            23,
+            "branch f: defined a second time",
+        ),
     ],
 )
 def test_malformed_network_number_is_a_config_error_naming_file_and_line(

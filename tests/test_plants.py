@@ -159,6 +159,36 @@ def test_segment_validation():
     assert validate_segments(((1, 1.0), (5, 2.0))) == ((1, 1.0), (5, 2.0))
 
 
+@pytest.mark.parametrize(
+    "segments, field",
+    [
+        (((1, 1.0), (100.7, 1.11)), r"schedule\[1\]\[0\]"),  # no longer truncated to k=100
+        (((True, 1.0),), r"schedule\[0\]\[0\]"),
+        (((1, 1.0), (5, 2.0), (6.5, 3.0)), r"schedule\[2\]\[0\]"),
+    ],
+    ids=["fraction", "bool", "last-fraction"],
+)
+def test_segment_starts_must_be_whole_numbers(segments, field):
+    with pytest.raises(ValueError, match=field + ": expected a whole number"):
+        validate_segments(segments)
+    with pytest.raises(ValueError, match="expected a whole number"):
+        ReferenceSpec(kind="square", segments=segments)
+
+
+@pytest.mark.parametrize("span", [600.9, 0.5, True])
+def test_cosine_span_must_be_a_whole_number(span):
+    with pytest.raises(ValueError, match="span: expected a whole number"):
+        ReferenceSpec(kind="cosine", span=span)
+
+
+def test_whole_float_indices_become_ints():
+    segs = validate_segments(((1.0, 1.0), (100.0, 1.11)))
+    assert segs == ((1, 1.0), (100, 1.11))
+    assert all(type(k) is int for k, _ in segs)
+    spec = ReferenceSpec(kind="cosine", span=600.0)
+    assert spec.span == 600 and type(spec.span) is int
+
+
 def _schedule():
     return DisturbanceSchedule(
         alpha=((1, 1.0), (100, 1.05), (250, 0.95)),
