@@ -121,7 +121,8 @@ def run_experiment(
     gamma order), then the noise of all ``cfg.iterations - 1`` plant steps is
     drawn in one call.  That call yields the same values as one draw per
     iteration, so the stream order is unchanged and equal seeds give identical
-    streams at every noise level.
+    streams at every noise level.  ``hooks`` maps names in ``HOOK_EVENTS`` to
+    callables ``fn(k, info)``, fired at each stage of each iteration.
     """
     if controller not in CONTROLLER_KINDS:
         raise ValueError(f"controller must be one of {CONTROLLER_KINDS}, got {controller!r}")
@@ -129,6 +130,9 @@ def run_experiment(
         if ch not in CHANNELS:
             raise ValueError(f"randomize names unknown channel {ch!r}")
 
+    for event in hooks or ():
+        if event not in HOOK_EVENTS:
+            raise ValueError(f"hooks names unknown event {event!r}, expected one of {HOOK_EVENTS}")
     _check_seed("seed", seed)
     started = time.perf_counter()
     plant = cfg.plant

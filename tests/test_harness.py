@@ -28,6 +28,7 @@ from dualctl import (
     trace_change_points,
     write_trace,
 )
+from dualctl.harness import HOOK_EVENTS
 
 
 @pytest.fixture(scope="module")
@@ -167,14 +168,19 @@ def test_hooks_fire_in_loop_order(case1_cfg):
         "covariance_update": lambda k, info: events.append(("covariance_update", k)),
     }
     run_experiment(cfg, seed=0, hooks=hooks)
-    order = ("posterior_update", "control", "reset_check", "covariance_update")
     assert len(events) == 4 * 11  # iterations 2..12
     for i in range(0, len(events), 4):
         chunk = events[i : i + 4]
         k = chunk[0][1]
-        assert tuple(name for name, _ in chunk) == order
+        assert tuple(name for name, _ in chunk) == HOOK_EVENTS
         assert all(ek == k for _, ek in chunk)
     assert [e[1] for e in events[::4]] == list(range(2, 13))
+    # A misspelled name is refused before the first iteration, not ignored.
+    events.clear()
+    hooks["covariance_updated"] = hooks.pop("covariance_update")
+    with pytest.raises(ValueError, match="unknown event 'covariance_updated', expected one of"):
+        run_experiment(cfg, seed=0, hooks=hooks)
+    assert events == []
 
 
 def test_posterior_columns_are_normalized(case1_cfg):
