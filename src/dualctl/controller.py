@@ -124,14 +124,18 @@ def blended_control(
                 break
             add_term(pi * u)
         else:
-            return _decision(math.fsum(terms), input_clamp)
+            return _decision(terms, input_clamp)
     inputs = candidate_control_terms(
         thetas, f_hat, g_hat, y_r_next, state.covariances, dual_lambda
     )
-    return _decision(math.fsum(map(operator.mul, posteriors, inputs)), input_clamp)
+    return _decision(map(operator.mul, posteriors, inputs), input_clamp)
 
 
-def _decision(u: float, input_clamp: float | None) -> ControlDecision:
+def _decision(products, input_clamp: float | None) -> ControlDecision:
+    try:
+        u = math.fsum(products)
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum beyond the float range
+        u = math.nan
     if not math.isfinite(u):
         raise SimulationError("blended input is not finite")
     if input_clamp is not None and abs(u) > input_clamp:
