@@ -36,9 +36,9 @@ def main() -> int:
     net, rms = train_offline(v, u, y, f_geom, g_geom, ridge=1e-8)
 
     # fit quality on the band the closed loop actually occupies
-    grid = np.linspace(295.0, 330.0, 141)
-    worst_f = max(abs(eval_network(net, float(s))[0] - train_f(float(s), params)) for s in grid)
-    worst_g = max(abs(eval_network(net, float(s))[1] - train_g(float(s), params)) for s in grid)
+    grid = np.linspace(295.0, 330.0, 141).tolist()
+    worst_f = max(abs(eval_network(net, s)[0] - train_f(s, params)) for s in grid)
+    worst_g = max(abs(eval_network(net, s)[1] - train_g(s, params)) for s in grid)
     print(f"training rms {rms:.6g}, on [295,330]: max |f_hat-f| {worst_f:.4g}, max |g_hat-g| {worst_g:.4g}")
 
     save_network(

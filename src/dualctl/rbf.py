@@ -142,7 +142,7 @@ def train_offline(
         raise FitError(f"need at least {p} samples to fit {p} weights, got {n}")
 
     # The loop's own evaluator at unit weight (``1.0 * h == h`` exactly).
-    unit_f, unit_g = (replace(g, weights=(1.0,) * g.size) for g in (f_geometry, g_geometry))
+    unit_f, unit_g = (replace(geo, weights=(1.0,) * geo.size) for geo in (f_geometry, g_geometry))
     ys = states.tolist()
     hf = np.array([_weighted_bases(unit_f, y) for y in ys])
     hg = np.array([_weighted_bases(unit_g, y) for y in ys]) * inputs[:, None]
