@@ -3,7 +3,7 @@
 
     python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--limit N]
 
-Each checkout runs the same 678 units in a subprocess of its own, importing
+Each checkout runs the same 685 units in a subprocess of its own, importing
 ``dualctl`` from its ``src`` and reading its own ``configs``.  A unit is one
 ``run_experiment`` call with full posteriors:
 
@@ -15,6 +15,9 @@ Each checkout runs the same 678 units in a subprocess of its own, importing
 - a case3-eps005 copy with the full initial covariance, seeds 0-9 with
   ``mc_randomize``: its posterior locks, so the general covariance rescale
   runs with most candidates saturated at the cap;
+- case1 copies with a zero initial covariance: noise variance 1e-10, seeds
+  0-4, where every Bayes step takes the log domain, and noise variance 0,
+  seeds 0-1, which fail on the zero prediction variance at iteration 2;
 - the optimal controller on case1, case2 and case4 0-4.
 
 Every ``RunTrace`` field except ``wall_time`` is compared by the sha256 of its
@@ -38,8 +41,15 @@ import sys
 import tempfile
 
 FULL_COVARIANCE = ((0.04, 0.01, -0.005), (0.01, 0.09, 0.02), (-0.005, 0.02, 0.01))
+ZERO_COVARIANCE = ((0.0,) * 3,) * 3
+# Variant name -> (initial covariance, plant noise variance or None to keep it).
+VARIANTS = {
+    "fullcov": (FULL_COVARIANCE, None),
+    "zerocov/noise1e-10": (ZERO_COVARIANCE, 1e-10),
+    "zerocov/noise0": (ZERO_COVARIANCE, 0.0),
+}
 # (config stem, controller, seeds, randomize with the config's mc_randomize,
-# replace the initial covariance with FULL_COVARIANCE)
+# variant name or False for the config as it is)
 GROUPS = (
     ("case3-eps005", "proposed", range(400), True, False),
     ("case3-eps02", "proposed", range(100), True, False),
@@ -49,8 +59,10 @@ GROUPS = (
     ("case1", "proposed", range(5), False, False),
     ("case2", "proposed", range(5), False, False),
     ("case1", "proposed", range(5), True, False),
-    ("case1", "proposed", range(5), False, True),
-    ("case3-eps005", "proposed", range(10), True, True),
+    ("case1", "proposed", range(5), False, "fullcov"),
+    ("case3-eps005", "proposed", range(10), True, "fullcov"),
+    ("case1", "proposed", range(5), False, "zerocov/noise1e-10"),
+    ("case1", "proposed", range(2), False, "zerocov/noise0"),
     ("case1", "optimal", range(5), False, False),
     ("case2", "optimal", range(5), False, False),
     ("case4", "optimal", range(5), False, False),
@@ -61,18 +73,18 @@ SKIPPED_FIELDS = ("wall_time",)
 
 
 def units() -> list[tuple]:
-    """Every unit as ``(config stem, controller, seed, randomize, full covariance)``."""
+    """Every unit as ``(config stem, controller, seed, randomize, variant)``."""
     return [
-        (stem, controller, seed, randomize, full)
-        for stem, controller, seeds, randomize, full in GROUPS
+        (stem, controller, seed, randomize, variant)
+        for stem, controller, seeds, randomize, variant in GROUPS
         for seed in seeds
     ]
 
 
 def unit_key(unit) -> str:
-    stem, controller, seed, randomize, full = unit
-    flags = "".join(f"/{flag}" for flag, on in (("mc", randomize), ("fullcov", full)) if on)
-    return f"{stem}/{controller}/{seed}{flags}"
+    stem, controller, seed, randomize, variant = unit
+    key = f"{stem}/{controller}/{seed}" + ("/mc" if randomize else "")
+    return key + (f"/{variant}" if variant else "")
 
 
 def digest(trace) -> dict[str, str]:
@@ -88,12 +100,17 @@ def run_unit(root: str, unit, configs: dict) -> dict:
     """The digest of one unit's trace, or its failure's iteration and message."""
     from dualctl import RunError, parse_config, run_experiment
 
-    stem, controller, seed, randomize, full = unit
+    stem, controller, seed, randomize, variant = unit
     if stem not in configs:
         configs[stem] = parse_config(os.path.join(root, "configs", f"{stem}.yaml"))
     cfg = configs[stem]
-    if full:
-        cfg = dataclasses.replace(cfg, initial_covariance=FULL_COVARIANCE)
+    if variant:
+        covariance, noise = VARIANTS[variant]
+        cfg = dataclasses.replace(cfg, initial_covariance=covariance)
+        if noise is not None:
+            cfg = dataclasses.replace(
+                cfg, plant=dataclasses.replace(cfg.plant, noise_variance=noise)
+            )
     try:
         trace = run_experiment(
             cfg,

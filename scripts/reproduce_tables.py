@@ -13,7 +13,7 @@ count is meaningful.
 import argparse
 import os
 
-from dualctl import batch_metrics, monte_carlo, parse_config, run_experiment, run_metrics, write_trace
+from dualctl import monte_carlo, parse_config, run_experiment, run_metrics, write_trace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
@@ -57,14 +57,14 @@ def run_sweep(title: str, sweep, runs: int, jobs: int) -> None:
     for eps, name in sweep:
         cfg = _config(name)
         result = monte_carlo(cfg, runs=runs, jobs=jobs)
-        m = batch_metrics(result.traces)
+        m = result.metrics
         note = f"  ({len(result.failures)} run(s) diverged and were excluded)" if result.failures else ""
         print(
             f"  {eps:>6}  {cfg.build_grid().size:>10}  {m.j_m:>9.5f}  "
             f"{m.j_std:>9.5f}  {m.median_wall_time:>15.3f}{note}"
         )
     finest = _config(sweep[0][1])
-    baseline = batch_metrics(monte_carlo(finest, runs=runs, controller="optimal", jobs=jobs).traces)
+    baseline = monte_carlo(finest, runs=runs, controller="optimal", jobs=jobs).metrics
     print(f"  optimal-control baseline (true disturbances known): J_M {baseline.j_m:.5f}")
     print()
 

@@ -204,7 +204,7 @@ def _reference(raw, path) -> ReferenceSpec:
                 kind=kind,
                 values=tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
             )
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # from ReferenceSpec; the ConfigErrors name their field
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
 

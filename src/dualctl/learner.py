@@ -37,12 +37,10 @@ off-diagonal lists; any other P0 runs the general loops over all nine entry
 lists. In both rescale paths a candidate at the covariance cap whose floored
 posterior is at most ``eta`` has factor exactly 1, so it costs one comparison
 and is left as it is; once the posterior locks, most candidates are such.
-The linear-domain pass of :func:`bayes_step` keeps only each floored prior
-times density, then normalizes with the same fsum and division as
-:func:`update_posteriors`; the residuals and variances that the rare
-log-domain update needs come from :func:`prediction_errors`. A NaN
-normalizing total is a :class:`StateError` that names the first candidate
-whose density is NaN.
+The diagonal pass of :func:`bayes_step` keeps only each floored prior times
+density and normalizes with the same fsum and division as
+:func:`update_posteriors`; every other case (a cross entry in P0, the rare
+log domain, underflow and every error) is one exact :func:`_general_step`.
 """
 
 from __future__ import annotations
@@ -305,43 +303,6 @@ def _cross_terms(p0, a: float, b: float, c: float) -> float:
     )
 
 
-def _quadratic_forms(state: LearnerState, a: float, b: float, c: float) -> list[float]:
-    """``phi' P_t phi`` of every candidate for the regressor ``phi = (a, b, c)``.
-
-    With signed-zero cross entries each cross term is a signed zero or NaN, so
-    this equals the diagonal pass of :func:`bayes_step` bit for bit.
-    """
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
-    # Keep this term order: traces are bit-exact to the per-matrix form.
-    return [
-        q00 * a * a
-        + q11 * b * b
-        + q22 * c * c
-        + (q01 + q10) * a * b
-        + (q02 + q20) * a * c
-        + (q12 + q21) * b * c
-        for q00, q01, q02, q10, q11, q12, q20, q21, q22 in zip(
-            p00, p01, p02, p10, p11, p12, p20, p21, p22
-        )
-    ]
-
-
-def _rejected(quads, noise: float) -> StateError | None:
-    """The error of the first candidate whose prediction variance is unusable."""
-    for t, quad in enumerate(quads):
-        if quad < 0.0:
-            return StateError(
-                f"covariance {t} is indefinite along the regressor (phi'P phi = {quad})"
-            )
-        var = quad + noise
-        if not var > 0.0:
-            return StateError(
-                f"prediction variance of candidate {t} is {var}; it must be > 0 "
-                "(zero noise with a covariance that vanishes along the regressor)"
-            )
-    return None
-
-
 def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -> tuple[
     list[float], list[float]
 ]:
@@ -349,33 +310,86 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
 
     With ``regressor = (a, b, c)``, candidate ``t`` predicts ``theta_t . phi``
     with variance ``phi' P_t phi + sigma^2``; its residual is the observed
-    output minus that prediction.  Raises the same :class:`StateError` as
-    :func:`bayes_step` for an unusable variance.
+    output minus that prediction.  The quadratic form is the per-matrix one;
+    with signed-zero cross entries each cross term is a signed zero or NaN,
+    so it equals the diagonal pass of :func:`bayes_step` bit for bit.  Raises
+    :class:`StateError` for the first candidate with an unusable variance.
     """
     a, b, c = regressor
     noise = state.noise_variance
-    quads = _quadratic_forms(state, a, b, c)
-    error = _rejected(quads, noise)
-    if error is not None:
-        raise error
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
+    variances = []
+    for t, (q00, q01, q02, q10, q11, q12, q20, q21, q22) in enumerate(
+        zip(p00, p01, p02, p10, p11, p12, p20, p21, p22)
+    ):
+        # Keep this term order: traces are bit-exact to the per-matrix form.
+        quad = (
+            q00 * a * a
+            + q11 * b * b
+            + q22 * c * c
+            + (q01 + q10) * a * b
+            + (q02 + q20) * a * c
+            + (q12 + q21) * b * c
+        )
+        if quad < 0.0:
+            raise StateError(
+                f"covariance {t} is indefinite along the regressor (phi'P phi = {quad})"
+            )
+        var = quad + noise
+        if not var > 0.0:
+            raise StateError(
+                f"prediction variance of candidate {t} is {var}; it must be > 0 "
+                "(zero noise with a covariance that vanishes along the regressor)"
+            )
+        variances.append(var)
     residuals = [observed - (t0 * a + t1 * b + t2 * c) for t0, t1, t2 in thetas]
-    return residuals, [quad + noise for quad in quads]
+    return residuals, variances
 
 
-def _not_a_number(state: LearnerState, regressor, observed: float, thetas) -> StateError:
-    """The error of the first candidate whose Gaussian density is NaN.
+def _general_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
+    """The exact Bayes update for any P0 and every case the diagonal pass hands off.
 
-    The density and the log-density are NaN exactly when ``r * r / (2 var)``
-    is: an infinite ``r * r`` over an infinite ``2 var``, or a NaN residual.
+    When every density is at least ``LOG_DOMAIN_TRIGGER`` and the floored
+    products do not all underflow, they are normalized by their fsum.
+    Otherwise each floored log prior is added to the Gaussian log-density and
+    shifted by the max before exponentiating.  An infinite max is a
+    :class:`StateError`, and so is a NaN density (``r * r / (2 var)`` is NaN
+    for an infinite ``r * r`` over an infinite ``2 var``, or a NaN residual).
+    Past both checks the max is finite, so the weights sum to at least 1.
     """
     residuals, variances = prediction_errors(state, regressor, observed, thetas)
+    exp = math.exp
+    sqrt = math.sqrt
+    densities = [
+        exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
+        for r, var in zip(residuals, variances)
+    ]
+    if all(d >= LOG_DOMAIN_TRIGGER for d in densities):
+        products = [
+            (POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d
+            for p, d in zip(state.posteriors, densities)
+        ]
+        total = math.fsum(products)
+        if total > 0.0:
+            return _normalized(state, products, total)
+    log = math.log
+    logs = [
+        log(max(p, POSTERIOR_FLOOR)) + (-0.5 * (_LOG_2PI + log(v)) - (r * r) / (2.0 * v))
+        for p, r, v in zip(state.posteriors, residuals, variances)
+    ]
+    # max() passes over a NaN log-posterior behind the first entry, so an
+    # infinite max is reported as such even where a later density is NaN.
+    m = max(logs)
+    if math.isinf(m):
+        raise StateError(f"log-posteriors are not finite (max {m})")
     for t, (r, var) in enumerate(zip(residuals, variances)):
         if math.isnan((r * r) / (2.0 * var)):
-            return StateError(
+            raise StateError(
                 f"density of candidate {t} is not a number (residual {r}, prediction "
                 f"variance {var}); the residual and the variance must be finite"
             )
-    return StateError("posteriors are not a number")
+    weights = [exp(v - m) for v in logs]
+    return _normalized(state, weights, math.fsum(weights))
 
 
 def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
@@ -384,84 +398,49 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
     Per candidate, with ``regressor = (a, b, c) = (fhat, ghat*u, 1)``: the
     residual of the one-step prediction ``theta . phi`` against the observed
     output, the prediction variance ``phi' P_t phi + sigma^2`` and the
-    Gaussian density of the residual.  Then the Bayes update, switching to the
-    log domain whenever any density drops below ``LOG_DOMAIN_TRIGGER`` or the
-    linear-domain products all underflow.  Returns the new state.
+    Gaussian density of the residual.  Then the Bayes update.  Returns the
+    new state.
 
-    The linear-domain pass keeps only each floored prior times density; the
-    residual and variance of a candidate stay local to it.  The log-domain
-    update takes them from :func:`prediction_errors`, adds each log prior
-    (floored) to the Gaussian log-density, shifts by the max before
-    exponentiating and normalizes.
+    With a diagonal P0 one pass forms each quadratic form from three entries
+    in place and keeps only each floored prior times density; the residual
+    and variance of a candidate stay local to it.  The products are
+    normalized with the same fsum and division as :func:`update_posteriors`.
+    Every other case is :func:`_general_step`, which redoes the step
+    exactly: a P0 with a cross entry, an unusable variance, a density below
+    ``LOG_DOMAIN_TRIGGER`` (the log domain) and a product total that is not
+    positive (every product underflowed, or one is NaN).
 
     Raises :class:`StateError` when a covariance is indefinite along the
     regressor, a prediction variance is not positive (zero noise with a
     covariance that vanishes along the regressor), no log-posterior is finite
-    or the normalizing total is NaN (an infinite squared residual over an
-    infinite variance, or a NaN observed output).
+    or a density is NaN (an infinite squared residual over an infinite
+    variance, or a NaN observed output).
     """
     if len(thetas) != len(state.posteriors):
         raise ValueError(
             f"got {len(thetas)} candidates for a state with {len(state.posteriors)}"
         )
+    if not state.diagonal:
+        return _general_step(state, regressor, observed, thetas)
     a, b, c = regressor
     noise = state.noise_variance
     exp = math.exp
     sqrt = math.sqrt
     products = []
     add_product = products.append
-    use_log = False
-    # Two copies of one pass: the diagonal one forms each quadratic form from
-    # three entries in place, the general one reads the nine-entry forms.
-    if state.diagonal:
-        (p00, _, _), (_, p11, _), (_, _, p22) = state.covariances
-        off = _cross_terms(state.initial_covariance, a, b, c)
-        for (t0, t1, t2), q00, q11, q22, p in zip(thetas, p00, p11, p22, state.posteriors):
-            quad = q00 * a * a + q11 * b * b + q22 * c * c + off
-            var = quad + noise
-            if quad < 0.0 or not var > 0.0:
-                raise _rejected(_quadratic_forms(state, a, b, c), noise)
-            r = observed - (t0 * a + t1 * b + t2 * c)
-            d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
-            add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
-            if d < LOG_DOMAIN_TRIGGER:
-                use_log = True
-    else:
-        quads = _quadratic_forms(state, a, b, c)
-        for (t0, t1, t2), quad, p in zip(thetas, quads, state.posteriors):
-            var = quad + noise
-            if quad < 0.0 or not var > 0.0:
-                raise _rejected(quads, noise)
-            r = observed - (t0 * a + t1 * b + t2 * c)
-            d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
-            add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
-            if d < LOG_DOMAIN_TRIGGER:
-                use_log = True
-    if not use_log:
-        # Each density is exp(<= 0) / sqrt(> 0), so finite and >= 0, unless
-        # its exponent is NaN (an infinite r * r over an infinite 2 * var, or
-        # a NaN observation); then the total is NaN.
-        total = math.fsum(products)
-        if total > 0.0:
-            return _normalized(state, products, total)
-        if total != total:
-            raise _not_a_number(state, regressor, observed, thetas)
-        # Every product underflowed: redo the step in the log domain.
-    residuals, variances = prediction_errors(state, regressor, observed, thetas)
-    log = math.log
-    logs = [
-        log(max(p, POSTERIOR_FLOOR)) + (-0.5 * (_LOG_2PI + log(v)) - (r * r) / (2.0 * v))
-        for p, r, v in zip(state.posteriors, residuals, variances)
-    ]
-    m = max(logs)
-    # max() returns a NaN log-posterior that comes first and passes over a
-    # later one, which then makes the total NaN.
-    if m != m:
-        raise _not_a_number(state, regressor, observed, thetas)
-    if not math.isfinite(m):
-        raise StateError(f"log-posteriors are not finite (max {m})")
-    weights = [exp(v - m) for v in logs]
-    total = math.fsum(weights)
-    if total != total:
-        raise _not_a_number(state, regressor, observed, thetas)
-    return _normalized(state, weights, total)
+    (p00, _, _), (_, p11, _), (_, _, p22) = state.covariances
+    off = _cross_terms(state.initial_covariance, a, b, c)
+    for (t0, t1, t2), q00, q11, q22, p in zip(thetas, p00, p11, p22, state.posteriors):
+        quad = q00 * a * a + q11 * b * b + q22 * c * c + off
+        var = quad + noise
+        if quad < 0.0 or not var > 0.0:
+            return _general_step(state, regressor, observed, thetas)
+        r = observed - (t0 * a + t1 * b + t2 * c)
+        d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
+        if d < LOG_DOMAIN_TRIGGER:
+            return _general_step(state, regressor, observed, thetas)
+        add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
+    total = math.fsum(products)
+    if total > 0.0:
+        return _normalized(state, products, total)
+    return _general_step(state, regressor, observed, thetas)

@@ -134,8 +134,36 @@ def test_schedule_start_beyond_horizon_is_rejected():
         (("reference", "span"), 600.9, "config.reference: span: expected a whole number, got 600.9"),
         (("schema_version",), True, "config.schema_version: expected int, got bool"),
         (("seed",), False, "config.seed: expected int, got bool"),
+        # Errors that already name their field are not prefixed a second time.
+        (
+            ("reference",),
+            {"kind": "square", "segments": [[1, 1.0], [1, -1.0]]},
+            "config.reference.segments: segment starting at k=1 overlaps or reorders the one "
+            "at k=1",
+        ),
+        (
+            ("reference",),
+            {"kind": "cosine", "half_cycles": "x", "span": 600},
+            "config.reference.half_cycles: expected a number, got str",
+        ),
+        (
+            ("reference",),
+            {"kind": "user_table", "values": [1, "a"]},
+            "config.reference.values[1]: expected a number, got str",
+        ),
+        (("reference",), {"kind": "square"}, "config.reference.segments: missing required field"),
     ],
-    ids=["schedule-start", "square-segment-start", "span", "schema-version-bool", "seed-bool"],
+    ids=[
+        "schedule-start",
+        "square-segment-start",
+        "span",
+        "schema-version-bool",
+        "seed-bool",
+        "square-overlap",
+        "cosine-half-cycles-str",
+        "user-table-str",
+        "square-no-segments",
+    ],
 )
 def test_integer_fields_reject_fractions_and_booleans(keys, value, message):
     raw = _template()
@@ -146,7 +174,7 @@ def test_integer_fields_reject_fractions_and_booleans(keys, value, message):
     node[key] = value
     with pytest.raises(ConfigError) as info:
         config_from_dict(raw, base_dir="configs")
-    assert message in str(info.value)
+    assert str(info.value) == message
 
 
 def test_whole_number_floats_are_integer_fields():

@@ -153,6 +153,10 @@ def test_blend_validates_lengths_and_finiteness():
         _blend([0.5, 0.5], [1.0])
     with pytest.raises(SimulationError):
         _blend([1.0], [math.inf])
+    # math.fsum raises on inf - inf and on an overflowing partial sum.
+    for posteriors, inputs in (([0.5, 0.5], [-math.inf, math.inf]), ([1.0, 1.0], [1e308, 1e308])):
+        with pytest.raises(SimulationError, match="blended input is not finite"):
+            _blend(posteriors, inputs)
 
 
 def test_optimal_control_inverts_known_dynamics():

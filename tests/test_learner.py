@@ -103,9 +103,16 @@ def test_gaussian_likelihood_matches_closed_form():
 def test_likelihood_rejects_nonpositive_variance():
     # Zero noise and a covariance that vanishes along the regressor leave no
     # Gaussian likelihood: a typed StateError, never a bare ValueError.
+    thetas = [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1)]
     state = make_state(2, 0.0, ZERO)
     with pytest.raises(StateError, match="prediction variance of candidate 0"):
-        bayes_step(state, (0.5, 1.0, 1.0), 0.1, [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1)])
+        bayes_step(state, (0.5, 1.0, 1.0), 0.1, thetas)
+    # Candidate 0's density underflows before candidate 1's zero variance is
+    # reached; the step that takes over must still reject candidate 1.
+    for p0 in (EYE, COV):
+        state, _ = oracle.scaled_state(p0, [1.0, 0.0], [0.5, 0.5], 0.0)
+        with pytest.raises(StateError, match=r"^prediction variance of candidate 1 is 0\.0;"):
+            bayes_step(state, (0.5, 1.0, 1.0), 1e3, thetas)
 
 
 def test_prediction_variance_is_quadratic_form_plus_noise():
@@ -703,6 +710,22 @@ def test_bayes_step_rejects_a_nan_density(p0, thetas, scales, regressor, observe
     with pytest.raises(StateError, match=f"density of candidate {candidate} is not a number"):
         bayes_step(state, regressor, observed, thetas)
     assert state == before
+
+
+@pytest.mark.parametrize("p0", [EYE, COV], ids=["diagonal", "cross"])
+def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
+    # One candidate's log-posterior is -inf (r * r overflows over the noise),
+    # the other's is NaN (an infinite r * r over an infinite variance).  max()
+    # keeps a -inf that comes first, so the order decides which error is raised.
+    regressor, observed = (1e200, 1e200, 1.0), 1e200
+    cases = [
+        ([0.0, 1.0], [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], r"log-posteriors are not finite \(max"),
+        ([1.0, 0.0], [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0)], "density of candidate 0 is not a number"),
+    ]
+    for scales, thetas, message in cases:
+        state, _ = oracle.scaled_state(p0, scales, [0.5, 0.5], 0.01)
+        with pytest.raises(StateError, match=f"^{message}"):
+            bayes_step(state, regressor, observed, thetas)
 
 
 def test_make_state_sets_the_diagonal_flag_and_validate_checks_it():
