@@ -3,7 +3,7 @@
 
     python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--limit N]
 
-Each checkout runs the same 685 units in a subprocess of its own, importing
+Each checkout runs the same 695 units in a subprocess of its own, importing
 ``dualctl`` from its ``src`` and reading its own ``configs``.  A unit is one
 ``run_experiment`` call with full posteriors:
 
@@ -15,6 +15,9 @@ Each checkout runs the same 685 units in a subprocess of its own, importing
 - a case3-eps005 copy with the full initial covariance, seeds 0-9 with
   ``mc_randomize``: its posterior locks, so the general covariance rescale
   runs with most candidates saturated at the cap;
+- case1 and case3-eps005 copies with the identity initial covariance whose
+  every cross entry is ``-0.0``, seeds 0-4 with ``mc_randomize``: a diagonal
+  state whose cross entries are negative zeros;
 - case1 copies with a zero initial covariance: noise variance 1e-10, seeds
   0-4, where every Bayes step takes the log domain, and noise variance 0,
   seeds 0-1, which fail on the zero prediction variance at iteration 2;
@@ -42,11 +45,13 @@ import tempfile
 
 FULL_COVARIANCE = ((0.04, 0.01, -0.005), (0.01, 0.09, 0.02), (-0.005, 0.02, 0.01))
 ZERO_COVARIANCE = ((0.0,) * 3,) * 3
+NEGATIVE_ZERO_CROSS = ((1.0, -0.0, -0.0), (-0.0, 1.0, -0.0), (-0.0, -0.0, 1.0))
 # Variant name -> (initial covariance, plant noise variance or None to keep it).
 VARIANTS = {
     "fullcov": (FULL_COVARIANCE, None),
     "zerocov/noise1e-10": (ZERO_COVARIANCE, 1e-10),
     "zerocov/noise0": (ZERO_COVARIANCE, 0.0),
+    "negzero": (NEGATIVE_ZERO_CROSS, None),
 }
 # (config stem, controller, seeds, randomize with the config's mc_randomize,
 # variant name or False for the config as it is)
@@ -61,6 +66,8 @@ GROUPS = (
     ("case1", "proposed", range(5), True, False),
     ("case1", "proposed", range(5), False, "fullcov"),
     ("case3-eps005", "proposed", range(10), True, "fullcov"),
+    ("case1", "proposed", range(5), True, "negzero"),
+    ("case3-eps005", "proposed", range(5), True, "negzero"),
     ("case1", "proposed", range(5), False, "zerocov/noise1e-10"),
     ("case1", "proposed", range(2), False, "zerocov/noise0"),
     ("case1", "optimal", range(5), False, False),

@@ -104,14 +104,15 @@ def blended_control(
     ``(1 - lambda) * (f_hat * P_ab + P_gb) * g_hat`` is a signed zero, which
     leaves a nonzero numerator unchanged, so one pass evaluates each law
     without it and keeps only ``pi_t * u_t``.  A zero input (whose sign that
-    term would set), a singular denominator, non-finite network outputs or a
-    P0 with cross entries run :func:`candidate_control_terms` instead.
+    term would set), a singular denominator or a P0 with cross entries run
+    :func:`candidate_control_terms` instead.  A non-finite network output
+    gives a non-finite blend on both paths, the same :class:`SimulationError`.
     """
     posteriors = state.posteriors
     if len(posteriors) != len(thetas):
         raise ValueError(f"got {len(thetas)} candidates for {len(posteriors)} posteriors")
     caution_g = (1.0 - dual_lambda) * g_hat
-    if state.diagonal and math.isfinite(f_hat) and math.isfinite(caution_g):
+    if state.diagonal:
         terms = []
         add_term = terms.append
         for (t0, t1, t2), p, pi in zip(thetas, state.covariances[1][1], posteriors):

@@ -48,5 +48,5 @@ class ConfigError(DualctlError):
 class PosteriorUnderflowError(DualctlError):
     """Every posterior-likelihood product underflowed to zero in linear space.
 
-    Recoverable: ``bayes_step`` redoes the update in the log domain.
+    For callers of ``update_posteriors``; ``bayes_step`` does not call it.
     """

@@ -173,10 +173,10 @@ def run_experiment(
     target = reference_at(spec, 2)
     try:
         u_opt = optimal_input(theta, y, target)
+        f_hat, g_hat = eval_network(net, y)
     except DualctlError as exc:
         raise RunError(f"iteration failed: {exc}", iteration=1) from exc
     u = u_opt if controller == "optimal" else cfg.initial_control
-    f_hat, g_hat = eval_network(net, y)
 
     rows = [(1, y_r, y, u, u_opt, y, y - y_r, 1, state.eta, 0, *theta)]
     pi_rows = [list(state.posteriors)] if collect_posteriors else None

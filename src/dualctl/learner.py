@@ -25,22 +25,20 @@ its largest ``|entry|`` stays at the position of P0's largest ``|entry|``.
 initial covariance P0 is zero and no diagonal entry is negative (``-0.0`` is
 not). Each stage of an iteration (:func:`bayes_step`,
 :func:`update_covariance`, the control law) is one call that loops over the
-candidates and does, per candidate, the same floating-point operations in
-the same order as a per-matrix implementation, so results are bit-identical
-to it, and each returns only what the run loop reads. Entries that are zero
-in P0 stay exactly P0's value (every rescale factor is finite and positive),
-and :meth:`LearnerState.validate` checks it. With a diagonal P0, as in all
-covariance presets, :func:`bayes_step` adds the off-diagonal terms as one sum
-per call, the control law skips them, and :func:`update_covariance` copies
-the three diagonal lists and rescales them in place, sharing the six
-off-diagonal lists; any other P0 runs the general loops over all nine entry
-lists. In both rescale paths a candidate at the covariance cap whose floored
-posterior is at most ``eta`` has factor exactly 1, so it costs one comparison
-and is left as it is; once the posterior locks, most candidates are such.
-The diagonal pass of :func:`bayes_step` keeps only each floored prior times
-density and normalizes with the same fsum and division as
-:func:`update_posteriors`; every other case (a cross entry in P0, the rare
-log domain, underflow and every error) is one exact :func:`_general_step`.
+candidates, gives bit for bit what a per-matrix implementation gives, and
+returns only what the run loop reads. Entries that are zero in P0 stay
+exactly P0's value (every rescale factor is finite and positive), and
+:meth:`LearnerState.validate` checks it. With a diagonal P0, as in all
+covariance presets, :func:`bayes_step` reads only the three diagonal lists
+and hands every other case (a cross entry in P0, the rare log domain,
+underflow and every error) to one exact :func:`_general_step`; the control
+law reads only the (1, 1) list; :func:`update_covariance` copies the three
+diagonal lists and rescales them in place, sharing the six off-diagonal
+lists. Any other P0 runs the general loops over all nine entry lists. In
+both rescale paths a candidate at the covariance cap whose floored
+posterior is at most ``eta`` has factor exactly 1, so it costs one
+comparison and is left as it is; once the posterior locks, most candidates
+are such.
 """
 
 from __future__ import annotations
@@ -167,7 +165,7 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
     """One Bayes step: normalized elementwise product of priors and likelihoods.
 
     Raises :class:`PosteriorUnderflowError` when every product underflows to
-    zero; :func:`bayes_step` then redoes the step in the log domain.
+    zero; :func:`bayes_step` never calls this and runs the log domain itself.
     """
     if len(likelihoods) != len(state.posteriors):
         raise ValueError(
@@ -290,19 +288,6 @@ def reset(state: LearnerState) -> LearnerState:
     return _successor(state, [1.0 / size] * size, _initial_layout(state.initial_covariance, size))
 
 
-def _cross_terms(p0, a: float, b: float, c: float) -> float:
-    """The off-diagonal part of ``phi' P_t phi`` when every cross entry is P0's zero.
-
-    Each term is a signed zero or NaN, which makes ``q + off`` equal to adding
-    them one by one.
-    """
-    return (
-        (p0[0][1] + p0[1][0]) * a * b
-        + (p0[0][2] + p0[2][0]) * a * c
-        + (p0[1][2] + p0[2][1]) * b * c
-    )
-
-
 def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -> tuple[
     list[float], list[float]
 ]:
@@ -311,9 +296,9 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
     With ``regressor = (a, b, c)``, candidate ``t`` predicts ``theta_t . phi``
     with variance ``phi' P_t phi + sigma^2``; its residual is the observed
     output minus that prediction.  The quadratic form is the per-matrix one;
-    with signed-zero cross entries each cross term is a signed zero or NaN,
-    so it equals the diagonal pass of :func:`bayes_step` bit for bit.  Raises
-    :class:`StateError` for the first candidate with an unusable variance.
+    with zero cross entries and a finite regressor its cross terms are signed
+    zeros, so it matches each variance :func:`bayes_step`'s diagonal pass
+    accepts.  Raises :class:`StateError` for the first unusable variance.
     """
     a, b, c = regressor
     noise = state.noise_variance
@@ -401,14 +386,15 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
     Gaussian density of the residual.  Then the Bayes update.  Returns the
     new state.
 
-    With a diagonal P0 one pass forms each quadratic form from three entries
-    in place and keeps only each floored prior times density; the residual
-    and variance of a candidate stay local to it.  The products are
-    normalized with the same fsum and division as :func:`update_posteriors`.
-    Every other case is :func:`_general_step`, which redoes the step
-    exactly: a P0 with a cross entry, an unusable variance, a density below
-    ``LOG_DOMAIN_TRIGGER`` (the log domain) and a product total that is not
-    positive (every product underflowed, or one is NaN).
+    With a diagonal P0 one pass forms each quadratic form from the three
+    diagonal entries in place (cross terms are signed zeros for a finite
+    regressor, and no diagonal term is negative), keeps only each floored
+    prior times density and normalizes with the same fsum and division as
+    :func:`update_posteriors`.  Every other case is :func:`_general_step`,
+    which redoes the step exactly: a P0 with a cross entry, a variance that
+    is not positive, a density below ``LOG_DOMAIN_TRIGGER`` (the log domain)
+    and a product total that is not positive (every product underflowed, or
+    one is NaN, as for any non-finite regressor).
 
     Raises :class:`StateError` when a covariance is indefinite along the
     regressor, a prediction variance is not positive (zero noise with a
@@ -429,11 +415,9 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
     products = []
     add_product = products.append
     (p00, _, _), (_, p11, _), (_, _, p22) = state.covariances
-    off = _cross_terms(state.initial_covariance, a, b, c)
     for (t0, t1, t2), q00, q11, q22, p in zip(thetas, p00, p11, p22, state.posteriors):
-        quad = q00 * a * a + q11 * b * b + q22 * c * c + off
-        var = quad + noise
-        if quad < 0.0 or not var > 0.0:
+        var = q00 * a * a + q11 * b * b + q22 * c * c + noise
+        if not var > 0.0:
             return _general_step(state, regressor, observed, thetas)
         r = observed - (t0 * a + t1 * b + t2 * c)
         d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, SimulationError
 
 FORMAT_TAG = "rbfnet"
 FORMAT_VERSION = "v1"
@@ -99,9 +99,13 @@ class RbfNetwork:
 
 
 def eval_network(net: RbfNetwork, y: float) -> tuple[float, float]:
-    """Return ``(fhat(y), ghat(y))``, each summed with ``math.fsum``."""
+    """Return ``(fhat(y), ghat(y))``, each summed with ``math.fsum``; a sum
+    beyond the float range is a :class:`SimulationError`."""
     fsum = math.fsum
-    return fsum(_weighted_bases(net.f_branch, y)), fsum(_weighted_bases(net.g_branch, y))
+    try:
+        return fsum(_weighted_bases(net.f_branch, y)), fsum(_weighted_bases(net.g_branch, y))
+    except OverflowError as exc:
+        raise SimulationError(f"network output overflows at y={y!r}") from exc
 
 
 def geometry(centers, widths) -> RbfBranch:

@@ -59,6 +59,20 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_overflowing_network_output_exits_with_an_error(tmp_path, capsys):
+    net = tmp_path / "overflow.rbfnet"
+    net.write_text(
+        "rbfnet v1\nstate_dim 1\nbranch f 2\nbasis 1.0 0.0\nbasis 1.0 0.1\n"
+        "weights 1e308 1e308\nbranch g 1\nbasis 1.0 0.0\nweights 1.0\n"
+    )
+    cfg = tmp_path / "case1.yaml"
+    with open("configs/case1.yaml") as fh:
+        cfg.write_text(fh.read().replace("networks/case1_affine.rbfnet", str(net)))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: iteration failed: network output overflows at y=0.0\n"
+
+
 def test_negative_seed_overrides_exit_with_a_config_error(capsys):
     assert main(["run", "--config", "configs/case1.yaml", "--seed", "-1"]) == 1
     assert "error: seed: expected a non-negative integer, got -1" in capsys.readouterr().err

@@ -184,9 +184,10 @@ def test_controller_config_validation():
 # ---------------------------------------------------------------------------
 # The weighted control pass: with a diagonal P0 blended_control evaluates each
 # law without its (signed-zero) caution term and keeps only pi_t * u_t; zero
-# inputs, singular denominators, non-finite network outputs and cross entries
-# fall back to candidate_control_terms.  Every path must give the per-matrix
-# law's blend bit for bit, errors included.
+# inputs, singular denominators and cross entries fall back to
+# candidate_control_terms, and a non-finite network output makes both blends
+# non-finite.  Every path must give the per-matrix law's blend bit for bit,
+# errors included.
 
 
 @given(
@@ -194,8 +195,8 @@ def test_controller_config_validation():
     size=st.integers(1, 10),
     cross=st.lists(st.sampled_from([0.0, -0.0, 0.0, 0.01, -0.3]), min_size=3, max_size=3),
     diagonal=st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.04, 1.0, 1e11]), min_size=3, max_size=3),
-    f_hat=st.sampled_from([0.0, -0.0, 0.3, -1.1, math.inf, math.nan]),
-    g_hat=st.sampled_from([0.6, -1.3, 2.0, 0.0, -math.inf]),
+    f_hat=st.sampled_from([0.0, -0.0, 0.3, -1.1, math.inf, -math.inf, math.nan]),
+    g_hat=st.sampled_from([0.6, -1.3, 2.0, 0.0, -math.inf, math.inf, math.nan]),
     dual_lambda=st.sampled_from([0.5, 0.9]),
     input_clamp=st.sampled_from([None, 0.05, 5.0]),
     zero_numerator=st.booleans(),

@@ -472,9 +472,9 @@ _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
     noise=st.sampled_from([0.0, -0.0, 1e-4, 0.01]),
     regressors=st.lists(
         st.tuples(
-            st.sampled_from([0.0, -0.0, 0.5, -1.5, math.inf]),
-            st.sampled_from([0.0, -0.0, 0.75, -2.0]),
-            st.sampled_from([1.0, 0.0, -0.0]),
+            st.sampled_from([0.0, -0.0, 0.5, -1.5, math.inf, -math.inf, math.nan]),
+            st.sampled_from([0.0, -0.0, 0.75, -2.0, math.inf, math.nan]),
+            st.sampled_from([1.0, 0.0, -0.0, math.nan]),
         ),
         min_size=1,
         max_size=8,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dualctl import (
     FitError,
     RbfNetwork,
+    SimulationError,
     branch,
     eval_network,
     geometry,
@@ -58,6 +59,16 @@ def test_network_matches_closed_form(w_f, w_g, x):
     )
     assert f_hat == pytest.approx(expected_f, abs=1e-12)
     assert g_hat == pytest.approx(w_g * math.exp(-(x**2) / 7.2), abs=1e-12)
+
+
+def test_an_overflowing_network_output_is_a_simulation_error():
+    # Both weights are finite, but their weighted sum is beyond the float range.
+    net = RbfNetwork(
+        f_branch=branch((0.0, 0.1), 1.0, (1e308, 1e308)),
+        g_branch=branch((0.0,), 1.0, (1.0,)),
+    )
+    with pytest.raises(SimulationError, match=r"network output overflows at y=0\.0"):
+        eval_network(net, 0.0)
 
 
 def test_offline_fit_recovers_generating_weights():
