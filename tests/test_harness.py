@@ -282,29 +282,16 @@ def test_monte_carlo_aborts_when_most_runs_fail(case1_cfg):
         monte_carlo(cfg, runs=5)
 
 
-OVERFLOWING_NETWORK = """rbfnet v1
-state_dim 1
-branch f 2
-basis 1.0 0.0
-basis 1.0 0.1
-weights 1e308 1e308
-branch g 1
-basis 1.0 0.0
-weights 1.0
-"""
-
-
-def _overflowing_network(cfg, tmp_path):
-    # Finite weights validate, but fhat overflows the float range near y = 0.
-    path = tmp_path / "overflow.rbfnet"
-    path.write_text(OVERFLOWING_NETWORK)
-    raw = config_to_dict(cfg)
-    raw["network"] = str(path)
-    return config_from_dict(raw, base_dir="configs")
-
-
 def test_an_overflowing_network_output_is_a_typed_run_error(case1_cfg, tmp_path):
-    cfg = _overflowing_network(_short(case1_cfg), tmp_path)
+    # Finite weights validate, but fhat overflows the float range near y = 0.
+    net = tmp_path / "overflow.rbfnet"
+    net.write_text(
+        "rbfnet v1\nstate_dim 1\nbranch f 2\nbasis 1.0 0.0\nbasis 1.0 0.1\n"
+        "weights 1e308 1e308\nbranch g 1\nbasis 1.0 0.0\nweights 1.0\n"
+    )
+    raw = config_to_dict(_short(case1_cfg))
+    raw["network"] = str(net)
+    cfg = config_from_dict(raw, base_dir="configs")
     with pytest.raises(RunError, match="network output overflows at y=0.0") as err:
         run_experiment(cfg, seed=0)
     assert err.value.iteration == 1
