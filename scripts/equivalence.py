@@ -26,9 +26,10 @@ Each checkout runs the same 695 units in a subprocess of its own, importing
 Every ``RunTrace`` field except ``wall_time`` is compared by the sha256 of its
 ``repr``, so signed zeros and the last bit count.  A failed run is compared by
 the iteration and message of its ``RunError``.  The script also prints the
-sha256 of the ``write_trace`` file of case1 seed 0 (``mc_randomize``) and of
-case4 seed 0, both with full posteriors, for each side.  It exits 0 when every
-unit and both files match, 1 otherwise.  ``--limit N`` runs the first N units
+sha256 of the ``write_trace`` output of case1 seed 0 (``mc_randomize``) and of
+case4 seed 0, both with full posteriors, for each side: the CSV's bytes
+followed by those of its posterior sidecar, so the posterior bytes are covered
+too.  It exits 0 when every unit and both sums match, 1 otherwise.  ``--limit N`` runs the first N units
 only, for a quick check.
 """
 
@@ -132,7 +133,12 @@ def run_unit(root: str, unit, configs: dict) -> dict:
 
 
 def trace_file_sums(root: str) -> dict[str, str]:
-    """sha256 of the ``write_trace`` file of each of ``TRACE_FILES``."""
+    """sha256 of the files ``write_trace`` makes for each of ``TRACE_FILES``.
+
+    Each trace is written alone into a fresh directory, and the digest covers
+    the bytes of every file there in name order: the CSV, then the posterior
+    sidecar ``trace.csv.pi.npy`` where the checkout writes one.
+    """
     from dualctl import parse_config, run_experiment, write_trace
 
     sums = {}
@@ -145,12 +151,13 @@ def trace_file_sums(root: str) -> dict[str, str]:
                 collect_posteriors=True,
                 randomize=cfg.mc_randomize if randomize else (),
             )
-            path = os.path.join(tmp, "trace.csv")
-            write_trace(trace, path)
-            with open(path, "rb") as fh:
-                sums[f"{stem}/{seed}" + ("/mc" if randomize else "")] = hashlib.sha256(
-                    fh.read()
-                ).hexdigest()
+            out = tempfile.mkdtemp(dir=tmp)
+            write_trace(trace, os.path.join(out, "trace.csv"))
+            digest = hashlib.sha256()
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    digest.update(fh.read())
+            sums[f"{stem}/{seed}" + ("/mc" if randomize else "")] = digest.hexdigest()
     return sums
 
 

@@ -18,6 +18,7 @@ from .config import check_grid_size, parse_config
 from .errors import DualctlError
 from .grid import BoundedInterval, partition_interval
 from .harness import (
+    POSTERIOR_SUFFIX,
     _parse_cell,
     monte_carlo,
     run_experiment,
@@ -121,7 +122,8 @@ def _cmd_run(args) -> int:
     )
     if args.out:
         write_trace(trace, args.out)
-        print(f"wrote {args.out}")
+        sidecar = f" and {args.out}{POSTERIOR_SUFFIX}" if args.full_posteriors else ""
+        print(f"wrote {args.out}{sidecar}")
     return 0
 
 
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", help="write the trace CSV here")
     pr.add_argument(
         "--full-posteriors", action="store_true",
-        help="include per-candidate posterior columns in the trace",
+        help="also write every row's candidate posteriors to OUT.pi.npy (float64)",
     )
     pr.set_defaults(fn=_cmd_run)
 

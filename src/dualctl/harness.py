@@ -40,7 +40,10 @@ CONTROLLER_KINDS = ("proposed", "optimal")
 HOOK_EVENTS = ("posterior_update", "control", "reset_check", "covariance_update")
 
 TRACE_FORMAT_TAG = "dualctl-trace"
-TRACE_FORMAT_VERSION = "v1"
+# v1 files have no posteriors, or (read only) one pi_* column per candidate;
+# v2 files keep the posteriors in a float64 .npy sidecar.
+TRACE_FORMAT_VERSIONS = ("v1", "v2")
+POSTERIOR_SUFFIX = ".pi.npy"
 TRACE_COLUMNS = (
     "k", "y_r", "y", "u", "u_opt", "y_hat", "err",
     "argmax_t", "max_pi", "reset", "alpha_true", "beta_true", "gamma_true",
@@ -57,7 +60,7 @@ class RunTrace:
 
     argmax_t is 1-indexed to match candidate numbering in reports.  At a reset
     row, argmax_t/max_pi reflect the posterior state that triggered the reset;
-    the optional pi_* columns hold the state carried into the next iteration.
+    the optional posterior rows hold the state carried into the next iteration.
     u_opt is NaN on the rows of a proposed run where the true input gain is
     singular.
     """
@@ -166,7 +169,7 @@ def run_experiment(
     state = make_state(size, plant.noise_variance, cfg.initial_covariance)
 
     # Row 1: the given initial condition.  No prediction exists yet, so
-    # y_hat mirrors y and the posterior columns show the uniform start.
+    # y_hat mirrors y and the posterior rows show the uniform start.
     theta = disturbances[0]
     y = _bounded("initial output", cfg.initial_output, 1)
     y_r = reference_at(spec, 1)
@@ -259,39 +262,48 @@ def write_trace(trace: RunTrace, path) -> None:
     """Write a trace as CSV with '#'-prefixed metadata lines before the header.
 
     Floats are serialized with repr() so reading the file back reproduces the
-    exact values.
+    exact values.  A trace without posteriors is a ``v1`` file.  A trace with
+    posteriors is a ``v2`` file: the CSV keeps the same scalar columns and adds
+    the line ``# posteriors: .pi.npy``, and the posteriors go to the sidecar
+    ``<path>.pi.npy``, a float64 ``(rows, grid_size)`` array written by
+    ``np.save`` without pickling.  The line holds only the suffix, so the CSV's
+    bytes do not depend on its path.
     """
-    cols = list(TRACE_COLUMNS)
-    if trace.posteriors is not None:
-        cols += [f"pi_{t + 1}" for t in range(trace.grid_size)]
+    version = "v1" if trace.posteriors is None else "v2"
     with open(path, "w") as fh:
-        fh.write(f"# {TRACE_FORMAT_TAG} {TRACE_FORMAT_VERSION}\n")
+        fh.write(f"# {TRACE_FORMAT_TAG} {version}\n")
         fh.write(f"# name: {trace.name}\n")
         fh.write(f"# controller: {trace.controller}\n")
         fh.write(f"# seed: {trace.seed}\n")
         fh.write(f"# grid_size: {trace.grid_size}\n")
-        fh.write(",".join(cols) + "\n")
-        for i, row in enumerate(zip(*(getattr(trace, c) for c in TRACE_COLUMNS))):
-            fields = [repr(v) for v in row]
-            if trace.posteriors is not None:
-                fields += [repr(v) for v in trace.posteriors[i]]
-            fh.write(",".join(fields) + "\n")
+        if trace.posteriors is not None:
+            fh.write(f"# posteriors: {POSTERIOR_SUFFIX}\n")
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for row in zip(*(getattr(trace, c) for c in TRACE_COLUMNS)):
+            fh.write(",".join(map(repr, row)) + "\n")
+    if trace.posteriors is not None:
+        pi = np.array(trace.posteriors, dtype=np.float64).reshape(len(trace), trace.grid_size)
+        with open(f"{path}{POSTERIOR_SUFFIX}", "wb") as fh:
+            np.save(fh, pi, allow_pickle=False)
 
 
 def read_trace(path) -> RunTrace:
-    """Read a trace CSV written by write_trace (wall_time is not persisted).
+    """Read a trace written by write_trace (wall_time is not persisted).
 
-    A malformed cell, or a ``grid_size`` line that disagrees with the ``pi_*``
-    columns, is a ValueError that names its line.
+    A ``v2`` file's posteriors come from the sidecar that its ``# posteriors:``
+    line names, loaded without unpickling, as lists of the exact float64 values
+    written.  A ``v1`` file's posteriors, if it has any, come from its ``pi_*``
+    columns.  A malformed cell, a ``grid_size`` line that disagrees with the
+    ``pi_*`` columns, or a sidecar that is missing or is not a float64
+    ``(rows, grid_size)`` array, is a ValueError that names its line.
     """
     meta, meta_lines = {}, {}
     with open(path) as fh:
         lines = fh.read().splitlines()
-    idx = 0
     if not lines or not lines[0].startswith(f"# {TRACE_FORMAT_TAG} "):
         raise ValueError(f"{path}: not a {TRACE_FORMAT_TAG} file")
     version = lines[0].split()[-1]
-    if version != TRACE_FORMAT_VERSION:
+    if version not in TRACE_FORMAT_VERSIONS:
         raise ValueError(f"{path}: unsupported trace version {version!r}")
     idx = 1
     while idx < len(lines) and lines[idx].startswith("#"):
@@ -302,9 +314,9 @@ def read_trace(path) -> RunTrace:
     if idx >= len(lines):
         raise ValueError(f"{path}: missing column header")
     header = lines[idx].split(",")
-    if list(header[: len(TRACE_COLUMNS)]) != list(TRACE_COLUMNS):
-        raise ValueError(f"{path}: unexpected columns {header[:len(TRACE_COLUMNS)]}")
     n_pi = len(header) - len(TRACE_COLUMNS)
+    if header[: len(TRACE_COLUMNS)] != list(TRACE_COLUMNS) or (version == "v2" and n_pi):
+        raise ValueError(f"{path}: unexpected columns {header}")
 
     rows = []
     pi_rows: list[list[float]] | None = [] if n_pi else None
@@ -334,6 +346,11 @@ def read_trace(path) -> RunTrace:
             f"{path}, line {meta_lines['grid_size']}, grid_size: {grid_size} disagrees "
             f"with the {n_pi} pi_* columns"
         )
+    if version == "v2":
+        if "posteriors" not in meta:
+            raise ValueError(f"{path}: a {version} trace needs a '# posteriors:' line")
+        where = f"{path}, line {meta_lines['posteriors']}, posteriors"
+        pi_rows = _load_posteriors(f"{path}{meta['posteriors']}", where, (len(rows), grid_size))
     return RunTrace(
         name=meta.get("name", ""),
         controller=meta.get("controller", ""),
@@ -343,6 +360,26 @@ def read_trace(path) -> RunTrace:
         wall_time=0.0,
         **_columns(rows),
     )
+
+
+def _load_posteriors(sidecar: str, where: str, shape: tuple[int, int]) -> list[list[float]]:
+    """The float64 array of ``shape`` in the .npy file ``sidecar``, as row lists.
+
+    Anything else, an object array included, is a ValueError that names
+    ``where`` and the sidecar; nothing is unpickled.
+    """
+    try:
+        with open(sidecar, "rb") as fh:
+            pi = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{where}: {sidecar} is missing") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {sidecar} is not a float64 .npy array ({exc})") from None
+    if pi.dtype != np.float64:
+        raise ValueError(f"{where}: {sidecar} holds {pi.dtype.str}, expected float64")
+    if pi.shape != shape:
+        raise ValueError(f"{where}: {sidecar} has shape {pi.shape}, expected {shape}")
+    return pi.tolist()
 
 
 def _parse_cell(parse, raw: str, where: str):

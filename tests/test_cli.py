@@ -50,6 +50,17 @@ def test_run_writes_trace(tmp_path, capsys):
     trace = read_trace(out)
     assert len(trace) == 600
     assert trace.seed == 1
+    assert trace.posteriors is None
+
+    full = tmp_path / "full.csv"
+    code = main([
+        "run", "--config", "configs/case1.yaml", "--seed", "1", "--full-posteriors",
+        "--out", str(full),
+    ])
+    assert code == 0
+    assert f"wrote {full} and {full}.pi.npy" in capsys.readouterr().out
+    trace = read_trace(full)
+    assert len(trace.posteriors) == 600 and len(trace.posteriors[0]) == 15
 
 
 def test_run_reports_bad_config(tmp_path, capsys):

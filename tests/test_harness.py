@@ -1,7 +1,10 @@
 """Closed-loop runs: determinism, trace files, hooks, metrics, batches."""
 
 import math
+import pickle
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from dualctl import (
     trace_change_points,
     write_trace,
 )
-from dualctl.harness import HOOK_EVENTS
+from dualctl.harness import HOOK_EVENTS, POSTERIOR_SUFFIX
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,17 @@ def test_trace_round_trip(case1_cfg, tmp_path):
     assert back.posteriors == trace.posteriors
 
 
+def _write_v1_with_pi_columns(trace, path):
+    """Write ``trace`` in the v1 layout that keeps one ``pi_t`` column per candidate."""
+    write_trace(replace(trace, posteriors=None), path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+    lines[header] += "".join(f",pi_{t + 1}" for t in range(trace.grid_size))
+    for i, row in enumerate(trace.posteriors, start=header + 1):
+        lines[i] += "".join(f",{v!r}" for v in row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
     "row, cell, message",
     [
@@ -108,23 +122,107 @@ def test_trace_round_trip(case1_cfg, tmp_path):
     ],
 )
 def test_read_trace_names_the_malformed_cell(case1_cfg, tmp_path, row, cell, message):
+    # The row cases and the pi_* cross-check read a v1 file in the layout with
+    # one pi_* column per candidate, whose first row is line 7; the metadata
+    # cases read the v2 file of write_trace, whose lines 1-5 are the same.
     path = tmp_path / "t.csv"
     trace = run_experiment(_short(case1_cfg, iterations=5), seed=1, collect_posteriors=True)
-    write_trace(trace, path)
+    if row is None and "pi_*" not in message:
+        write_trace(trace, path)
+    else:
+        _write_v1_with_pi_columns(trace, path)
     lines = path.read_text().splitlines()
     column, value = cell
     if row is None:  # a metadata line
         index = next(i for i, line in enumerate(lines) if line.startswith(f"# {column}:"))
         lines[index] = f"# {column}: {value}"
     else:
-        header = lines[5].split(",")
-        fields = lines[5 + row].split(",")
+        at = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+        header = lines[at].split(",")
+        fields = lines[at + row].split(",")
         fields[header.index(column)] = value
-        lines[5 + row] = ",".join(fields)
+        lines[at + row] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         read_trace(path)
     assert str(info.value) == f"{path}, {message}"
+
+
+def _refuse_unpickling(*args, **kwargs):
+    raise AssertionError("a posterior sidecar must not be unpickled")
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (None, "is missing"),
+        (lambda pi: pi.astype(np.float32), "holds <f4, expected float64"),
+        (lambda pi: pi[:-1], "has shape (4, 15), expected (5, 15)"),
+        (lambda pi: pi.astype(object), "is not a float64 .npy array ("),
+    ],
+    ids=["missing", "float32", "shape", "pickle"],
+)
+def test_read_trace_refuses_a_bad_posterior_sidecar(
+    case1_cfg, tmp_path, monkeypatch, damage, problem
+):
+    path = tmp_path / "t.csv"
+    sidecar = tmp_path / f"t.csv{POSTERIOR_SUFFIX}"
+    write_trace(run_experiment(_short(case1_cfg, iterations=5), seed=1, collect_posteriors=True), path)
+    pi = np.load(sidecar)
+    sidecar.unlink()
+    if damage is not None:
+        np.save(sidecar, damage(pi), allow_pickle=True)
+    monkeypatch.setattr(pickle, "load", _refuse_unpickling)
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value).startswith(f"{path}, line 6, posteriors: {sidecar} {problem}")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("# posteriors: .pi.npy\n", "", ": a v2 trace needs a '# posteriors:' line"),
+        ("gamma_true\n", "gamma_true,pi_1\n", ": unexpected columns ["),
+        ("\n3,", "\n3x,", ", line 10, column k: expected an integer, got '3x'"),
+    ],
+    ids=["no posteriors line", "pi column", "malformed cell"],
+)
+def test_read_trace_refuses_a_malformed_v2_csv(case1_cfg, tmp_path, old, new, message):
+    path = tmp_path / "t.csv"
+    write_trace(run_experiment(_short(case1_cfg, iterations=5), seed=1, collect_posteriors=True), path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value).startswith(f"{path}{message}")
+
+
+def test_rewritten_trace_files_have_the_same_bytes_under_any_name(case1_cfg, tmp_path):
+    trace = run_experiment(_short(case1_cfg), seed=1, collect_posteriors=True)
+    first, second = tmp_path / "trace.csv", tmp_path / "sub" / "another name.csv"
+    second.parent.mkdir()
+    write_trace(trace, first)
+    write_trace(read_trace(first), second)
+    for suffix in ("", POSTERIOR_SUFFIX):
+        assert Path(f"{first}{suffix}").read_bytes() == Path(f"{second}{suffix}").read_bytes()
+    # Without posteriors the file is v1, with the same scalar lines and no sidecar.
+    plain = tmp_path / "plain.csv"
+    write_trace(replace(trace, posteriors=None), plain)
+    assert not Path(f"{plain}{POSTERIOR_SUFFIX}").exists()
+    v1 = plain.read_text().splitlines()
+    v2 = first.read_text().splitlines()
+    assert v2 == ["# dualctl-trace v2", *v1[1:5], f"# posteriors: {POSTERIOR_SUFFIX}", *v1[5:]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_case4_traces_read_back_equal_to_the_run(tmp_path, seed):
+    trace = run_experiment(parse_config("configs/case4.yaml"), seed=seed, collect_posteriors=True)
+    fields = [f for f in vars(trace) if f != "wall_time"]  # wall_time is not persisted
+    v2, v1 = tmp_path / "v2.csv", tmp_path / "v1.csv"
+    write_trace(trace, v2)
+    _write_v1_with_pi_columns(trace, v1)
+    for path in (v2, v1):
+        back = read_trace(path)
+        assert [f for f in fields if getattr(back, f) != getattr(trace, f)] == [], path
 
 
 def test_first_row_conventions(case1_cfg):
