@@ -29,8 +29,8 @@ the iteration and message of its ``RunError``.  The script also prints the
 sha256 of the ``write_trace`` output of case1 seed 0 (``mc_randomize``) and of
 case4 seed 0, both with full posteriors, for each side: the CSV's bytes
 followed by those of its posterior sidecar, so the posterior bytes are covered
-too.  It exits 0 when every unit and both sums match, 1 otherwise.  ``--limit N`` runs the first N units
-only, for a quick check.
+too.  It exits 0 when every unit and both sums match, 1 otherwise.
+``--limit N`` runs the first N units only, for a quick check.
 """
 
 from __future__ import annotations
