@@ -4,7 +4,8 @@ A document fully specifies one closed-loop experiment: the plant and its noise
 level, the reference, the surrogate network parameter file, the per-channel
 disturbance intervals / grid tolerances / true schedules, controller and
 change-detector settings, and Monte Carlo randomization. Validation errors
-name the offending field path.
+name the offending field path; a key that config_to_dict does not write is
+an unknown field.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ConfigError, StateError
 from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition_count
 from .learner import ResetPolicy, make_state
 from .plants import (
+    TRAIN_DEFAULTS,
     DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
@@ -35,7 +37,22 @@ CHANNELS = ("alpha", "beta", "gamma")
 # Largest candidate grid a document may imply.  The per-iteration cost and the
 # learner state grow linearly with it; the bundled configs reach 105.
 MAX_GRID_SIZE = 10_000
+# Largest horizon a document may ask for.  Parsing evaluates the reference at
+# every row and a run keeps every row in memory; the bundled configs use 600.
+MAX_ITERATIONS = 100_000
 _COVARIANCE_PRESETS = ("identity", "zero", "interval_variance")
+# The keys config_to_dict writes: every mapping of a document accepts these only.
+_TOP_KEYS = (
+    "schema_version", "name", "iterations", "seed", "rng", "initial_output",
+    "initial_control", "plant", "reference", "network", "channels", "controller",
+    "reset", "initial_covariance", "monte_carlo",
+)
+_REFERENCE_KEYS = {
+    "cosine": ("kind", "amplitude", "half_cycles", "span"),
+    "square": ("kind", "segments"),
+    "logistic_train": ("kind", "base", "gain", "rate", "form"),
+    "user_table": ("kind", "values"),
+}
 
 
 @dataclass(frozen=True)
@@ -93,6 +110,14 @@ def _expect(mapping, key, types, path, required=True, default=None):
     return value
 
 
+def _known(mapping, keys, path) -> None:
+    """Reject a key outside ``keys``: a misspelt optional field would otherwise
+    leave its default in force without a word."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
 def _finite(value, where) -> float:
     """``value`` as a float; a boolean, a non-number or a NaN/inf is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -128,6 +153,7 @@ def _segments(raw, path) -> Segments:
 def _channel(raw, path, iterations) -> ChannelSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping")
+    _known(raw, ("lower", "upper", "eps", "schedule"), path)
     try:
         interval = BoundedInterval(
             lower=_number(raw, "lower", path),
@@ -163,21 +189,28 @@ def _plant(raw, path) -> PlantModel:
     kind = _expect(raw, "kind", str, path)
     if kind == "user_defined":
         raise ConfigError(f"{path}.kind: user_defined plants are API-only")
+    _known(raw, ("kind", "noise_variance", "params"), path)
     params = _expect(raw, "params", dict, path, required=False, default={})
     try:
-        return PlantModel(
+        plant = PlantModel(
             kind=kind,
             noise_variance=_number(raw, "noise_variance", path),
             params={k: _finite(v, f"{path}.params.{k}") for k, v in params.items()},
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # Only the train has parameters; affine_case1 takes none.
+    _known(params, TRAIN_DEFAULTS if kind == "crh3_train" else (), f"{path}.params")
+    return plant
 
 
 def _reference(raw, path) -> ReferenceSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping")
     kind = _expect(raw, "kind", str, path)
+    if kind not in _REFERENCE_KEYS:
+        raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
+    _known(raw, _REFERENCE_KEYS[kind], path)
     try:
         if kind == "cosine":
             return ReferenceSpec(
@@ -198,15 +231,13 @@ def _reference(raw, path) -> ReferenceSpec:
                 rate=_number(raw, "rate", path),
                 form=_expect(raw, "form", str, path, required=False, default="logistic"),
             )
-        if kind == "user_table":
-            values = _expect(raw, "values", list, path)
-            return ReferenceSpec(
-                kind=kind,
-                values=tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
-            )
+        values = _expect(raw, "values", list, path)  # user_table
+        return ReferenceSpec(
+            kind=kind,
+            values=tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
+        )
     except ValueError as exc:  # from ReferenceSpec; the ConfigErrors name their field
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
 
 
 def _reference_is_finite(spec: ReferenceSpec, iterations: int) -> bool:
@@ -269,9 +300,12 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(
             f"config.schema_version: this build reads version {SCHEMA_VERSION}, got {version}"
         )
+    _known(raw, _TOP_KEYS, "config")
     iterations = _expect(raw, "iterations", int, "config")
     if iterations < 2:
         raise ConfigError("config.iterations: must be >= 2")
+    if iterations > MAX_ITERATIONS:
+        raise ConfigError(f"config.iterations: {iterations} is more than {MAX_ITERATIONS}")
     seed = _expect(raw, "seed", int, "config")
     if seed < 0:
         raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
@@ -280,6 +314,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"config.rng: only {RNG!r} is supported, got {rng!r}")
 
     channels_raw = _expect(raw, "channels", dict, "config")
+    _known(channels_raw, CHANNELS, "config.channels")
     channels = []
     for name in CHANNELS:
         if name not in channels_raw:
@@ -288,6 +323,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     check_grid_size([ch.interval for ch in channels], "config.channels")
 
     controller_raw = _expect(raw, "controller", dict, "config")
+    _known(controller_raw, ("dual_lambda", "input_clamp"), "config.controller")
     lam = _number(controller_raw, "dual_lambda", "config.controller")
     clamp = _number(controller_raw, "input_clamp", "config.controller", required=False)
     try:
@@ -296,6 +332,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"config.controller: {exc}") from exc
 
     reset_raw = _expect(raw, "reset", dict, "config")
+    _known(reset_raw, ("admissible_error", "posterior_threshold"), "config.reset")
     try:
         reset = ResetPolicy(
             admissible_error=_number(reset_raw, "admissible_error", "config.reset"),
@@ -307,6 +344,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"config.reset: {exc}") from exc
 
     mc_raw = _expect(raw, "monte_carlo", dict, "config", required=False, default={})
+    _known(mc_raw, ("randomize",), "config.monte_carlo")
     randomize = _expect(mc_raw, "randomize", list, "config.monte_carlo", required=False, default=[])
     for ch in randomize:
         if ch not in CHANNELS:

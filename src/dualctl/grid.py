@@ -106,15 +106,6 @@ class CandidateGrid:
             raise IndexError(f"channel indices ({i},{j},{l}) out of range ({sa},{sb},{sg})")
         return (i * sb + j) * sg + l
 
-    def unflatten(self, t: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= t < self.size:
-            raise IndexError(f"candidate index {t} out of range 0..{self.size - 1}")
-        sb, sg = self.beta.count, self.gamma.count
-        i, rest = divmod(t, sb * sg)
-        j, l = divmod(rest, sg)
-        return i, j, l
-
 
 def grid_from_intervals(
     alpha: BoundedInterval, beta: BoundedInterval, gamma: BoundedInterval

@@ -290,10 +290,11 @@ def write_trace(trace: RunTrace, path) -> None:
 def read_trace(path) -> RunTrace:
     """Read a trace written by write_trace (wall_time is not persisted).
 
-    A ``v2`` file's posteriors come from the sidecar that its ``# posteriors:``
-    line names, loaded without unpickling, as lists of the exact float64 values
-    written.  A ``v1`` file's posteriors, if it has any, come from its ``pi_*``
-    columns.  A malformed cell, a ``grid_size`` line that disagrees with the
+    A ``v2`` file's posteriors come from the sidecar ``<path>.pi.npy``, loaded
+    without unpickling, as lists of the exact float64 values written; its
+    ``# posteriors:`` line must read ``.pi.npy``, and any other value is a
+    ValueError before a sidecar is opened.  A ``v1`` file's posteriors, if it
+    has any, come from its ``pi_*`` columns.  A malformed cell, a ``grid_size`` line that disagrees with the
     ``pi_*`` columns, or a sidecar that is missing or is not a float64
     ``(rows, grid_size)`` array, is a ValueError that names its line.
     """
@@ -350,7 +351,9 @@ def read_trace(path) -> RunTrace:
         if "posteriors" not in meta:
             raise ValueError(f"{path}: a {version} trace needs a '# posteriors:' line")
         where = f"{path}, line {meta_lines['posteriors']}, posteriors"
-        pi_rows = _load_posteriors(f"{path}{meta['posteriors']}", where, (len(rows), grid_size))
+        if meta["posteriors"] != POSTERIOR_SUFFIX:
+            raise ValueError(f"{where}: expected {POSTERIOR_SUFFIX}, got {meta['posteriors']!r}")
+        pi_rows = _load_posteriors(f"{path}{POSTERIOR_SUFFIX}", where, (len(rows), grid_size))
     return RunTrace(
         name=meta.get("name", ""),
         controller=meta.get("controller", ""),

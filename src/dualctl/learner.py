@@ -27,8 +27,10 @@ not). Each stage of an iteration (:func:`bayes_step`,
 :func:`update_covariance`, the control law) is one call that loops over the
 candidates, gives bit for bit what a per-matrix implementation gives, and
 returns only what the run loop reads. Entries that are zero in P0 stay
-exactly P0's value (every rescale factor is finite and positive), and
-:meth:`LearnerState.validate` checks it. With a diagonal P0, as in all
+exactly P0's value: every rescale factor is finite and positive, and
+:func:`reset` restores P0. :func:`make_state` checks P0 once, as one 3x3
+matrix: symmetric and positive semidefinite, both within 1e-9. No later
+state is checked as a whole. With a diagonal P0, as in all
 covariance presets, :func:`bayes_step` reads only the three diagonal lists
 and hands every other case (a cross entry in P0, the rare log domain,
 underflow and every error) to one exact :func:`_general_step`; the control
@@ -88,40 +90,6 @@ class LearnerState:
     initial_covariance: tuple[tuple[float, ...], ...]
     diagonal: bool  # initial_covariance has zero cross entries and no negative entry
 
-    def validate(self) -> None:
-        s = len(self.posteriors)
-        if (
-            s == 0
-            or len(self.covariances) != 3
-            or any(len(row) != 3 or any(len(e) != s for e in row) for row in self.covariances)
-        ):
-            raise StateError(
-                "posteriors and the 3 x 3 covariance entry lists must be non-empty and "
-                "equal-length"
-            )
-        if self.diagonal != _is_diagonal(self.initial_covariance):
-            raise StateError(
-                f"diagonal flag {self.diagonal} disagrees with the initial covariance"
-            )
-        total = math.fsum(self.posteriors)
-        if abs(total - 1.0) > 1e-9:
-            raise StateError(f"posteriors sum to {total}, expected 1")
-        if any(p < 0 for p in self.posteriors):
-            raise StateError("posteriors must be non-negative")
-        mats = np.moveaxis(np.asarray(self.covariances, dtype=float), 2, 0)  # size x 3 x 3
-        bad = ~np.isclose(mats, mats.transpose(0, 2, 1), atol=1e-9).all(axis=(1, 2))
-        if bad.any():
-            raise StateError(f"covariance {int(np.argmax(bad))} is not symmetric")
-        bad = np.linalg.eigvalsh(mats).min(axis=1) < -1e-9
-        if bad.any():
-            raise StateError(f"covariance {int(np.argmax(bad))} is not positive semidefinite")
-        zero = np.asarray(self.initial_covariance, dtype=float) == 0.0
-        bad = (mats[:, zero] != 0.0).any(axis=1)
-        if bad.any():
-            raise StateError(
-                f"covariance {int(np.argmax(bad))} is nonzero where the initial covariance is zero"
-            )
-
 
 def _is_diagonal(p0) -> bool:
     """True when every off-diagonal entry of ``p0`` is zero (of either sign) and
@@ -140,24 +108,26 @@ def _initial_layout(p0, size: int):
 def make_state(grid_size: int, noise_variance: float, initial_covariance) -> LearnerState:
     """Uniform posteriors with every covariance at the configured initial value.
 
-    Every candidate starts as the same copy of P0, so one candidate is
-    validated and stands for all of them.
+    Every candidate starts as the same copy of P0, so P0 itself is checked:
+    symmetric and positive semidefinite, both within 1e-9.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
-    diagonal = _is_diagonal(p0)
-    noise = float(noise_variance)
-    LearnerState([1.0], _initial_layout(p0, 1), 1.0, noise, p0, diagonal).validate()
+    mat = np.asarray(p0)
+    if not np.isclose(mat, mat.T, atol=1e-9).all():
+        raise StateError("covariance 0 is not symmetric")
+    if np.linalg.eigvalsh(mat).min() < -1e-9:
+        raise StateError("covariance 0 is not positive semidefinite")
     return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=_initial_layout(p0, grid_size),
         eta=1.0 / grid_size,
-        noise_variance=noise,
+        noise_variance=float(noise_variance),
         initial_covariance=p0,
-        diagonal=diagonal,
+        diagonal=_is_diagonal(p0),
     )
 
 

@@ -1,6 +1,7 @@
 """Config parsing, validation messages and round-trip serialization."""
 
 import copy
+import time
 
 import pytest
 import yaml
@@ -13,7 +14,7 @@ from dualctl import (
     parse_config,
     save_config,
 )
-from dualctl.config import MAX_GRID_SIZE
+from dualctl.config import MAX_GRID_SIZE, MAX_ITERATIONS
 
 BUNDLED = [
     "case1", "case2", "case4",
@@ -29,6 +30,7 @@ def test_bundled_configs_parse(name):
     assert cfg.iterations == 600
     assert 1 <= cfg.build_grid().size <= MAX_GRID_SIZE
     assert cfg.network.f_branch.size > 0
+    assert config_from_dict(config_to_dict(cfg), base_dir="configs") == cfg
 
 
 def test_case1_config_contents():
@@ -61,8 +63,8 @@ def test_case4_config_contents():
     assert cfg.reset.admissible_error == 1.5
 
 
-def _template():
-    with open("configs/case1.yaml") as fh:
+def _template(name="case1"):
+    with open(f"configs/{name}.yaml") as fh:
         return yaml.safe_load(fh)
 
 
@@ -182,6 +184,40 @@ def test_whole_number_floats_are_integer_fields():
     raw["reference"]["span"] = 600.0
     raw["channels"]["alpha"]["schedule"][1][0] = 85.0
     assert config_from_dict(raw, base_dir="configs") == parse_config("configs/case1.yaml")
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, message",
+    [
+        ("case1", ("reset", "posterior_treshold"), 0.5, "config.reset.posterior_treshold"),
+        ("case1", ("controller", "input_clmp"), 2.0, "config.controller.input_clmp"),
+        ("case1", ("initial_covarience",), "zero", "config.initial_covarience"),
+        ("case1", ("monte_carlo", "randomise"), ["gamma"], "config.monte_carlo.randomise"),
+        ("case4", ("plant", "params"), {"c_aa": 1.0}, "config.plant.params.c_aa"),
+        ("case1", ("plant", "params"), {"xi": 5.0}, "config.plant.params.xi"),
+    ],
+    ids=["reset", "controller", "top-level", "monte-carlo", "train-params", "affine-params"],
+)
+def test_unknown_fields_are_rejected(name, keys, value, message):
+    raw = _template(name)
+    *parents, key = keys
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw, base_dir="configs")
+    assert str(info.value) == f"{message}: unknown field"
+
+
+def test_iterations_are_bounded_before_the_reference_is_evaluated():
+    assert MAX_ITERATIONS == 100_000
+    raw = _template()
+    raw["iterations"] = 10**12
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"^config\.iterations: "):
+        config_from_dict(raw, base_dir="configs")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_schema_version_is_checked():

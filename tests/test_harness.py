@@ -182,14 +182,17 @@ def test_read_trace_refuses_a_bad_posterior_sidecar(
     "old, new, message",
     [
         ("# posteriors: .pi.npy\n", "", ": a v2 trace needs a '# posteriors:' line"),
+        (".pi.npy\n", ".x.npy\n", ", line 6, posteriors: expected .pi.npy, got '.x.npy'"),
         ("gamma_true\n", "gamma_true,pi_1\n", ": unexpected columns ["),
         ("\n3,", "\n3x,", ", line 10, column k: expected an integer, got '3x'"),
     ],
-    ids=["no posteriors line", "pi column", "malformed cell"],
+    ids=["no posteriors line", "other sidecar", "pi column", "malformed cell"],
 )
 def test_read_trace_refuses_a_malformed_v2_csv(case1_cfg, tmp_path, old, new, message):
     path = tmp_path / "t.csv"
     write_trace(run_experiment(_short(case1_cfg, iterations=5), seed=1, collect_posteriors=True), path)
+    # A valid sidecar under another suffix: only the posteriors line can be wrong.
+    Path(f"{path}.x.npy").write_bytes(Path(f"{path}{POSTERIOR_SUFFIX}").read_bytes())
     path.write_text(path.read_text().replace(old, new, 1))
     with pytest.raises(ValueError) as info:
         read_trace(path)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from dualctl import (
     COVARIANCE_CAP,
     POSTERIOR_FLOOR,
-    LearnerState,
     PosteriorUnderflowError,
     ResetPolicy,
     StateError,
@@ -73,7 +72,6 @@ def test_make_state_is_uniform():
     assert state.covariances == _layout(EYE, 15)
     assert _matrices(state)[3] == [list(r) for r in EYE]
     assert _max_entries(state) == [1.0] * 15
-    state.validate()
 
 
 def test_make_state_rejects_bad_arguments():
@@ -388,17 +386,6 @@ def test_reset_restores_uniform_and_initial_covariance():
     assert _max_entries(fresh) == [1.0] * 6
 
 
-def test_state_validation_catches_broken_invariants():
-    state = make_state(3, 0.01, EYE)
-    state.posteriors = [0.5, 0.4, 0.2]
-    with pytest.raises(StateError):
-        state.validate()
-    state = make_state(3, 0.01, EYE)
-    state.covariances[1][0][1] = 0.9  # asymmetric
-    with pytest.raises(StateError):
-        state.validate()
-
-
 def test_bayes_step_reports_residuals_and_variances():
     thetas = [(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)]
     state = make_state(2, 0.04, EYE)
@@ -580,7 +567,7 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
 
 
 def test_negative_largest_entry_caps_as_the_per_matrix_rescale():
-    # validate's 1e-9 PSD tolerance admits a tiny negative variance. Here it is
+    # make_state's 1e-9 PSD tolerance admits a tiny negative variance. Here it is
     # P0's largest |entry|, so P0 does not count as diagonal, and the general
     # rescale reads each peak with abs: the dying candidates reach the cap at
     # the 8th rescale, bit for bit as the per-matrix rescale does.
@@ -728,41 +715,30 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
             bayes_step(state, regressor, observed, thetas)
 
 
-def test_make_state_sets_the_diagonal_flag_and_validate_checks_it():
+def test_make_state_sets_the_diagonal_flag_and_successors_carry_it():
     assert make_state(3, 0.01, EYE).diagonal
     assert make_state(3, 0.01, ((1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 0.0, 1.0))).diagonal
     assert not make_state(3, 0.01, COV).diagonal
-    # A negative variance inside validate's tolerance is not diagonal; -0.0 is.
+    # A negative variance inside the 1e-9 PSD tolerance is not diagonal; -0.0 is.
     tiny_negative = ((-1e-10, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 5e-11))
     assert not make_state(3, 0.01, tiny_negative).diagonal
     assert make_state(3, 0.01, ((-0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -0.0))).diagonal
-    for p0, flag in ((EYE, False), (COV, True), (tiny_negative, True)):
-        state = replace(make_state(3, 0.01, p0), diagonal=flag)
-        with pytest.raises(StateError, match=f"diagonal flag {flag} disagrees"):
-            state.validate()
     # Every successor carries the flag over.
     state = make_state(3, 0.04, COV)
     state = bayes_step(state, (0.5, -1.0, 1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
     for successor in (update_covariance(state), reset(state)):
         assert successor.diagonal is False
-        successor.validate()
 
 
-def test_make_state_validates_one_copy_of_p0(monkeypatch):
-    sizes = []
-    validate = LearnerState.validate
-
-    def counting(self):
-        sizes.append(len(self.posteriors))
-        validate(self)
-
-    monkeypatch.setattr(LearnerState, "validate", counting)
+def test_make_state_checks_p0_as_one_matrix():
     state = make_state(60, 0.01, COV)
-    assert sizes == [1]
     assert state.covariances == _layout(COV, 60) and _max_entries(state) == [3.5] * 60
     indefinite = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
-    with pytest.raises(StateError, match="covariance 0 is not positive semidefinite"):
+    with pytest.raises(StateError, match="^covariance 0 is not positive semidefinite$"):
         make_state(60, 0.01, indefinite)
+    asymmetric = ((1.0, 0.5, 0.0), (0.4, 1.0, 0.0), (0.0, 0.0, 1.0))
+    with pytest.raises(StateError, match="^covariance 0 is not symmetric$"):
+        make_state(60, 0.01, asymmetric)
 
 
 def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():
