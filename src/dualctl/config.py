@@ -21,6 +21,7 @@ from .errors import ConfigError, StateError
 from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition_count
 from .learner import ResetPolicy, make_state
 from .plants import (
+    PLANT_KINDS,
     TRAIN_DEFAULTS,
     DisturbanceSchedule,
     PlantModel,
@@ -191,17 +192,17 @@ def _plant(raw, path) -> PlantModel:
         raise ConfigError(f"{path}.kind: user_defined plants are API-only")
     _known(raw, ("kind", "noise_variance", "params"), path)
     params = _expect(raw, "params", dict, path, required=False, default={})
+    if kind in PLANT_KINDS:
+        # PlantModel refuses these too; checked here so the error names the field.
+        _known(params, TRAIN_DEFAULTS if kind == "crh3_train" else (), f"{path}.params")
     try:
-        plant = PlantModel(
+        return PlantModel(
             kind=kind,
             noise_variance=_number(raw, "noise_variance", path),
             params={k: _finite(v, f"{path}.params.{k}") for k, v in params.items()},
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # Only the train has parameters; affine_case1 takes none.
-    _known(params, TRAIN_DEFAULTS if kind == "crh3_train" else (), f"{path}.params")
-    return plant
 
 
 def _reference(raw, path) -> ReferenceSpec:

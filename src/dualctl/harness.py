@@ -26,8 +26,6 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import CHANNELS, ExperimentConfig
 from .controller import blended_control, optimal_control
 from .errors import BatchError, ConfigError, DualctlError, RunError, SingularControlError
@@ -137,6 +135,11 @@ def run_experiment(
         if event not in HOOK_EVENTS:
             raise ValueError(f"hooks names unknown event {event!r}, expected one of {HOOK_EVENTS}")
     _check_seed("seed", seed)
+    # Imported by the functions that use it, so that importing dualctl, parsing
+    # a config and building its grid never load numpy; before the clock starts,
+    # so that the first run's wall time does not hold the import.
+    import numpy as np
+
     started = time.perf_counter()
     plant = cfg.plant
     net = cfg.network
@@ -282,6 +285,8 @@ def write_trace(trace: RunTrace, path) -> None:
         for row in zip(*(getattr(trace, c) for c in TRACE_COLUMNS)):
             fh.write(",".join(map(repr, row)) + "\n")
     if trace.posteriors is not None:
+        import numpy as np
+
         pi = np.array(trace.posteriors, dtype=np.float64).reshape(len(trace), trace.grid_size)
         with open(f"{path}{POSTERIOR_SUFFIX}", "wb") as fh:
             np.save(fh, pi, allow_pickle=False)
@@ -291,9 +296,9 @@ def read_trace(path) -> RunTrace:
     """Read a trace written by write_trace (wall_time is not persisted).
 
     A ``v2`` file's posteriors come from the sidecar ``<path>.pi.npy``, loaded
-    without unpickling, as lists of the exact float64 values written; its
-    ``# posteriors:`` line must read ``.pi.npy``, and any other value is a
-    ValueError before a sidecar is opened.  A ``v1`` file's posteriors, if it
+    without unpickling, as lists of the exact float64 values written (numpy is
+    imported only then); its ``# posteriors:`` line must read ``.pi.npy``, and
+    any other value is a ValueError before a sidecar is opened.  A ``v1`` file's posteriors, if it
     has any, come from its ``pi_*`` columns.  A malformed cell, a ``grid_size`` line that disagrees with the
     ``pi_*`` columns, or a sidecar that is missing or is not a float64
     ``(rows, grid_size)`` array, is a ValueError that names its line.
@@ -371,6 +376,8 @@ def _load_posteriors(sidecar: str, where: str, shape: tuple[int, int]) -> list[l
     Anything else, an object array included, is a ValueError that names
     ``where`` and the sidecar; nothing is unpickled.
     """
+    import numpy as np
+
     try:
         with open(sidecar, "rb") as fh:
             pi = np.lib.format.read_array(fh, allow_pickle=False)
@@ -428,6 +435,8 @@ def run_metrics(trace: RunTrace) -> RunMetrics:
 def batch_metrics(traces) -> BatchMetrics:
     if not traces:
         raise ValueError("batch_metrics needs at least one trace")
+    import numpy as np
+
     per_run = [run_metrics(t) for t in traces]
     j = [m.j_index for m in per_run]
     return BatchMetrics(

@@ -29,8 +29,9 @@ candidates, gives bit for bit what a per-matrix implementation gives, and
 returns only what the run loop reads. Entries that are zero in P0 stay
 exactly P0's value: every rescale factor is finite and positive, and
 :func:`reset` restores P0. :func:`make_state` checks P0 once, as one 3x3
-matrix: symmetric and positive semidefinite, both within 1e-9. No later
-state is checked as a whole. With a diagonal P0, as in all
+matrix: symmetric and positive semidefinite, both within 1e-9 (a finite
+diagonal P0 passes both by construction, without numpy). No later state is
+checked as a whole. With a diagonal P0, as in all
 covariance presets, :func:`bayes_step` reads only the three diagonal lists
 and hands every other case (a cross entry in P0, the rare log domain,
 underflow and every error) to one exact :func:`_general_step`; the control
@@ -47,8 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PosteriorUnderflowError, StateError
 
@@ -109,25 +108,34 @@ def make_state(grid_size: int, noise_variance: float, initial_covariance) -> Lea
     """Uniform posteriors with every covariance at the configured initial value.
 
     Every candidate starts as the same copy of P0, so P0 itself is checked:
-    symmetric and positive semidefinite, both within 1e-9.
+    symmetric and positive semidefinite, both within 1e-9. A diagonal P0 (see
+    :func:`_is_diagonal`) with finite entries passes both checks by
+    construction: its off-diagonal entries are zero and its eigenvalues are its
+    non-negative diagonal entries. It is accepted without numpy, which is then
+    not imported. Any other P0 (a cross entry, a tiny negative variance, a NaN
+    or an inf) is checked with numpy's ``isclose`` and ``eigvalsh``.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
-    mat = np.asarray(p0)
-    if not np.isclose(mat, mat.T, atol=1e-9).all():
-        raise StateError("covariance 0 is not symmetric")
-    if np.linalg.eigvalsh(mat).min() < -1e-9:
-        raise StateError("covariance 0 is not positive semidefinite")
+    diagonal = _is_diagonal(p0)
+    if not (diagonal and all(math.isfinite(p0[i][i]) for i in range(3))):
+        import numpy as np
+
+        mat = np.asarray(p0)
+        if not np.isclose(mat, mat.T, atol=1e-9).all():
+            raise StateError("covariance 0 is not symmetric")
+        if np.linalg.eigvalsh(mat).min() < -1e-9:
+            raise StateError("covariance 0 is not positive semidefinite")
     return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=_initial_layout(p0, grid_size),
         eta=1.0 / grid_size,
         noise_variance=float(noise_variance),
         initial_covariance=p0,
-        diagonal=_is_diagonal(p0),
+        diagonal=diagonal,
     )
 
 

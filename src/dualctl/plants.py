@@ -17,11 +17,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import SimulationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRAIN_DEFAULTS = {
     "xi": 0.06,  # per-mass force scaling
@@ -78,6 +79,12 @@ class PlantModel:
             raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {PLANT_KINDS}")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
+        if self.kind != "user_defined":
+            # Only the train has parameters; affine_case1 takes none.
+            known = TRAIN_DEFAULTS if self.kind == "crh3_train" else ()
+            for name in self.params:
+                if name not in known:
+                    raise ValueError(f"{self.kind} plant has no parameter {name!r}")
         if self.kind == "affine_case1":
             pair = (affine_f, affine_g)
         elif self.kind == "crh3_train":

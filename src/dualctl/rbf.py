@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import FitError, SimulationError
 
 FORMAT_TAG = "rbfnet"
@@ -124,6 +122,8 @@ def train_offline(
     With ``ridge == 0`` a rank-deficient design raises :class:`FitError`; with
     ``ridge > 0`` the augmented system is always solvable.
     """
+    import numpy as np
+
     states, inputs, outputs = (np.asarray(a, dtype=float) for a in (states, inputs, outputs))
     if states.ndim != 1 or inputs.ndim != 1 or outputs.ndim != 1:
         raise ValueError("states, inputs and outputs must be 1-D")

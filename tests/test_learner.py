@@ -3,6 +3,7 @@ rescaling and the change-detection reset."""
 
 import copy
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -739,6 +740,98 @@ def test_make_state_checks_p0_as_one_matrix():
     asymmetric = ((1.0, 0.5, 0.0), (0.4, 1.0, 0.0), (0.0, 0.0, 1.0))
     with pytest.raises(StateError, match="^covariance 0 is not symmetric$"):
         make_state(60, 0.01, asymmetric)
+
+
+def _numpy_accepts(p0) -> bool:
+    """make_state's symmetry and PSD checks, written out with numpy."""
+    mat = np.asarray(p0, dtype=float)
+    return bool(np.isclose(mat, mat.T, atol=1e-9).all()) and not np.linalg.eigvalsh(mat).min() < -1e-9
+
+
+def _p0(diagonal, off):
+    """The 3x3 P0 with ``diagonal`` on the diagonal and ``off`` elsewhere, row by row."""
+    it = iter(off)
+    return tuple(tuple(diagonal[i] if i == j else next(it) for j in range(3)) for i in range(3))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("numpy check ran")
+
+
+_FINITE_VARIANCES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@given(
+    diagonal=st.tuples(_FINITE_VARIANCES, _FINITE_VARIANCES, _FINITE_VARIANCES),
+    off=st.lists(st.sampled_from([0.0, -0.0]), min_size=6, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_finite_diagonal_p0_is_accepted_without_numpy(diagonal, off):
+    p0 = _p0(diagonal, off)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "isclose", _unreachable)
+        mp.setattr(np.linalg, "eigvalsh", _unreachable)
+        state = make_state(3, 0.01, p0)
+    assert state.diagonal and state.initial_covariance == p0
+    assert _numpy_accepts(p0)
+
+
+def _make_state_with_numpy(monkeypatch, p0):
+    """make_state(3, 0.01, p0), asserting that numpy's symmetry check ran once."""
+    calls, isclose = [], np.isclose
+    monkeypatch.setattr(np, "isclose", lambda *args, **kw: calls.append(args) or isclose(*args, **kw))
+    try:
+        return make_state(3, 0.01, p0)
+    finally:
+        assert len(calls) == 1
+
+
+def test_a_tiny_negative_variance_is_accepted_on_the_numpy_path(monkeypatch):
+    state = _make_state_with_numpy(monkeypatch, _p0((1.0, -1e-10, 1.0), (0.0,) * 6))
+    assert not state.diagonal
+    with pytest.raises(StateError, match="^covariance 0 is not positive semidefinite$"):
+        _make_state_with_numpy(monkeypatch, _p0((1.0, -1e-8, 1.0), (0.0,) * 6))
+
+
+def test_a_p0_with_a_cross_entry_is_still_checked(monkeypatch):
+    assert not _make_state_with_numpy(monkeypatch, COV).diagonal
+    with pytest.raises(StateError, match="^covariance 0 is not symmetric$"):
+        _make_state_with_numpy(monkeypatch, _p0((1.0, 1.0, 1.0), (0.5, 0.0, 0.4, 0.0, 0.0, 0.0)))
+    with pytest.raises(StateError, match="^covariance 0 is not positive semidefinite$"):
+        _make_state_with_numpy(monkeypatch, _p0((1.0, 1.0, 1.0), (2.0, 0.0, 2.0, 0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "p0",
+    [
+        _p0((math.nan, 1.0, 1.0), (0.0,) * 6),
+        _p0((1.0, 1.0, math.nan), (0.0,) * 6),
+        _p0((1.0, 1.0, 1.0), (0.0, 0.0, 0.0, math.nan, 0.0, math.nan)),
+    ],
+    ids=["first", "last", "cross"],
+)
+def test_a_nan_in_p0_is_refused_by_the_numpy_check(monkeypatch, p0):
+    with pytest.raises(StateError, match="^covariance 0 is not symmetric$"):
+        _make_state_with_numpy(monkeypatch, p0)
+
+
+@pytest.mark.parametrize(
+    "p0",
+    [
+        _p0((math.inf, 1.0, 1.0), (0.0,) * 6),
+        _p0((1.0, 1.0, -math.inf), (0.0,) * 6),
+        _p0((1.0, 1.0, 1.0), (0.0, 0.0, 0.0, math.inf, 0.0, math.inf)),
+    ],
+    ids=["inf", "minus-inf", "cross"],
+)
+def test_an_infinite_p0_gets_the_numpy_checks_outcome(monkeypatch, p0):
+    # numpy's eigenvalues of an infinite matrix hold a NaN, which no bound
+    # refuses; make_state accepts such a P0 as it always has.
+    assert _numpy_accepts(p0)
+    assert _make_state_with_numpy(monkeypatch, p0).initial_covariance == p0
 
 
 def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():

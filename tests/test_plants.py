@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dualctl import (
     train_g,
     validate_segments,
 )
+from dualctl.plants import TRAIN_DEFAULTS
 
 
 def test_affine_nonlinearities():
@@ -147,6 +149,29 @@ def test_plant_model_validation():
         PlantModel(kind="pendulum", noise_variance=0.0)
     with pytest.raises(ValueError):
         PlantModel(kind="affine_case1", noise_variance=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [("crh3_train", {"xi": 0.05, "c_aa": 1.0}, "c_aa"), ("affine_case1", {"xi": 5.0}, "xi")],
+)
+def test_plant_model_refuses_unknown_params(kind, params, name):
+    with pytest.raises(ValueError, match=f"^{kind} plant has no parameter '{name}'$"):
+        PlantModel(kind=kind, noise_variance=0.0, params=params)
+
+
+def test_plant_params_round_trip_through_a_config_file(tmp_path):
+    cfg = parse_config("configs/case4.yaml")
+    train = PlantModel(kind="crh3_train", noise_variance=0.5, params={"xi": 0.05})
+    assert train.params == {**TRAIN_DEFAULTS, "xi": 0.05}
+    changed = replace(cfg, plant=train)
+    out = tmp_path / "changed.yaml"
+    save_config(changed, out)
+    assert parse_config(out) == changed
+    # user_defined plants are API-only and keep whatever params they carry.
+    custom = {"gain": 2.0}
+    plant = PlantModel(kind="user_defined", noise_variance=0.0, params=custom, f=abs, g=abs)
+    assert plant.params == custom
 
 
 def test_segment_validation():
