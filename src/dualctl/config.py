@@ -21,8 +21,7 @@ from .errors import ConfigError, StateError
 from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition_count
 from .learner import ResetPolicy, make_state
 from .plants import (
-    PLANT_KINDS,
-    TRAIN_DEFAULTS,
+    PLANT_PARAMS,
     DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
@@ -192,9 +191,9 @@ def _plant(raw, path) -> PlantModel:
         raise ConfigError(f"{path}.kind: user_defined plants are API-only")
     _known(raw, ("kind", "noise_variance", "params"), path)
     params = _expect(raw, "params", dict, path, required=False, default={})
-    if kind in PLANT_KINDS:
+    if kind in PLANT_PARAMS:
         # PlantModel refuses these too; checked here so the error names the field.
-        _known(params, TRAIN_DEFAULTS if kind == "crh3_train" else (), f"{path}.params")
+        _known(params, PLANT_PARAMS[kind], f"{path}.params")
     try:
         return PlantModel(
             kind=kind,

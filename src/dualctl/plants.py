@@ -33,6 +33,8 @@ TRAIN_DEFAULTS = {
 }
 
 PLANT_KINDS = ("affine_case1", "crh3_train", "user_defined")
+# The params names each kind takes; a user_defined plant's params are its own.
+PLANT_PARAMS = {"affine_case1": (), "crh3_train": tuple(TRAIN_DEFAULTS)}
 
 
 def _require_finite(**values) -> None:
@@ -79,11 +81,9 @@ class PlantModel:
             raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {PLANT_KINDS}")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if self.kind != "user_defined":
-            # Only the train has parameters; affine_case1 takes none.
-            known = TRAIN_DEFAULTS if self.kind == "crh3_train" else ()
+        if self.kind in PLANT_PARAMS:
             for name in self.params:
-                if name not in known:
+                if name not in PLANT_PARAMS[self.kind]:
                     raise ValueError(f"{self.kind} plant has no parameter {name!r}")
         if self.kind == "affine_case1":
             pair = (affine_f, affine_g)
