@@ -29,7 +29,11 @@ the iteration and message of its ``RunError``.  The script also prints the
 sha256 of the ``write_trace`` output of case1 seed 0 (``mc_randomize``) and of
 case4 seed 0, both with full posteriors, for each side: the CSV's bytes
 followed by those of its posterior sidecar, so the posterior bytes are covered
-too.  It exits 0 when every unit and both sums match, 1 otherwise.
+too.  It prints, for each side, the sha256 of the ``save_config`` YAML of
+every ``configs/*.yaml`` as well, with the network path made relative to the
+checkout (the config holds it as an absolute path), so a change in the
+written documents is reported too.  It exits 0 when every unit and every sum
+match, 1 otherwise.
 ``--limit N`` runs the first N units only, for a quick check.
 """
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -77,6 +82,8 @@ GROUPS = (
 )
 # (config stem, seed, randomize) of the trace files whose sha256 is printed.
 TRACE_FILES = (("case1", 0, True), ("case4", 0, False))
+# (label, side key) of the file sums: write_trace outputs and save_config outputs.
+SUMS = (("write_trace", "files"), ("save_config", "configs"))
 SKIPPED_FIELDS = ("wall_time",)
 
 
@@ -161,17 +168,39 @@ def trace_file_sums(root: str) -> dict[str, str]:
     return sums
 
 
+def config_file_sums(root: str) -> dict[str, str]:
+    """sha256 of the ``save_config`` output of every ``configs/*.yaml``, by stem.
+
+    The network path is made relative to ``root`` first, so two checkouts of
+    the same tree give the same sums.
+    """
+    from dualctl import parse_config, save_config
+
+    sums = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(glob.glob(os.path.join(root, "configs", "*.yaml"))):
+            cfg = parse_config(path)
+            cfg = dataclasses.replace(cfg, network_file=os.path.relpath(cfg.network_file, root))
+            out = os.path.join(tmp, "config.yaml")
+            save_config(cfg, out)
+            stem = os.path.splitext(os.path.basename(path))[0]
+            with open(out, "rb") as fh:
+                sums[stem] = hashlib.sha256(fh.read()).hexdigest()
+    return sums
+
+
 def side(root: str, limit: int | None) -> dict:
-    """Every unit and trace file of one checkout (run inside its subprocess)."""
+    """Every unit, trace file and config file of one checkout (run inside its subprocess)."""
     configs: dict = {}
     return {
         "units": {unit_key(u): run_unit(root, u, configs) for u in units()[:limit]},
         "files": trace_file_sums(root),
+        "configs": config_file_sums(root),
     }
 
 
 def compare(parent: dict, change: dict) -> list[str]:
-    """One line per unit, field or trace file that differs between the sides."""
+    """One line per unit, field, trace file or config file that differs between the sides."""
     problems = []
     for key in sorted(set(parent["units"]) | set(change["units"])):
         a, b = parent["units"].get(key), change["units"].get(key)
@@ -184,9 +213,10 @@ def compare(parent: dict, change: dict) -> list[str]:
             for field, value in a["fields"].items():
                 if b["fields"].get(field) != value:
                     problems.append(f"{key}: field {field} differs")
-    for name, value in parent["files"].items():
-        if change["files"].get(name) != value:
-            problems.append(f"write_trace {name}: sha256 differs")
+    for label, key in SUMS:
+        for name, value in parent.get(key, {}).items():
+            if change.get(key, {}).get(name) != value:
+                problems.append(f"{label} {name}: sha256 differs")
     return problems
 
 
@@ -222,8 +252,9 @@ def main(argv=None) -> int:
         for key, value in parent["units"].items()
         if "failure" in value
     }
-    for name in parent["files"]:
-        print(f"write_trace {name}: parent {parent['files'][name]}, change {change['files'].get(name)}")
+    for label, key in SUMS:
+        for name, value in parent[key].items():
+            print(f"{label} {name}: parent {value}, change {change[key].get(name)}")
     for key, (iteration, message) in failures.items():
         print(f"parent failure {key} at {iteration}: {message}")
     problems = compare(parent, change)

@@ -14,10 +14,11 @@ import csv
 import os
 import sys
 
-from .config import check_grid_size, parse_config
+from .config import CHANNELS, check_grid_size, parse_config
 from .errors import DualctlError
 from .grid import BoundedInterval, partition_interval
 from .harness import (
+    CONTROLLER_KINDS,
     POSTERIOR_SUFFIX,
     _parse_cell,
     monte_carlo,
@@ -49,8 +50,8 @@ def _cmd_partition(args) -> int:
     if args.config:
         cfg = parse_config(args.config)
         total = 1
-        for name, ch in (("alpha", cfg.alpha), ("beta", cfg.beta), ("gamma", cfg.gamma)):
-            total *= _print_partition(name, ch.interval)
+        for name in CHANNELS:
+            total *= _print_partition(name, getattr(cfg, name).interval)
         print(f"grid: {total} candidates, uniform prior {1.0 / total:.6g}")
     else:
         if None in (args.lower, args.upper, args.eps):
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("run", help="simulate one closed-loop experiment")
     pr.add_argument("--config", required=True)
-    pr.add_argument("--controller", choices=("proposed", "optimal"), default="proposed")
+    pr.add_argument("--controller", choices=CONTROLLER_KINDS, default="proposed")
     pr.add_argument("--seed", type=int, default=None, help="override the document seed")
     pr.add_argument("--out", help="write the trace CSV here")
     pr.add_argument(
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--config", required=True)
     pm.add_argument("--runs", type=int, required=True)
     pm.add_argument("--seed-base", type=int, default=None)
-    pm.add_argument("--controller", choices=("proposed", "optimal"), default="proposed")
+    pm.add_argument("--controller", choices=CONTROLLER_KINDS, default="proposed")
     pm.add_argument("--jobs", type=int, default=1)
     pm.add_argument("--out-dir", help="write summary.csv (and traces) here")
     pm.add_argument("--save-traces", action="store_true")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import yaml
 
@@ -22,6 +22,7 @@ from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition
 from .learner import ResetPolicy, make_state
 from .plants import (
     PLANT_PARAMS,
+    REFERENCE_FIELDS,
     DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
@@ -47,12 +48,8 @@ _TOP_KEYS = (
     "initial_control", "plant", "reference", "network", "channels", "controller",
     "reset", "initial_covariance", "monte_carlo",
 )
-_REFERENCE_KEYS = {
-    "cosine": ("kind", "amplitude", "half_cycles", "span"),
-    "square": ("kind", "segments"),
-    "logistic_train": ("kind", "base", "gain", "rate", "form"),
-    "user_table": ("kind", "values"),
-}
+# Reference fields a document may omit or set to null: ReferenceSpec's default applies.
+_OPTIONAL_REFERENCE_FIELDS = ("amplitude", "form")
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,20 @@ def _finite(value, where) -> float:
 
 def _number(mapping, key, path, required=True, default=None):
     v = _expect(mapping, key, None, path, required, default)
-    return _finite(v, f"{path}.{key}") if v is not None else None
+    return None if v is None and not required else _finite(v, f"{path}.{key}")
+
+
+def _number_fields(raw, cls, path):
+    """``cls`` built from the numbers of mapping ``raw``, one per dataclass field;
+    a field with a default is optional."""
+    _known(raw, [f.name for f in fields(cls)], path)
+    try:
+        return cls(**{
+            f.name: _number(raw, f.name, path, f.default is MISSING, f.default)
+            for f in fields(cls)
+        })
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _segments(raw, path) -> Segments:
@@ -204,38 +214,28 @@ def _plant(raw, path) -> PlantModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _reference_field(raw, key, path):
+    """One reference field, read as its name says; None for an unset optional one."""
+    if key == "segments":
+        return _segments(_expect(raw, key, list, path), f"{path}.{key}")
+    if key == "form":
+        return _expect(raw, key, str, path, required=False)
+    if key == "values":
+        values = _expect(raw, key, list, path)
+        return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+    return _number(raw, key, path, required=key not in _OPTIONAL_REFERENCE_FIELDS)
+
+
 def _reference(raw, path) -> ReferenceSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping")
     kind = _expect(raw, "kind", str, path)
-    if kind not in _REFERENCE_KEYS:
+    if kind not in REFERENCE_FIELDS:
         raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
-    _known(raw, _REFERENCE_KEYS[kind], path)
+    _known(raw, ("kind",) + REFERENCE_FIELDS[kind], path)
+    read = {key: _reference_field(raw, key, path) for key in REFERENCE_FIELDS[kind]}
     try:
-        if kind == "cosine":
-            return ReferenceSpec(
-                kind=kind,
-                amplitude=_number(raw, "amplitude", path, required=False, default=1.0),
-                half_cycles=_number(raw, "half_cycles", path),
-                span=_number(raw, "span", path),
-            )
-        if kind == "square":
-            return ReferenceSpec(
-                kind=kind, segments=_segments(_expect(raw, "segments", list, path), f"{path}.segments")
-            )
-        if kind == "logistic_train":
-            return ReferenceSpec(
-                kind=kind,
-                base=_number(raw, "base", path),
-                gain=_number(raw, "gain", path),
-                rate=_number(raw, "rate", path),
-                form=_expect(raw, "form", str, path, required=False, default="logistic"),
-            )
-        values = _expect(raw, "values", list, path)  # user_table
-        return ReferenceSpec(
-            kind=kind,
-            values=tuple(_finite(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
-        )
+        return ReferenceSpec(kind=kind, **{k: v for k, v in read.items() if v is not None})
     except ValueError as exc:  # from ReferenceSpec; the ConfigErrors name their field
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -322,26 +322,10 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         channels.append(_channel(channels_raw[name], f"config.channels.{name}", iterations))
     check_grid_size([ch.interval for ch in channels], "config.channels")
 
-    controller_raw = _expect(raw, "controller", dict, "config")
-    _known(controller_raw, ("dual_lambda", "input_clamp"), "config.controller")
-    lam = _number(controller_raw, "dual_lambda", "config.controller")
-    clamp = _number(controller_raw, "input_clamp", "config.controller", required=False)
-    try:
-        controller = ControllerConfig(dual_lambda=lam, input_clamp=clamp)
-    except ValueError as exc:
-        raise ConfigError(f"config.controller: {exc}") from exc
-
-    reset_raw = _expect(raw, "reset", dict, "config")
-    _known(reset_raw, ("admissible_error", "posterior_threshold"), "config.reset")
-    try:
-        reset = ResetPolicy(
-            admissible_error=_number(reset_raw, "admissible_error", "config.reset"),
-            posterior_threshold=_number(
-                reset_raw, "posterior_threshold", "config.reset", required=False, default=0.95
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.reset: {exc}") from exc
+    controller = _number_fields(
+        _expect(raw, "controller", dict, "config"), ControllerConfig, "config.controller"
+    )
+    reset = _number_fields(_expect(raw, "reset", dict, "config"), ResetPolicy, "config.reset")
 
     mc_raw = _expect(raw, "monte_carlo", dict, "config", required=False, default={})
     _known(mc_raw, ("randomize",), "config.monte_carlo")
@@ -387,30 +371,24 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     )
 
 
+def _lists(value):
+    """``value`` with its tuples, at any depth, as lists: plain YAML has no tuples."""
+    return [_lists(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+
+def _channel_dict(ch: ChannelSpec) -> dict:
+    interval = ch.interval
+    return {
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "eps": interval.admissible_error,
+        "schedule": _lists(ch.schedule),
+    }
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-YAML form of a config; parse_config(save) reproduces the dataclass."""
-    def seg_list(segs):
-        return [[k, v] for k, v in segs]
-
-    ref = {"kind": cfg.reference.kind}
-    if cfg.reference.kind == "cosine":
-        ref.update(
-            amplitude=cfg.reference.amplitude,
-            half_cycles=cfg.reference.half_cycles,
-            span=cfg.reference.span,
-        )
-    elif cfg.reference.kind == "square":
-        ref["segments"] = seg_list(cfg.reference.segments)
-    elif cfg.reference.kind == "logistic_train":
-        ref.update(
-            base=cfg.reference.base,
-            gain=cfg.reference.gain,
-            rate=cfg.reference.rate,
-            form=cfg.reference.form,
-        )
-    else:
-        ref["values"] = list(cfg.reference.values)
-
+    ref = cfg.reference
     return {
         "schema_version": SCHEMA_VERSION,
         "name": cfg.name,
@@ -424,26 +402,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "noise_variance": cfg.plant.noise_variance,
             "params": dict(cfg.plant.params),
         },
-        "reference": ref,
+        "reference": {
+            "kind": ref.kind, **{k: _lists(getattr(ref, k)) for k in REFERENCE_FIELDS[ref.kind]}
+        },
         "network": cfg.network_file,
-        "channels": {
-            name: {
-                "lower": ch.interval.lower,
-                "upper": ch.interval.upper,
-                "eps": ch.interval.admissible_error,
-                "schedule": seg_list(ch.schedule),
-            }
-            for name, ch in (("alpha", cfg.alpha), ("beta", cfg.beta), ("gamma", cfg.gamma))
-        },
-        "controller": {
-            "dual_lambda": cfg.controller.dual_lambda,
-            "input_clamp": cfg.controller.input_clamp,
-        },
-        "reset": {
-            "admissible_error": cfg.reset.admissible_error,
-            "posterior_threshold": cfg.reset.posterior_threshold,
-        },
-        "initial_covariance": [list(row) for row in cfg.initial_covariance],
+        "channels": {name: _channel_dict(getattr(cfg, name)) for name in CHANNELS},
+        "controller": asdict(cfg.controller),
+        "reset": asdict(cfg.reset),
+        "initial_covariance": _lists(cfg.initial_covariance),
         "monte_carlo": {"randomize": list(cfg.mc_randomize)},
     }
 

@@ -113,7 +113,8 @@ def make_state(grid_size: int, noise_variance: float, initial_covariance) -> Lea
     construction: its off-diagonal entries are zero and its eigenvalues are its
     non-negative diagonal entries. It is accepted without numpy, which is then
     not imported. Any other P0 (a cross entry, a tiny negative variance, a NaN
-    or an inf) is checked with numpy's ``isclose`` and ``eigvalsh``.
+    or an inf) is checked with numpy's ``isclose`` and ``eigvalsh``; an
+    infinite entry is refused.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
@@ -127,6 +128,8 @@ def make_state(grid_size: int, noise_variance: float, initial_covariance) -> Lea
         mat = np.asarray(p0)
         if not np.isclose(mat, mat.T, atol=1e-9).all():
             raise StateError("covariance 0 is not symmetric")
+        if not np.isfinite(mat).all():  # eigvalsh of an inf entry is NaN, which no bound refuses
+            raise StateError("covariance 0 has a non-finite entry")
         if np.linalg.eigvalsh(mat).min() < -1e-9:
             raise StateError("covariance 0 is not positive semidefinite")
     return LearnerState(

@@ -191,7 +191,14 @@ class DisturbanceSchedule:
 # ---------------------------------------------------------------------------
 # Reference signals
 
-REFERENCE_KINDS = ("cosine", "square", "logistic_train", "user_table")
+# The document fields of each reference kind, in the order config files write them.
+REFERENCE_FIELDS = {
+    "cosine": ("amplitude", "half_cycles", "span"),
+    "square": ("segments",),
+    "logistic_train": ("base", "gain", "rate", "form"),
+    "user_table": ("values",),
+}
+REFERENCE_KINDS = tuple(REFERENCE_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Config parsing, validation messages and round-trip serialization."""
 
 import copy
+import dataclasses
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from dualctl import (
     save_config,
 )
 from dualctl.config import MAX_GRID_SIZE, MAX_ITERATIONS
+from dualctl.plants import REFERENCE_FIELDS, ReferenceSpec
 
 BUNDLED = [
     "case1", "case2", "case4",
@@ -393,3 +395,67 @@ def test_missing_network_file_reports_path():
     raw["network"] = "networks/nonexistent.rbfnet"
     with pytest.raises(ConfigError, match="network"):
         config_from_dict(raw, base_dir="configs")
+
+
+@pytest.mark.parametrize(
+    "mapping, spec",
+    [
+        (
+            {"kind": "cosine", "half_cycles": 3, "span": 150},
+            ReferenceSpec(kind="cosine", amplitude=1.0, half_cycles=3.0, span=150),
+        ),
+        (
+            {"kind": "cosine", "amplitude": None, "half_cycles": 3, "span": 150},
+            ReferenceSpec(kind="cosine", amplitude=1.0, half_cycles=3.0, span=150),
+        ),
+        (
+            {"kind": "square", "segments": [[1, 0.5], [200, -0.25]]},
+            ReferenceSpec(kind="square", segments=((1, 0.5), (200, -0.25))),
+        ),
+        (
+            {"kind": "logistic_train", "base": 1.5, "gain": -2, "rate": 0.125, "form": "expanded"},
+            ReferenceSpec(kind="logistic_train", base=1.5, gain=-2.0, rate=0.125, form="expanded"),
+        ),
+        (
+            {"kind": "logistic_train", "base": 1.5, "gain": -2, "rate": 0.125, "form": None},
+            ReferenceSpec(kind="logistic_train", base=1.5, gain=-2.0, rate=0.125, form="logistic"),
+        ),
+        (
+            {"kind": "user_table", "values": [0.25, -1, 3.5]},
+            ReferenceSpec(kind="user_table", values=(0.25, -1.0, 3.5)),
+        ),
+    ],
+    ids=[
+        "cosine-omitted", "cosine-null", "square", "logistic-expanded", "logistic-null", "user-table"
+    ],
+)
+def test_every_reference_kind_round_trips(tmp_path, mapping, spec):
+    cfg = dataclasses.replace(parse_config("configs/case1.yaml"), reference=spec)
+    assert config_from_dict(dict(_template(), reference=mapping), base_dir="configs") == cfg
+    written = config_to_dict(cfg)
+    assert tuple(written["reference"]) == ("kind",) + REFERENCE_FIELDS[spec.kind]
+    assert config_from_dict(written) == cfg
+    save_config(cfg, tmp_path / "copy.yaml")
+    assert parse_config(tmp_path / "copy.yaml") == cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("initial_output",),
+        ("plant", "noise_variance"),
+        ("reference", "half_cycles"),
+        ("channels", "gamma", "eps"),
+        ("controller", "dual_lambda"),
+        ("reset", "admissible_error"),
+    ],
+)
+def test_a_null_required_number_is_a_config_error(path):
+    raw = _template()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = None
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw, base_dir="configs")
+    assert str(info.value) == f"config.{'.'.join(path)}: expected a number, got NoneType"

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import math
 import os
+import shutil
 
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
 _SPEC = importlib.util.spec_from_file_location(
@@ -69,3 +70,20 @@ def test_a_checkout_matches_itself(capsys):
     out = capsys.readouterr().out
     assert "2 units, 0 failures in the parent, 0 differences" in out
     assert "write_trace case4/0: parent " in out
+
+
+def test_a_changed_or_missing_config_sum_is_reported():
+    parent = dict(_side([]), configs={"case1": "a", "case4": "b"})
+    assert equivalence.compare(parent, copy.deepcopy(parent)) == []
+    change = dict(_side([]), configs={"case4": "c"})
+    assert equivalence.compare(parent, change) == [
+        "save_config case1: sha256 differs",
+        "save_config case4: sha256 differs",
+    ]
+
+
+def test_config_sums_do_not_depend_on_where_the_checkout_is(tmp_path):
+    sums = equivalence.config_file_sums(_ROOT)
+    assert len(sums) == 11 and "case4" in sums
+    shutil.copytree(os.path.join(_ROOT, "configs"), tmp_path / "configs")
+    assert equivalence.config_file_sums(str(tmp_path)) == sums

@@ -828,10 +828,11 @@ def test_a_nan_in_p0_is_refused_by_the_numpy_check(monkeypatch, p0):
     ids=["inf", "minus-inf", "cross"],
 )
 def test_an_infinite_p0_gets_the_numpy_checks_outcome(monkeypatch, p0):
-    # numpy's eigenvalues of an infinite matrix hold a NaN, which no bound
-    # refuses; make_state accepts such a P0 as it always has.
+    # numpy's eigenvalues of an infinite matrix hold a NaN, which the PSD
+    # bound would not refuse; the finiteness check after the symmetry check does.
     assert _numpy_accepts(p0)
-    assert _make_state_with_numpy(monkeypatch, p0).initial_covariance == p0
+    with pytest.raises(StateError, match="^covariance 0 has a non-finite entry$"):
+        _make_state_with_numpy(monkeypatch, p0)
 
 
 def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():
