@@ -3,7 +3,7 @@
 
     python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--limit N]
 
-Each checkout runs the same 695 units in a subprocess of its own, importing
+Each checkout runs the same 700 units in a subprocess of its own, importing
 ``dualctl`` from its ``src`` and reading its own ``configs``.  A unit is one
 ``run_experiment`` call with full posteriors:
 
@@ -21,6 +21,8 @@ Each checkout runs the same 695 units in a subprocess of its own, importing
 - case1 copies with a zero initial covariance: noise variance 1e-10, seeds
   0-4, where every Bayes step takes the log domain, and noise variance 0,
   seeds 0-1, which fail on the zero prediction variance at iteration 2;
+- a case4 copy whose train plant has ``params`` ``{"c_m": 0.007}``, seeds 0-4,
+  so a train plant with a parameter off its default runs;
 - the optimal controller on case1, case2 and case4 0-4.
 
 Every ``RunTrace`` field except ``wall_time`` is compared by the sha256 of its
@@ -52,12 +54,13 @@ import tempfile
 FULL_COVARIANCE = ((0.04, 0.01, -0.005), (0.01, 0.09, 0.02), (-0.005, 0.02, 0.01))
 ZERO_COVARIANCE = ((0.0,) * 3,) * 3
 NEGATIVE_ZERO_CROSS = ((1.0, -0.0, -0.0), (-0.0, 1.0, -0.0), (-0.0, -0.0, 1.0))
-# Variant name -> (initial covariance, plant noise variance or None to keep it).
+# Variant name -> (initial covariance or None to keep it, PlantModel fields to replace).
 VARIANTS = {
-    "fullcov": (FULL_COVARIANCE, None),
-    "zerocov/noise1e-10": (ZERO_COVARIANCE, 1e-10),
-    "zerocov/noise0": (ZERO_COVARIANCE, 0.0),
-    "negzero": (NEGATIVE_ZERO_CROSS, None),
+    "fullcov": (FULL_COVARIANCE, {}),
+    "zerocov/noise1e-10": (ZERO_COVARIANCE, {"noise_variance": 1e-10}),
+    "zerocov/noise0": (ZERO_COVARIANCE, {"noise_variance": 0.0}),
+    "negzero": (NEGATIVE_ZERO_CROSS, {}),
+    "trainparams": (None, {"params": {"c_m": 0.007}}),
 }
 # (config stem, controller, seeds, randomize with the config's mc_randomize,
 # variant name or False for the config as it is)
@@ -76,6 +79,7 @@ GROUPS = (
     ("case3-eps005", "proposed", range(5), True, "negzero"),
     ("case1", "proposed", range(5), False, "zerocov/noise1e-10"),
     ("case1", "proposed", range(2), False, "zerocov/noise0"),
+    ("case4", "proposed", range(5), False, "trainparams"),
     ("case1", "optimal", range(5), False, False),
     ("case2", "optimal", range(5), False, False),
     ("case4", "optimal", range(5), False, False),
@@ -120,12 +124,10 @@ def run_unit(root: str, unit, configs: dict) -> dict:
         configs[stem] = parse_config(os.path.join(root, "configs", f"{stem}.yaml"))
     cfg = configs[stem]
     if variant:
-        covariance, noise = VARIANTS[variant]
-        cfg = dataclasses.replace(cfg, initial_covariance=covariance)
-        if noise is not None:
-            cfg = dataclasses.replace(
-                cfg, plant=dataclasses.replace(cfg.plant, noise_variance=noise)
-            )
+        covariance, plant = VARIANTS[variant]
+        cfg = dataclasses.replace(cfg, plant=dataclasses.replace(cfg.plant, **plant))
+        if covariance is not None:
+            cfg = dataclasses.replace(cfg, initial_covariance=covariance)
     try:
         trace = run_experiment(
             cfg,

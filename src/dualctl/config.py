@@ -197,13 +197,12 @@ def _plant(raw, path) -> PlantModel:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping")
     kind = _expect(raw, "kind", str, path)
-    if kind == "user_defined":
-        raise ConfigError(f"{path}.kind: user_defined plants are API-only")
+    if kind not in PLANT_PARAMS:
+        raise ConfigError(f"{path}.kind: unknown plant kind {kind!r}")
     _known(raw, ("kind", "noise_variance", "params"), path)
     params = _expect(raw, "params", dict, path, required=False, default={})
-    if kind in PLANT_PARAMS:
-        # PlantModel refuses these too; checked here so the error names the field.
-        _known(params, PLANT_PARAMS[kind], f"{path}.params")
+    # PlantModel refuses these too; checked here so the error names the field.
+    _known(params, PLANT_PARAMS[kind], f"{path}.params")
     try:
         return PlantModel(
             kind=kind,

@@ -528,6 +528,7 @@ def monte_carlo(
     _check_seed("seed_base", seed_base)
     base = cfg.seed if seed_base is None else seed_base
     tasks = [(cfg, controller, base + i) for i in range(runs)]
+    jobs = min(jobs, runs)  # a process pool forks all its workers at its first task
     # Both paths return the outcomes in task order.
     if jobs > 1:
         # Imported here: the process pool module is a tenth of the package's

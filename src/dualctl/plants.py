@@ -7,17 +7,16 @@ Both bundled plants share the disturbed one-step form
 with scalar output and input. ``affine_case1`` uses ``f(y) = sin(y) +
 cos(3y)`` and ``g(y) = 2 + cos(y)``. ``crh3_train`` models train speed under
 traction/braking force ``u``: ``f(v) = v - xi*T*(c_r + c_m*v + c_a*v^2)`` and
-``g(v) = xi*T``. A ``user_defined`` plant carries arbitrary callables (API
-only; not expressible in config files).
+``g(v) = xi*T``; its ``params`` are ``(name, value)`` pairs over ``TRAIN_DEFAULTS``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import SimulationError
 
@@ -32,8 +31,7 @@ TRAIN_DEFAULTS = {
     "c_a": 0.000115,  # aerodynamic resistance per speed^2
 }
 
-PLANT_KINDS = ("affine_case1", "crh3_train", "user_defined")
-# The params names each kind takes; a user_defined plant's params are its own.
+# The plant kinds and the params names each takes
 PLANT_PARAMS = {"affine_case1": (), "crh3_train": tuple(TRAIN_DEFAULTS)}
 
 
@@ -72,30 +70,23 @@ class PlantModel:
 
     kind: str
     noise_variance: float
-    params: dict = field(default_factory=dict)
-    f: Callable[[float], float] | None = None  # user_defined only
-    g: Callable[[float], float] | None = None
+    params: tuple[tuple[str, float], ...] = ()  # (name, value) pairs; built from pairs or a dict
 
     def __post_init__(self):
-        if self.kind not in PLANT_KINDS:
-            raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {PLANT_KINDS}")
+        if self.kind not in PLANT_PARAMS:
+            raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {tuple(PLANT_PARAMS)}")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
-        if self.kind in PLANT_PARAMS:
-            for name in self.params:
-                if name not in PLANT_PARAMS[self.kind]:
-                    raise ValueError(f"{self.kind} plant has no parameter {name!r}")
+        given = dict(self.params)
+        for name in given:
+            if name not in PLANT_PARAMS[self.kind]:
+                raise ValueError(f"{self.kind} plant has no parameter {name!r}")
         if self.kind == "affine_case1":
-            pair = (affine_f, affine_g)
-        elif self.kind == "crh3_train":
-            merged = dict(TRAIN_DEFAULTS)
-            merged.update(self.params)
-            object.__setattr__(self, "params", merged)
+            merged, pair = given, (affine_f, affine_g)
+        else:  # the partials' own dict, seen only as the frozen pairs
+            merged = {**TRAIN_DEFAULTS, **given}
             pair = (partial(train_f, params=merged), partial(train_g, params=merged))
-        elif self.f is None or self.g is None:
-            raise ValueError("user_defined plant needs f and g callables")
-        else:
-            pair = (self.f, self.g)
+        object.__setattr__(self, "params", tuple(merged.items()))
         # Private attributes, not fields: equality, repr and the config
         # document stay those of the declared fields.
         object.__setattr__(self, "_f", pair[0])
@@ -126,10 +117,14 @@ Segments = tuple[tuple[int, float], ...]
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a bool or a number with a fractional part is a ValueError."""
-    if isinstance(value, bool) or value != int(value):
+    """``value`` as an int; a bool, NaN, an infinity or a fraction is a ValueError."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        whole = None
+    if isinstance(value, bool) or value != whole:
         raise ValueError(f"{name}: expected a whole number, got {value!r}")
-    return int(value)
+    return whole
 
 
 def validate_segments(segments, name: str = "schedule") -> Segments:
@@ -229,6 +224,9 @@ class ReferenceSpec:
             raise ValueError(
                 f"unknown reference kind {self.kind!r}, expected one of {REFERENCE_KINDS}"
             )
+        for f in fields(self)[1:]:
+            if f.name not in REFERENCE_FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} reference does not use {f.name!r}")
         if self.kind == "square":
             object.__setattr__(self, "segments", validate_segments(self.segments, "reference"))
         if self.kind == "logistic_train" and self.form not in ("logistic", "expanded"):

@@ -20,10 +20,10 @@ def _side(results, files=None):
     return {"units": dict(results), "files": files or {"case1/0/mc": "abc"}}
 
 
-def test_unit_set_has_695_distinct_units():
+def test_unit_set_has_700_distinct_units():
     units = equivalence.units()
-    assert len(units) == 695
-    assert len({equivalence.unit_key(u) for u in units}) == 695
+    assert len(units) == 700
+    assert len({equivalence.unit_key(u) for u in units}) == 700
 
 
 def test_identical_sides_match_and_a_perturbed_trace_is_reported():

@@ -15,6 +15,8 @@ from dualctl import (
     BatchError,
     ConfigError,
     DisturbanceSchedule,
+    PlantModel,
+    ReferenceSpec,
     RunError,
     RunTrace,
     StateError,
@@ -28,10 +30,12 @@ from dualctl import (
     recovery_streak,
     run_experiment,
     run_metrics,
+    save_config,
     trace_change_points,
     write_trace,
 )
 from dualctl.harness import HOOK_EVENTS, POSTERIOR_SUFFIX
+from dualctl.plants import REFERENCE_FIELDS, TRAIN_DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,35 @@ def test_parallel_monte_carlo_matches_serial(case1_cfg, tmp_path):
         write_trace(ts, pa)
         write_trace(tp, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_monte_carlo_pool_has_no_more_workers_than_runs(case1_cfg, monkeypatch):
+    # A fork-started pool starts every worker at its first task, so the pool is
+    # replaced by one that records its size and maps in this process.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = _short(case1_cfg, iterations=20)
+    serial = monte_carlo(cfg, runs=3, jobs=1)
+    for runs, jobs in ((3, 32), (3, 2), (1, 4)):
+        batch = monte_carlo(cfg, runs=runs, jobs=jobs)
+        assert [t.y for t in batch.traces] == [t.y for t in serial.traces[:runs]]
+    assert sizes == [3, 2]  # one run needs no pool
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
@@ -592,3 +625,88 @@ def test_valid_config_runs_or_fails_typed(raw):
             monte_carlo(cfg, runs=2)
         except BatchError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Every config, parsed or built through the API, round-trips
+
+
+def _assert_round_trips(cfg, directory):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    path = directory / "config.yaml"
+    save_config(cfg, path)
+    assert parse_config(path) == cfg
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+@given(raw=_perturbed_case1())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_valid_config_round_trips(raw, round_trip_dir):
+    try:
+        cfg = config_from_dict(raw, base_dir="configs")
+    except ConfigError:
+        return
+    _assert_round_trips(cfg, round_trip_dir)
+
+
+_BASES = {name: parse_config(f"configs/{name}.yaml") for name in ("case1", "case4")}
+_MODEST = st.floats(-1e3, 1e3)
+# Each reference kind with valid values in the fields it uses.
+_USED_FIELDS = {
+    "cosine": st.fixed_dictionaries(
+        {"amplitude": _MODEST, "half_cycles": _MODEST, "span": st.integers(1, 1000)}
+    ),
+    "square": st.fixed_dictionaries({"segments": st.tuples(
+        _MODEST, st.lists(st.tuples(st.integers(2, 600), _MODEST), max_size=3, unique_by=lambda s: s[0])
+    ).map(lambda drawn: ((1, drawn[0]),) + tuple(sorted(drawn[1])))}),
+    "logistic_train": st.fixed_dictionaries({
+        "base": _MODEST, "gain": _MODEST, "rate": st.floats(0.1, 5.0),
+        "form": st.sampled_from(["logistic", "expanded"]),
+    }),
+    "user_table": st.fixed_dictionaries(
+        {"values": st.lists(_MODEST, min_size=1, max_size=5).map(tuple)}
+    ),
+}
+_REFERENCE_DEFAULTS = {k: v for k, v in vars(ReferenceSpec(kind="cosine")).items() if k != "kind"}
+# Any value, or some field's default (which equals the field's own at times).
+_ANY_VALUE = st.one_of(
+    st.sampled_from(list(_REFERENCE_DEFAULTS.values())),
+    st.floats(), st.integers(), st.text(max_size=3), st.tuples(st.floats()),
+)
+
+
+@st.composite
+def _api_config(draw):
+    cfg = _BASES[draw(st.sampled_from(sorted(_BASES)))]
+    kind = draw(st.sampled_from(sorted(REFERENCE_FIELDS)))
+    used = draw(_USED_FIELDS[kind])
+    unused = draw(st.dictionaries(
+        st.sampled_from([name for name in _REFERENCE_DEFAULTS if name not in used]), _ANY_VALUE
+    ))
+    names = draw(st.lists(st.sampled_from(sorted(TRAIN_DEFAULTS)), unique=True))
+    params = {name: draw(st.floats(-1.0, 1.0)) for name in names}
+    if draw(st.booleans()):
+        params = tuple(params.items())
+    return cfg, kind, used, unused, params
+
+
+@given(drawn=_api_config())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_api_built_config_round_trips_or_is_refused(drawn, round_trip_dir):
+    cfg, kind, used, unused, params = drawn
+    # In field order, the order ReferenceSpec checks them in.
+    moved = [k for k, v in _REFERENCE_DEFAULTS.items() if k in unused and unused[k] != v]
+    try:
+        reference = ReferenceSpec(kind=kind, **used, **unused)
+    except ValueError as exc:
+        assert moved and str(exc) == f"{kind} reference does not use {moved[0]!r}"
+        return
+    assert not moved
+    train = PlantModel(kind="crh3_train", noise_variance=cfg.plant.noise_variance, params=params)
+    if cfg.plant.kind == "crh3_train":  # the same plant, reached through replace
+        assert replace(cfg.plant, params=params) == train
+    _assert_round_trips(replace(cfg, reference=reference, plant=train), round_trip_dir)

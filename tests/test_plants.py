@@ -100,11 +100,6 @@ _PLANTS = {
         dict(kind="crh3_train", params=_CUSTOM_TRAIN),
         *_train_closed_form(0.05, 0.1, 0.1, 0.0064, 0.0002),
     ),
-    "user_defined": (
-        dict(kind="user_defined", f=lambda y: 0.5 * y * y, g=lambda y: 1.0 + 0.1 * y),
-        lambda y: 0.5 * y * y,
-        lambda y: 1.0 + 0.1 * y,
-    ),
 }
 
 
@@ -135,15 +130,6 @@ def test_parsed_plant_survives_save_and_pickle(tmp_path):
     )
 
 
-def test_plant_model_user_defined_requires_callables():
-    with pytest.raises(ValueError):
-        PlantModel(kind="user_defined", noise_variance=0.0)
-    plant = PlantModel(
-        kind="user_defined", noise_variance=0.0, f=lambda y: 2 * y, g=lambda y: 1.0
-    )
-    assert plant.step(1.5, 0.25, (1.0, 1.0, 0.0), 0.0) == pytest.approx(3.25)
-
-
 def test_plant_model_validation():
     with pytest.raises(ValueError):
         PlantModel(kind="pendulum", noise_variance=0.0)
@@ -163,15 +149,26 @@ def test_plant_model_refuses_unknown_params(kind, params, name):
 def test_plant_params_round_trip_through_a_config_file(tmp_path):
     cfg = parse_config("configs/case4.yaml")
     train = PlantModel(kind="crh3_train", noise_variance=0.5, params={"xi": 0.05})
-    assert train.params == {**TRAIN_DEFAULTS, "xi": 0.05}
+    assert train.params == tuple({**TRAIN_DEFAULTS, "xi": 0.05}.items())
     changed = replace(cfg, plant=train)
     out = tmp_path / "changed.yaml"
     save_config(changed, out)
     assert parse_config(out) == changed
-    # user_defined plants are API-only and keep whatever params they carry.
-    custom = {"gain": 2.0}
-    plant = PlantModel(kind="user_defined", noise_variance=0.0, params=custom, f=abs, g=abs)
-    assert plant.params == custom
+
+
+@pytest.mark.parametrize("given", [{"c_m": 0.007, "xi": 0.05}, (("xi", 0.05), ("c_m", 0.007))])
+def test_train_params_are_frozen_pairs_in_default_order(given):
+    plant = PlantModel(kind="crh3_train", noise_variance=0.0, params=given)
+    expected = tuple({**TRAIN_DEFAULTS, "xi": 0.05, "c_m": 0.007}.items())
+    assert plant.params == expected
+    assert PlantModel(kind="crh3_train", noise_variance=0.0, params=expected) == plant
+    assert replace(plant, noise_variance=0.5).params == expected
+    assert PlantModel(kind="affine_case1", noise_variance=0.0).params == ()
+    with pytest.raises(TypeError):
+        plant.params["xi"] = 1.0  # the dynamics cannot be changed after the plant is built
+    assert plant.f_value(300.0) == train_f(300.0, dict(expected))
+    again = pickle.loads(pickle.dumps(plant))
+    assert again == plant and again.f_value(300.0) == plant.f_value(300.0)
 
 
 def test_segment_validation():
@@ -190,8 +187,11 @@ def test_segment_validation():
         (((1, 1.0), (100.7, 1.11)), r"schedule\[1\]\[0\]"),  # no longer truncated to k=100
         (((True, 1.0),), r"schedule\[0\]\[0\]"),
         (((1, 1.0), (5, 2.0), (6.5, 3.0)), r"schedule\[2\]\[0\]"),
+        (((1, 1.0), (math.inf, 2.0)), r"schedule\[1\]\[0\]"),
+        (((1, 1.0), (-math.inf, 2.0)), r"schedule\[1\]\[0\]"),
+        (((math.nan, 1.0),), r"schedule\[0\]\[0\]"),
     ],
-    ids=["fraction", "bool", "last-fraction"],
+    ids=["fraction", "bool", "last-fraction", "inf", "minus-inf", "nan"],
 )
 def test_segment_starts_must_be_whole_numbers(segments, field):
     with pytest.raises(ValueError, match=field + ": expected a whole number"):
@@ -200,7 +200,7 @@ def test_segment_starts_must_be_whole_numbers(segments, field):
         ReferenceSpec(kind="square", segments=segments)
 
 
-@pytest.mark.parametrize("span", [600.9, 0.5, True])
+@pytest.mark.parametrize("span", [600.9, 0.5, True, math.inf, math.nan])
 def test_cosine_span_must_be_a_whole_number(span):
     with pytest.raises(ValueError, match="span: expected a whole number"):
         ReferenceSpec(kind="cosine", span=span)
@@ -299,6 +299,24 @@ def test_user_table_reference_clamps_tail():
 def test_reference_kind_validation():
     with pytest.raises(ValueError):
         ReferenceSpec(kind="triangle")
+
+
+@pytest.mark.parametrize(
+    "kind, used, unused",
+    [
+        ("square", {"segments": ((1, 0.5),)}, {"amplitude": 2.0}),
+        ("cosine", {}, {"values": (0.5,)}),
+        ("logistic_train", {}, {"span": 300}),
+        ("user_table", {"values": (0.5,)}, {"form": "expanded"}),
+    ],
+)
+def test_reference_refuses_a_value_in_a_field_its_kind_does_not_use(kind, used, unused):
+    (name,) = unused
+    with pytest.raises(ValueError, match=f"^{kind} reference does not use '{name}'$"):
+        ReferenceSpec(kind=kind, **used, **unused)
+    # The field's default is the value it holds when unset, so it is accepted.
+    default = getattr(ReferenceSpec(kind=kind, **used), name)
+    assert ReferenceSpec(kind=kind, **used, **{name: default}) == ReferenceSpec(kind=kind, **used)
 
 
 def test_noise_sampling_is_seeded_and_scaled():
