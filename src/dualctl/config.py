@@ -16,10 +16,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import yaml
 
-from .controller import ControllerConfig
 from .errors import ConfigError, StateError
 from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition_count
-from .learner import ResetPolicy, make_state
 from .plants import (
     PLANT_PARAMS,
     REFERENCE_FIELDS,
@@ -50,6 +48,34 @@ _TOP_KEYS = (
 )
 # Reference fields a document may omit or set to null: ReferenceSpec's default applies.
 _OPTIONAL_REFERENCE_FIELDS = ("amplitude", "form")
+# libyaml's parser when pyyaml was built with it; the pure-Python one reads the same objects.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+@dataclass(frozen=True)
+class ControllerConfig:
+    dual_lambda: float
+    input_clamp: float | None = None  # symmetric |u| bound, None = unbounded
+
+    def __post_init__(self):
+        if not (0.0 < self.dual_lambda < 1.0):
+            raise ValueError(f"dual_lambda must lie in (0, 1), got {self.dual_lambda}")
+        if self.input_clamp is not None and not (self.input_clamp > 0):
+            raise ValueError("input_clamp must be > 0 when set")
+
+
+@dataclass(frozen=True)
+class ResetPolicy:
+    """Thresholds of the change detector."""
+
+    admissible_error: float  # residual magnitude that counts as "wrong"
+    posterior_threshold: float = 0.95  # dominance level that counts as "locked"
+
+    def __post_init__(self):
+        if not (self.admissible_error > 0):
+            raise ValueError("admissible_error must be > 0")
+        if not (0.0 < self.posterior_threshold < 1.0):
+            raise ValueError("posterior_threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -247,10 +273,45 @@ def _reference_is_finite(spec: ReferenceSpec, iterations: int) -> bool:
         return False
 
 
+def _is_diagonal(p0) -> bool:
+    """True when every off-diagonal entry of ``p0`` is zero (of either sign) and
+    no diagonal entry is negative (``-0.0`` is not)."""
+    return (
+        p0[0][1] == p0[0][2] == p0[1][0] == p0[1][2] == p0[2][0] == p0[2][1] == 0.0
+        and min(p0[0][0], p0[1][1], p0[2][2]) >= 0.0
+    )
+
+
+def check_covariance(p0) -> bool:
+    """Check the 3x3 float matrix ``p0`` as an initial covariance; return whether
+    it is diagonal (see :func:`_is_diagonal`).
+
+    ``p0`` must be symmetric and positive semidefinite, both within 1e-9. A
+    diagonal ``p0`` with finite entries passes both checks by construction: its
+    off-diagonal entries are zero and its eigenvalues are its non-negative
+    diagonal entries. It is accepted without numpy, which is then not imported.
+    Any other ``p0`` (a cross entry, a tiny negative variance, a NaN or an inf)
+    is checked with numpy's ``isclose`` and ``eigvalsh``; an infinite entry is
+    refused. Raises :class:`StateError`.
+    """
+    diagonal = _is_diagonal(p0)
+    if not (diagonal and all(math.isfinite(p0[i][i]) for i in range(3))):
+        import numpy as np
+
+        mat = np.asarray(p0)
+        if not np.isclose(mat, mat.T, atol=1e-9).all():
+            raise StateError("covariance 0 is not symmetric")
+        if not np.isfinite(mat).all():  # eigvalsh of an inf entry is NaN, which no bound refuses
+            raise StateError("covariance 0 has a non-finite entry")
+        if np.linalg.eigvalsh(mat).min() < -1e-9:
+            raise StateError("covariance 0 is not positive semidefinite")
+    return diagonal
+
+
 def _initial_covariance(raw, path, channels) -> tuple[tuple[float, ...], ...]:
     p0 = _covariance_matrix(raw, path, channels)
     try:
-        make_state(1, 0.0, p0)  # the learner's own symmetry and PSD check
+        check_covariance(p0)  # the check make_state runs on every P0
     except StateError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return p0
@@ -285,7 +346,7 @@ def parse_config(path) -> ExperimentConfig:
     """Load, validate and resolve an experiment document."""
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -19,24 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SimulationError, SingularControlError
 
 _SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    dual_lambda: float
-    input_clamp: float | None = None  # symmetric |u| bound, None = unbounded
-
-    def __post_init__(self):
-        if not (0.0 < self.dual_lambda < 1.0):
-            raise ValueError(f"dual_lambda must lie in (0, 1), got {self.dual_lambda}")
-        if self.input_clamp is not None and not (self.input_clamp > 0):
-            raise ValueError("input_clamp must be > 0 when set")
 
 
 class ControlDecision(NamedTuple):

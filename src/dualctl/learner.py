@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import ResetPolicy, check_covariance
 from .errors import PosteriorUnderflowError, StateError
 
 # Posteriors are clamped here before any division or multiplication so a single
@@ -64,20 +65,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ResetPolicy:
-    """Thresholds of the change detector."""
-
-    admissible_error: float  # residual magnitude that counts as "wrong"
-    posterior_threshold: float = 0.95  # dominance level that counts as "locked"
-
-    def __post_init__(self):
-        if not (self.admissible_error > 0):
-            raise ValueError("admissible_error must be > 0")
-        if not (0.0 < self.posterior_threshold < 1.0):
-            raise ValueError("posterior_threshold must lie in (0, 1)")
-
-
 @dataclass
 class LearnerState:
     """Posteriors and per-candidate covariances owned by one run loop."""
@@ -90,15 +77,6 @@ class LearnerState:
     diagonal: bool  # initial_covariance has zero cross entries and no negative entry
 
 
-def _is_diagonal(p0) -> bool:
-    """True when every off-diagonal entry of ``p0`` is zero (of either sign) and
-    no diagonal entry is negative (``-0.0`` is not)."""
-    return (
-        p0[0][1] == p0[0][2] == p0[1][0] == p0[1][2] == p0[2][0] == p0[2][1] == 0.0
-        and min(p0[0][0], p0[1][1], p0[2][2]) >= 0.0
-    )
-
-
 def _initial_layout(p0, size: int):
     """Covariance entry lists with every candidate at ``p0``."""
     return [[[v] * size for v in row] for row in p0]
@@ -107,31 +85,17 @@ def _initial_layout(p0, size: int):
 def make_state(grid_size: int, noise_variance: float, initial_covariance) -> LearnerState:
     """Uniform posteriors with every covariance at the configured initial value.
 
-    Every candidate starts as the same copy of P0, so P0 itself is checked:
-    symmetric and positive semidefinite, both within 1e-9. A diagonal P0 (see
-    :func:`_is_diagonal`) with finite entries passes both checks by
-    construction: its off-diagonal entries are zero and its eigenvalues are its
-    non-negative diagonal entries. It is accepted without numpy, which is then
-    not imported. Any other P0 (a cross entry, a tiny negative variance, a NaN
-    or an inf) is checked with numpy's ``isclose`` and ``eigvalsh``; an
-    infinite entry is refused.
+    Every candidate starts as the same copy of P0, so P0 itself is checked,
+    by :func:`dualctl.config.check_covariance`: symmetric and positive
+    semidefinite, both within 1e-9, and without numpy when it is diagonal
+    with finite entries.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     p0 = tuple(tuple(float(v) for v in row) for row in initial_covariance)
-    diagonal = _is_diagonal(p0)
-    if not (diagonal and all(math.isfinite(p0[i][i]) for i in range(3))):
-        import numpy as np
-
-        mat = np.asarray(p0)
-        if not np.isclose(mat, mat.T, atol=1e-9).all():
-            raise StateError("covariance 0 is not symmetric")
-        if not np.isfinite(mat).all():  # eigvalsh of an inf entry is NaN, which no bound refuses
-            raise StateError("covariance 0 has a non-finite entry")
-        if np.linalg.eigvalsh(mat).min() < -1e-9:
-            raise StateError("covariance 0 is not positive semidefinite")
+    diagonal = check_covariance(p0)
     return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=_initial_layout(p0, grid_size),

@@ -35,6 +35,13 @@ TRAIN_DEFAULTS = {
 PLANT_PARAMS = {"affine_case1": (), "crh3_train": tuple(TRAIN_DEFAULTS)}
 
 
+def _finite(value, name: str):
+    """``value`` itself; NaN or an infinity is a ValueError that names ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return value
+
+
 def _require_finite(**values) -> None:
     for name, v in values.items():
         if not math.isfinite(v):
@@ -75,12 +82,13 @@ class PlantModel:
     def __post_init__(self):
         if self.kind not in PLANT_PARAMS:
             raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {tuple(PLANT_PARAMS)}")
-        if self.noise_variance < 0:
+        if _finite(self.noise_variance, "noise_variance") < 0:
             raise ValueError("noise_variance must be >= 0")
         given = dict(self.params)
-        for name in given:
+        for name, value in given.items():
             if name not in PLANT_PARAMS[self.kind]:
                 raise ValueError(f"{self.kind} plant has no parameter {name!r}")
+            _finite(value, f"params.{name}")
         if self.kind == "affine_case1":
             merged, pair = given, (affine_f, affine_g)
         else:  # the partials' own dict, seen only as the frozen pairs
@@ -128,9 +136,11 @@ def _whole_number(value, name: str) -> int:
 
 
 def validate_segments(segments, name: str = "schedule") -> Segments:
-    """Check (start_k, value) segments: whole starts, the first 1, strictly increasing."""
+    """Check (start_k, value) segments: whole starts, the first 1, strictly
+    increasing, and finite values."""
     segs = tuple(
-        (_whole_number(k, f"{name}[{i}][0]"), float(v)) for i, (k, v) in enumerate(segments)
+        (_whole_number(k, f"{name}[{i}][0]"), _finite(float(v), f"{name}[{i}][1]"))
+        for i, (k, v) in enumerate(segments)
     )
     if not segs:
         raise ValueError(f"{name}: needs at least one segment")
@@ -227,12 +237,17 @@ class ReferenceSpec:
         for f in fields(self)[1:]:
             if f.name not in REFERENCE_FIELDS[self.kind] and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.kind} reference does not use {f.name!r}")
+        for name in ("amplitude", "half_cycles", "base", "gain", "rate"):  # unused: the defaults
+            _finite(getattr(self, name), name)
         if self.kind == "square":
             object.__setattr__(self, "segments", validate_segments(self.segments, "reference"))
         if self.kind == "logistic_train" and self.form not in ("logistic", "expanded"):
             raise ValueError(f"logistic_train form must be 'logistic' or 'expanded', got {self.form!r}")
-        if self.kind == "user_table" and not self.values:
-            raise ValueError("user_table reference needs values")
+        if self.kind == "user_table":
+            values = tuple(_finite(float(v), f"values[{i}]") for i, v in enumerate(self.values))
+            if not values:
+                raise ValueError("user_table reference needs values")
+            object.__setattr__(self, "values", values)
         if self.kind == "cosine":
             object.__setattr__(self, "span", _whole_number(self.span, "span"))
             if self.span <= 0:

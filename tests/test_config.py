@@ -7,6 +7,7 @@ import time
 import pytest
 import yaml
 
+import dualctl.config
 import dualctl.grid
 from dualctl import (
     ConfigError,
@@ -452,3 +453,32 @@ def test_a_null_required_number_is_a_config_error(path):
     with pytest.raises(ConfigError) as info:
         config_from_dict(raw, base_dir="configs")
     assert str(info.value) == f"config.{'.'.join(path)}: expected a number, got NoneType"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_libyaml_and_python_loaders_read_equal_documents(name, tmp_path):
+    saved = tmp_path / "saved.yaml"
+    save_config(parse_config(f"configs/{name}.yaml"), saved)
+    for path, base_dir in ((f"configs/{name}.yaml", "configs"), (saved, tmp_path)):
+        text = open(path).read()
+        # The fallback loader reads the config parse_config reads.
+        python = yaml.load(text, Loader=yaml.SafeLoader)
+        assert config_from_dict(python, base_dir=str(base_dir)) == parse_config(path)
+        if yaml.__with_libyaml__:  # repr tells 1 from 1.0 and -0.0 from 0.0
+            assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(python)
+
+
+@pytest.mark.parametrize("loader", ["C", "Python"])
+def test_malformed_yaml_is_a_config_error_naming_file_line_and_column(tmp_path, monkeypatch, loader):
+    if loader == "C" and not yaml.__with_libyaml__:
+        pytest.skip("pyyaml is built without libyaml")
+    monkeypatch.setattr(
+        dualctl.config, "_LOADER", yaml.CSafeLoader if loader == "C" else yaml.SafeLoader
+    )
+    path = tmp_path / "bad.yaml"
+    path.write_text("schema_version: 1\nname: [a, b\niterations: 3\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: not valid YAML: while parsing a flow sequence\n")
+    assert f'in "{path}", line 2, column 7' in message

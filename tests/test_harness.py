@@ -667,8 +667,10 @@ _USED_FIELDS = {
         "base": _MODEST, "gain": _MODEST, "rate": st.floats(0.1, 5.0),
         "form": st.sampled_from(["logistic", "expanded"]),
     }),
-    "user_table": st.fixed_dictionaries(
-        {"values": st.lists(_MODEST, min_size=1, max_size=5).map(tuple)}
+    "user_table": st.fixed_dictionaries(  # a list or a tuple: the spec keeps a tuple
+        {"values": st.lists(_MODEST, min_size=1, max_size=5).flatmap(
+            lambda values: st.sampled_from([values, tuple(values)])
+        )}
     ),
 }
 _REFERENCE_DEFAULTS = {k: v for k, v in vars(ReferenceSpec(kind="cosine")).items() if k != "kind"}

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,37 @@ def test_reference_refuses_a_value_in_a_field_its_kind_does_not_use(kind, used, 
     # The field's default is the value it holds when unset, so it is accepted.
     default = getattr(ReferenceSpec(kind=kind, **used), name)
     assert ReferenceSpec(kind=kind, **used, **{name: default}) == ReferenceSpec(kind=kind, **used)
+
+
+def test_user_table_values_become_a_tuple_of_floats(tmp_path):
+    spec = ReferenceSpec(kind="user_table", values=[0.5, 1])
+    assert spec.values == (0.5, 1.0) and all(type(v) is float for v in spec.values)
+    assert spec == ReferenceSpec(kind="user_table", values=(0.5, 1.0))
+    assert hash(spec) == hash(ReferenceSpec(kind="user_table", values=(0.5, 1.0)))
+    cfg = replace(parse_config("configs/case1.yaml"), reference=spec)
+    save_config(cfg, tmp_path / "table.yaml")
+    assert parse_config(tmp_path / "table.yaml") == cfg
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    [
+        (PlantModel, {"kind": "crh3_train", "noise_variance": 1.0, "params": {"xi": math.nan}}, "params.xi"),
+        (PlantModel, {"kind": "affine_case1", "noise_variance": math.inf}, "noise_variance"),
+        (ReferenceSpec, {"kind": "cosine", "amplitude": math.nan}, "amplitude"),
+        (ReferenceSpec, {"kind": "cosine", "half_cycles": -math.inf}, "half_cycles"),
+        (ReferenceSpec, {"kind": "logistic_train", "rate": math.inf}, "rate"),
+        (ReferenceSpec, {"kind": "user_table", "values": [0.5, -math.inf]}, "values[1]"),
+        (ReferenceSpec, {"kind": "square", "segments": ((1, 0.5), (9, math.nan))}, "reference[1][1]"),
+        (DisturbanceSchedule, {"alpha": ((1, math.inf),), "beta": ((1, 1.0),), "gamma": ((1, 0.0),)},
+         "alpha[0][1]"),
+    ],
+    ids=["train-param", "noise-variance", "amplitude", "half-cycles", "rate", "table-value",
+         "square-level", "schedule-value"],
+)
+def test_api_refuses_the_non_finite_numbers_a_document_refuses(cls, kwargs, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a finite number, got -?(nan|inf)$"):
+        cls(**kwargs)
 
 
 def test_noise_sampling_is_seeded_and_scaled():
