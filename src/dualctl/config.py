@@ -5,7 +5,8 @@ level, the reference, the surrogate network parameter file, the per-channel
 disturbance intervals / grid tolerances / true schedules, controller and
 change-detector settings, and Monte Carlo randomization. Validation errors
 name the offending field path; a key that config_to_dict does not write is
-an unknown field.
+an unknown field. The document's value types and the initial-covariance
+check that make_state also runs live here, so parsing loads no run engine.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .plants import (
     PlantModel,
     ReferenceSpec,
     Segments,
+    finite_number,
     reference_at,
     validate_segments,
 )
@@ -146,12 +148,9 @@ def _finite(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
     try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {value}")
-    return number
+        return finite_number(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _number(mapping, key, path, required=True, default=None):

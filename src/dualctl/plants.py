@@ -35,11 +35,15 @@ TRAIN_DEFAULTS = {
 PLANT_PARAMS = {"affine_case1": (), "crh3_train": tuple(TRAIN_DEFAULTS)}
 
 
-def _finite(value, name: str):
-    """``value`` itself; NaN or an infinity is a ValueError that names ``name``."""
-    if not math.isfinite(value):
+def finite_number(value, name: str) -> float:
+    """``value`` as a float; NaN or an infinity is a ValueError that names ``name``."""
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    return value
+    return number
 
 
 def _require_finite(**values) -> None:
@@ -82,13 +86,13 @@ class PlantModel:
     def __post_init__(self):
         if self.kind not in PLANT_PARAMS:
             raise ValueError(f"unknown plant kind {self.kind!r}, expected one of {tuple(PLANT_PARAMS)}")
-        if _finite(self.noise_variance, "noise_variance") < 0:
+        if finite_number(self.noise_variance, "noise_variance") < 0:
             raise ValueError("noise_variance must be >= 0")
         given = dict(self.params)
         for name, value in given.items():
             if name not in PLANT_PARAMS[self.kind]:
                 raise ValueError(f"{self.kind} plant has no parameter {name!r}")
-            _finite(value, f"params.{name}")
+            finite_number(value, f"params.{name}")
         if self.kind == "affine_case1":
             merged, pair = given, (affine_f, affine_g)
         else:  # the partials' own dict, seen only as the frozen pairs
@@ -139,7 +143,7 @@ def validate_segments(segments, name: str = "schedule") -> Segments:
     """Check (start_k, value) segments: whole starts, the first 1, strictly
     increasing, and finite values."""
     segs = tuple(
-        (_whole_number(k, f"{name}[{i}][0]"), _finite(float(v), f"{name}[{i}][1]"))
+        (_whole_number(k, f"{name}[{i}][0]"), finite_number(v, f"{name}[{i}][1]"))
         for i, (k, v) in enumerate(segments)
     )
     if not segs:
@@ -238,13 +242,13 @@ class ReferenceSpec:
             if f.name not in REFERENCE_FIELDS[self.kind] and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.kind} reference does not use {f.name!r}")
         for name in ("amplitude", "half_cycles", "base", "gain", "rate"):  # unused: the defaults
-            _finite(getattr(self, name), name)
+            finite_number(getattr(self, name), name)
         if self.kind == "square":
             object.__setattr__(self, "segments", validate_segments(self.segments, "reference"))
         if self.kind == "logistic_train" and self.form not in ("logistic", "expanded"):
             raise ValueError(f"logistic_train form must be 'logistic' or 'expanded', got {self.form!r}")
         if self.kind == "user_table":
-            values = tuple(_finite(float(v), f"values[{i}]") for i, v in enumerate(self.values))
+            values = tuple(finite_number(v, f"values[{i}]") for i, v in enumerate(self.values))
             if not values:
                 raise ValueError("user_table reference needs values")
             object.__setattr__(self, "values", values)

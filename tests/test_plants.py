@@ -339,15 +339,16 @@ def test_user_table_values_become_a_tuple_of_floats(tmp_path):
         (ReferenceSpec, {"kind": "cosine", "half_cycles": -math.inf}, "half_cycles"),
         (ReferenceSpec, {"kind": "logistic_train", "rate": math.inf}, "rate"),
         (ReferenceSpec, {"kind": "user_table", "values": [0.5, -math.inf]}, "values[1]"),
+        (ReferenceSpec, {"kind": "cosine", "amplitude": 10**400}, "amplitude"),
         (ReferenceSpec, {"kind": "square", "segments": ((1, 0.5), (9, math.nan))}, "reference[1][1]"),
         (DisturbanceSchedule, {"alpha": ((1, math.inf),), "beta": ((1, 1.0),), "gamma": ((1, 0.0),)},
          "alpha[0][1]"),
     ],
     ids=["train-param", "noise-variance", "amplitude", "half-cycles", "rate", "table-value",
-         "square-level", "schedule-value"],
+         "huge-int", "square-level", "schedule-value"],
 )
 def test_api_refuses_the_non_finite_numbers_a_document_refuses(cls, kwargs, field):
-    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a finite number, got -?(nan|inf)$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a finite number, got -?(nan|inf|10+)$"):
         cls(**kwargs)
 
 
