@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import yaml
@@ -50,8 +51,29 @@ _TOP_KEYS = (
 )
 # Reference fields a document may omit or set to null: ReferenceSpec's default applies.
 _OPTIONAL_REFERENCE_FIELDS = ("amplitude", "form")
+
+
+class _UniqueKeys:
+    """Loader mixin that refuses a mapping repeating a key; pyyaml keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode):
+                key = (key_node.tag, key_node.value)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found a repeated key {key_node.value!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 # libyaml's parser when pyyaml was built with it; the pure-Python one reads the same objects.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_LOADER = type(
+    "_Loader", (_UniqueKeys, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader), {}
+)
 
 
 @dataclass(frozen=True)
@@ -118,6 +140,15 @@ class ExperimentConfig:
         )
 
 
+@contextmanager
+def _reported(path=None, errors=ValueError):
+    """Re-raise ``errors`` of the block as ConfigErrors, prefixed with ``path`` if given."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
 def _expect(mapping, key, types, path, required=True, default=None):
     if key not in mapping:
         if required:
@@ -147,10 +178,8 @@ def _finite(value, where) -> float:
     """``value`` as a float; a boolean, a non-number or a NaN/inf is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
-    try:
+    with _reported():
         return finite_number(value, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _number(mapping, key, path, required=True, default=None):
@@ -162,13 +191,11 @@ def _number_fields(raw, cls, path):
     """``cls`` built from the numbers of mapping ``raw``, one per dataclass field;
     a field with a default is optional."""
     _known(raw, [f.name for f in fields(cls)], path)
-    try:
+    with _reported(path):
         return cls(**{
             f.name: _number(raw, f.name, path, f.default is MISSING, f.default)
             for f in fields(cls)
         })
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _segments(raw, path) -> Segments:
@@ -179,30 +206,39 @@ def _segments(raw, path) -> Segments:
     for i, (start, value) in enumerate(raw):
         _finite(start, f"{path}[{i}][0]")
         _finite(value, f"{path}[{i}][1]")
-    try:
+    with _reported():
         return validate_segments(raw, path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _channel(raw, path, iterations) -> ChannelSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping")
     _known(raw, ("lower", "upper", "eps", "schedule"), path)
-    try:
+    with _reported(path):
         interval = BoundedInterval(
             lower=_number(raw, "lower", path),
             upper=_number(raw, "upper", path),
             admissible_error=_number(raw, "eps", path),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     sched = _segments(_expect(raw, "schedule", list, path), f"{path}.schedule")
     if sched[-1][0] > iterations:
         raise ConfigError(
             f"{path}.schedule: segment starts at k={sched[-1][0]} beyond iterations={iterations}"
         )
     return ChannelSpec(interval=interval, schedule=sched)
+
+
+def check_seed(name: str, seed: int | None) -> None:
+    """A seed, the config's or an override, must be a non-negative integer."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{name}: expected a non-negative integer, got {seed!r}")
+
+
+def check_name(name: str, where: str) -> None:
+    """A run name must be one line without surrounding whitespace, the form that a
+    trace's ``# name:`` line reads back unchanged; a ValueError otherwise."""
+    if name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"{where}: must be one line without surrounding spaces, got {name!r}")
 
 
 def check_grid_size(intervals, path: str) -> None:
@@ -228,14 +264,12 @@ def _plant(raw, path) -> PlantModel:
     params = _expect(raw, "params", dict, path, required=False, default={})
     # PlantModel refuses these too; checked here so the error names the field.
     _known(params, PLANT_PARAMS[kind], f"{path}.params")
-    try:
+    with _reported(path):
         return PlantModel(
             kind=kind,
             noise_variance=_number(raw, "noise_variance", path),
             params={k: _finite(v, f"{path}.params.{k}") for k, v in params.items()},
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _reference_field(raw, key, path):
@@ -258,10 +292,8 @@ def _reference(raw, path) -> ReferenceSpec:
         raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")
     _known(raw, ("kind",) + REFERENCE_FIELDS[kind], path)
     read = {key: _reference_field(raw, key, path) for key in REFERENCE_FIELDS[kind]}
-    try:
+    with _reported(path):  # a ValueError from ReferenceSpec; the ConfigErrors name their field
         return ReferenceSpec(kind=kind, **{k: v for k, v in read.items() if v is not None})
-    except ValueError as exc:  # from ReferenceSpec; the ConfigErrors name their field
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _reference_is_finite(spec: ReferenceSpec, iterations: int) -> bool:
@@ -309,10 +341,8 @@ def check_covariance(p0) -> bool:
 
 def _initial_covariance(raw, path, channels) -> tuple[tuple[float, ...], ...]:
     p0 = _covariance_matrix(raw, path, channels)
-    try:
+    with _reported(path, StateError):
         check_covariance(p0)  # the check make_state runs on every P0
-    except StateError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return p0
 
 
@@ -343,10 +373,10 @@ def _covariance_matrix(raw, path, channels) -> tuple[tuple[float, ...], ...]:
 
 def parse_config(path) -> ExperimentConfig:
     """Load, validate and resolve an experiment document."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -366,8 +396,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if iterations > MAX_ITERATIONS:
         raise ConfigError(f"config.iterations: {iterations} is more than {MAX_ITERATIONS}")
     seed = _expect(raw, "seed", int, "config")
-    if seed < 0:
-        raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
+    check_seed("config.seed", seed)
     rng = _expect(raw, "rng", str, "config", required=False, default=RNG)
     if rng != RNG:
         raise ConfigError(f"config.rng: only {RNG!r} is supported, got {rng!r}")
@@ -401,13 +430,14 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     resolved = network_file if os.path.isabs(network_file) else os.path.join(base_dir, network_file)
     if not os.path.exists(resolved):
         raise ConfigError(f"config.network: parameter file not found: {resolved}")
-    try:
+    with _reported("config.network", (ValueError, OSError)):  # OSError: a directory, no access
         network = load_network(resolved)
-    except ValueError as exc:
-        raise ConfigError(f"config.network: {exc}") from exc
 
+    name = _expect(raw, "name", str, "config")
+    with _reported():
+        check_name(name, "config.name")
     return ExperimentConfig(
-        name=_expect(raw, "name", str, "config"),
+        name=name,
         iterations=iterations,
         seed=seed,
         initial_output=_number(raw, "initial_output", "config"),

@@ -26,9 +26,9 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 
-from .config import CHANNELS, ExperimentConfig
+from .config import CHANNELS, ExperimentConfig, check_name, check_seed
 from .controller import blended_control, optimal_control
-from .errors import BatchError, ConfigError, DualctlError, RunError, SingularControlError
+from .errors import BatchError, DualctlError, RunError, SingularControlError
 from .learner import bayes_step, detect_change, make_state, update_covariance
 from .learner import reset as reset_learner
 from .plants import reference_at, sample_noise
@@ -94,12 +94,6 @@ def _bounded(name: str, value: float, k: int) -> float:
     return value
 
 
-def _check_seed(name: str, seed: int | None) -> None:
-    """A seed override must be a non-negative integer, like the config's seed."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"{name}: expected a non-negative integer, got {seed!r}")
-
-
 def _fire(hooks, event, k, **info):
     fn = hooks.get(event)
     if fn is not None:
@@ -134,7 +128,7 @@ def run_experiment(
     for event in hooks or ():
         if event not in HOOK_EVENTS:
             raise ValueError(f"hooks names unknown event {event!r}, expected one of {HOOK_EVENTS}")
-    _check_seed("seed", seed)
+    check_seed("seed", seed)
     # Imported by the functions that use it, so that importing dualctl, parsing
     # a config and building its grid never load numpy; before the clock starts,
     # so that the first run's wall time does not hold the import.
@@ -270,8 +264,10 @@ def write_trace(trace: RunTrace, path) -> None:
     the line ``# posteriors: .pi.npy``, and the posteriors go to the sidecar
     ``<path>.pi.npy``, a float64 ``(rows, grid_size)`` array written by
     ``np.save`` without pickling.  The line holds only the suffix, so the CSV's
-    bytes do not depend on its path.
+    bytes do not depend on its path. A name that the ``# name:`` line would not
+    read back unchanged is a ValueError, raised before any file is opened.
     """
+    check_name(trace.name, "trace name")
     version = "v1" if trace.posteriors is None else "v2"
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_FORMAT_TAG} {version}\n")
@@ -525,7 +521,7 @@ def monte_carlo(
         raise ValueError("runs must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    _check_seed("seed_base", seed_base)
+    check_seed("seed_base", seed_base)
     base = cfg.seed if seed_base is None else seed_base
     tasks = [(cfg, controller, base + i) for i in range(runs)]
     jobs = min(jobs, runs)  # a process pool forks all its workers at its first task

@@ -482,3 +482,73 @@ def test_malformed_yaml_is_a_config_error_naming_file_line_and_column(tmp_path, 
     message = str(info.value)
     assert message.startswith(f"{path}: not valid YAML: while parsing a flow sequence\n")
     assert f'in "{path}", line 2, column 7' in message
+
+
+def _write_document(tmp_path, raw):
+    """``raw``, a mapping or its text, saved as tmp_path/exp.yaml beside case1's network."""
+    (tmp_path / "networks").mkdir()
+    network = "networks/case1_affine.rbfnet"
+    (tmp_path / network).write_text(open(f"configs/{network}").read())
+    path = tmp_path / "exp.yaml"
+    path.write_text(raw if isinstance(raw, str) else yaml.safe_dump(raw, sort_keys=False))
+    return path
+
+
+def test_network_path_that_is_a_directory_is_a_config_error(tmp_path):
+    raw = _template()
+    raw["network"] = "networks"
+    with pytest.raises(ConfigError, match=r"^config\.network: .*Is a directory"):
+        parse_config(_write_document(tmp_path, raw))
+
+
+def test_document_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = _write_document(tmp_path, open("configs/case1.yaml").read())
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value).startswith(f"{path}: not valid YAML: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("loader", ["C", "Python"])
+@pytest.mark.parametrize(
+    "line, repeat, indent, key",
+    [
+        ("seed: 4", "seed: 3", "", "seed"),
+        ("  noise_variance: 0.0004", "  noise_variance: 1.0", "  ", "noise_variance"),
+        ("    eps: 0.1", "    eps: 0.5", "    ", "eps"),
+    ],
+    ids=["top", "plant", "channels.alpha"],
+)
+def test_repeated_key_is_a_config_error_naming_file_and_line(
+    tmp_path, monkeypatch, loader, line, repeat, indent, key
+):
+    if loader == "C":  # the loader parse_config uses when pyyaml has libyaml
+        if not yaml.__with_libyaml__:
+            pytest.skip("pyyaml is built without libyaml")
+        assert issubclass(dualctl.config._LOADER, yaml.CSafeLoader)
+    else:
+        monkeypatch.setattr(
+            dualctl.config, "_LOADER",
+            type("Loader", (dualctl.config._UniqueKeys, yaml.SafeLoader), {}),
+        )
+    lines = open("configs/case1.yaml").read().splitlines()
+    at = lines.index(line)  # the first occurrence: channels.alpha comes before beta and gamma
+    assert lines[at - 1].startswith(indent)  # so the repeat lands in the same mapping
+    lines.insert(at, repeat)
+    path = _write_document(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: not valid YAML: while constructing a mapping\n")
+    assert f"found a repeated key {key!r}\n  in \"{path}\", line {at + 2}, column {len(indent) + 1}" in message
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "  padded  "])
+def test_name_that_a_trace_cannot_read_back_is_a_config_error(tmp_path, name):
+    raw = _template()
+    raw["name"] = name
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write_document(tmp_path, raw))
+    assert str(info.value) == (
+        f"config.name: must be one line without surrounding spaces, got {name!r}"
+    )

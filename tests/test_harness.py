@@ -712,3 +712,12 @@ def test_api_built_config_round_trips_or_is_refused(drawn, round_trip_dir):
     if cfg.plant.kind == "crh3_train":  # the same plant, reached through replace
         assert replace(cfg.plant, params=params) == train
     _assert_round_trips(replace(cfg, reference=reference, plant=train), round_trip_dir)
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "  padded  "])
+def test_write_trace_refuses_a_name_it_cannot_read_back(case1_cfg, tmp_path, name):
+    trace = replace(run_experiment(_short(case1_cfg, iterations=5), seed=1), name=name)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^trace name: must be one line without surrounding spaces"):
+        write_trace(trace, path)
+    assert not path.exists()
