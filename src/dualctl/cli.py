@@ -161,8 +161,8 @@ def _cmd_mc(args) -> int:
         with open(summary, "w") as fh:
             fh.write("run,seed,j_index\n")
             # A run keeps its batch index, the one "failed runs:" reports.
-            for s, j in zip(result.seeds, m.j_values):
-                fh.write(f"{s - result.seed_base},{s},{j!r}\n")
+            for trace, j in zip(result.traces, m.j_values):
+                fh.write(f"{trace.seed - result.seed_base},{trace.seed},{j!r}\n")
         if args.save_traces:
             for trace in result.traces:
                 name = f"run{trace.seed - result.seed_base:03d}.csv"

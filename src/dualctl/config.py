@@ -15,6 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
+from numbers import Integral
 
 import yaml
 
@@ -82,9 +83,9 @@ class ControllerConfig:
     input_clamp: float | None = None  # symmetric |u| bound, None = unbounded
 
     def __post_init__(self):
-        if not (0.0 < self.dual_lambda < 1.0):
+        if not (0.0 < finite_number(self.dual_lambda, "dual_lambda") < 1.0):
             raise ValueError(f"dual_lambda must lie in (0, 1), got {self.dual_lambda}")
-        if self.input_clamp is not None and not (self.input_clamp > 0):
+        if self.input_clamp is not None and not (finite_number(self.input_clamp, "input_clamp") > 0):
             raise ValueError("input_clamp must be > 0 when set")
 
 
@@ -96,9 +97,9 @@ class ResetPolicy:
     posterior_threshold: float = 0.95  # dominance level that counts as "locked"
 
     def __post_init__(self):
-        if not (self.admissible_error > 0):
+        if not (finite_number(self.admissible_error, "admissible_error") > 0):
             raise ValueError("admissible_error must be > 0")
-        if not (0.0 < self.posterior_threshold < 1.0):
+        if not (0.0 < finite_number(self.posterior_threshold, "posterior_threshold") < 1.0):
             raise ValueError("posterior_threshold must lie in (0, 1)")
 
 
@@ -176,8 +177,6 @@ def _known(mapping, keys, path) -> None:
 
 def _finite(value, where) -> float:
     """``value`` as a float; a boolean, a non-number or a NaN/inf is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
     with _reported():
         return finite_number(value, where)
 
@@ -203,9 +202,6 @@ def _segments(raw, path) -> Segments:
         isinstance(s, list) and len(s) == 2 for s in raw
     ):
         raise ConfigError(f"{path}: expected a list of [start_k, value] pairs")
-    for i, (start, value) in enumerate(raw):
-        _finite(start, f"{path}[{i}][0]")
-        _finite(value, f"{path}[{i}][1]")
     with _reported():
         return validate_segments(raw, path)
 
@@ -229,8 +225,9 @@ def _channel(raw, path, iterations) -> ChannelSpec:
 
 
 def check_seed(name: str, seed: int | None) -> None:
-    """A seed, the config's or an override, must be a non-negative integer."""
-    if seed is not None and seed < 0:
+    """A seed, the config's or an override, must be a non-negative integer; a
+    numpy integer is one, a bool is not."""
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
         raise ConfigError(f"{name}: expected a non-negative integer, got {seed!r}")
 
 
@@ -255,8 +252,6 @@ def check_grid_size(intervals, path: str) -> None:
 
 
 def _plant(raw, path) -> PlantModel:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a mapping")
     kind = _expect(raw, "kind", str, path)
     if kind not in PLANT_PARAMS:
         raise ConfigError(f"{path}.kind: unknown plant kind {kind!r}")
@@ -285,8 +280,6 @@ def _reference_field(raw, key, path):
 
 
 def _reference(raw, path) -> ReferenceSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a mapping")
     kind = _expect(raw, "kind", str, path)
     if kind not in REFERENCE_FIELDS:
         raise ConfigError(f"{path}.kind: unknown reference kind {kind!r}")

@@ -36,6 +36,9 @@ class RunError(DualctlError):
         super().__init__(message)
         self.iteration = iteration
 
+    def __reduce__(self):  # a process pool returns a failed run's error with its iteration
+        return type(self), (str(self), self.iteration)
+
 
 class BatchError(DualctlError):
     """Too many Monte Carlo runs failed to produce a trustworthy batch."""

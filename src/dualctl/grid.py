@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .plants import finite_number
+
 # Ratios this close to an integer are treated as that integer so that float
 # noise (e.g. 0.3/0.1 -> 3.0000000000000004) cannot change the partition count.
 _INTEGER_SNAP_TOL = 1e-9
@@ -39,13 +41,11 @@ class BoundedInterval:
     admissible_error: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("interval bounds must be finite")
-        if self.lower >= self.upper:
+        if finite_number(self.lower, "lower") >= finite_number(self.upper, "upper"):
             raise ValueError(
                 f"interval lower bound {self.lower} must be < upper bound {self.upper}"
             )
-        if not (math.isfinite(self.admissible_error) and self.admissible_error > 0):
+        if not (finite_number(self.admissible_error, "admissible_error") > 0):
             raise ValueError(f"admissible error must be > 0, got {self.admissible_error}")
 
     @property

@@ -488,19 +488,17 @@ class BatchResult:
     controller: str
     seed_base: int
     requested: int
-    seeds: list[int]
-    traces: list[RunTrace]
-    failures: list[tuple[int, str]]
+    traces: list[RunTrace]  # the completed runs, in seed order; each holds its seed
+    failures: list[tuple[int, RunError]]  # (batch index, its error)
     metrics: BatchMetrics
 
 
-def _mc_worker(args):
+def _mc_worker(args) -> RunTrace | RunError:
     cfg, controller, seed = args
     try:
-        trace = run_experiment(cfg, controller=controller, seed=seed, randomize=cfg.mc_randomize)
+        return run_experiment(cfg, controller=controller, seed=seed, randomize=cfg.mc_randomize)
     except RunError as exc:
-        return None, str(exc)
-    return trace, None
+        return exc
 
 
 def monte_carlo(
@@ -536,17 +534,13 @@ def monte_carlo(
     else:
         outcomes = [_mc_worker(t) for t in tasks]
 
-    traces, seeds, failures = [], [], []
-    for index, (trace, message) in enumerate(outcomes):
-        if trace is None:
-            failures.append((index, message))
-        else:
-            traces.append(trace)
-            seeds.append(base + index)
+    traces = [outcome for outcome in outcomes if isinstance(outcome, RunTrace)]
+    failures = [(i, outcome) for i, outcome in enumerate(outcomes) if isinstance(outcome, RunError)]
     if failures:
+        index, first = failures[0]
         warnings.warn(
             f"{cfg.name}: {len(failures)}/{runs} runs failed and were excluded "
-            f"(first: run {failures[0][0]}: {failures[0][1]})"
+            f"(first: run {index} at iteration {first.iteration}: {first})"
         )
         if len(failures) > 0.1 * runs:
             raise BatchError(
@@ -557,7 +551,6 @@ def monte_carlo(
         controller=controller,
         seed_base=base,
         requested=runs,
-        seeds=seeds,
         traces=traces,
         failures=failures,
         metrics=batch_metrics(traces),

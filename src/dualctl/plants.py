@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .errors import SimulationError
@@ -36,7 +37,10 @@ PLANT_PARAMS = {"affine_case1": (), "crh3_train": tuple(TRAIN_DEFAULTS)}
 
 
 def finite_number(value, name: str) -> float:
-    """``value`` as a float; NaN or an infinity is a ValueError that names ``name``."""
+    """``value`` as a float; a bool, a non-number, NaN or an infinity is a
+    ValueError that names ``name``. The one number rule of every value type."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
@@ -129,12 +133,12 @@ Segments = tuple[tuple[int, float], ...]
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a bool, NaN, an infinity or a fraction is a ValueError."""
+    """``value`` as an int; a bool, a non-number, NaN, an infinity or a fraction is a ValueError."""
     try:
         whole = int(value)
-    except (OverflowError, ValueError):  # inf, NaN
+    except (OverflowError, TypeError, ValueError):  # inf, None, NaN
         whole = None
-    if isinstance(value, bool) or value != whole:
+    if isinstance(value, bool) or whole is None or value != whole:
         raise ValueError(f"{name}: expected a whole number, got {value!r}")
     return whole
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import FitError, SimulationError
+from .plants import finite_number
 
 FORMAT_TAG = "rbfnet"
 FORMAT_VERSION = "v1"
@@ -50,8 +51,11 @@ class RbfBranch:
             raise ValueError(
                 f"centers/widths/weights lengths differ: {n}/{len(self.widths)}/{len(self.weights)}"
             )
-        if any(not (math.isfinite(w) and w > 0) for w in self.widths):
-            raise ValueError("squared widths must be finite and > 0")
+        for name in ("centers", "widths", "weights"):
+            for i, v in enumerate(getattr(self, name)):
+                finite_number(v, f"{name}[{i}]")
+        if not all(w > 0 for w in self.widths):
+            raise ValueError("squared widths must be > 0")
         # A private attribute, not a field: equality, repr and the parameter
         # file stay those of the declared fields.
         object.__setattr__(

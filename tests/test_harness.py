@@ -70,7 +70,7 @@ def test_parallel_monte_carlo_matches_serial(case1_cfg, tmp_path):
     cfg = _short(case1_cfg)
     serial = monte_carlo(cfg, runs=6, seed_base=100, jobs=1)
     parallel = monte_carlo(cfg, runs=6, seed_base=100, jobs=3)
-    assert serial.seeds == parallel.seeds
+    assert len(serial.traces) == len(parallel.traces) == 6
     for i, (ts, tp) in enumerate(zip(serial.traces, parallel.traces)):
         pa, pb = tmp_path / f"s{i}.csv", tmp_path / f"p{i}.csv"
         write_trace(ts, pa)
@@ -406,6 +406,25 @@ def test_negative_seed_overrides_are_config_errors(case1_cfg):
         run_experiment(case1_cfg, seed=-1)
     with pytest.raises(ConfigError, match="seed_base: expected a non-negative integer, got -5"):
         monte_carlo(case1_cfg, runs=2, seed_base=-5)
+    # numpy would refuse a fraction with a bare TypeError, and a bool seed
+    # writes a "# seed: True" line that read_trace refuses.
+    for seed in (1.5, True):
+        with pytest.raises(ConfigError, match=f"^seed: expected a non-negative integer, got {seed}$"):
+            run_experiment(case1_cfg, seed=seed)
+        with pytest.raises(ConfigError, match=f"^seed_base: expected a non-negative integer, got {seed}$"):
+            monte_carlo(case1_cfg, runs=2, seed_base=seed)
+    assert len(run_experiment(replace(case1_cfg, iterations=5), seed=np.int64(3))) == 5
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_monte_carlo_failures_keep_their_run_error(jobs):
+    # Seed 10 of case3-eps02 diverges; the batch index and iteration survive the pool.
+    cfg = parse_config("configs/case3-eps02.yaml")
+    with pytest.warns(UserWarning, match=r"1/10 runs failed .*\(first: run 9 at iteration 330: "):
+        result = monte_carlo(cfg, runs=10, seed_base=1, jobs=jobs)
+    ((index, error),) = result.failures
+    assert index == 9 and type(error) is RunError and error.iteration == 330
+    assert [t.seed for t in result.traces] == list(range(1, 10))
 
 
 def test_monte_carlo_aborts_when_most_runs_fail(case1_cfg):

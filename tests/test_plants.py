@@ -2,7 +2,6 @@
 
 import math
 import pickle
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualctl import (
+    BoundedInterval,
+    ControllerConfig,
     DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
+    ResetPolicy,
     SimulationError,
     affine_f,
     affine_g,
@@ -25,6 +27,7 @@ from dualctl import (
     validate_segments,
 )
 from dualctl.plants import TRAIN_DEFAULTS
+from dualctl.rbf import RbfBranch
 
 
 def test_affine_nonlinearities():
@@ -191,8 +194,9 @@ def test_segment_validation():
         (((1, 1.0), (math.inf, 2.0)), r"schedule\[1\]\[0\]"),
         (((1, 1.0), (-math.inf, 2.0)), r"schedule\[1\]\[0\]"),
         (((math.nan, 1.0),), r"schedule\[0\]\[0\]"),
+        (((None, 1.0),), r"schedule\[0\]\[0\]"),
     ],
-    ids=["fraction", "bool", "last-fraction", "inf", "minus-inf", "nan"],
+    ids=["fraction", "bool", "last-fraction", "inf", "minus-inf", "nan", "none"],
 )
 def test_segment_starts_must_be_whole_numbers(segments, field):
     with pytest.raises(ValueError, match=field + ": expected a whole number"):
@@ -201,7 +205,7 @@ def test_segment_starts_must_be_whole_numbers(segments, field):
         ReferenceSpec(kind="square", segments=segments)
 
 
-@pytest.mark.parametrize("span", [600.9, 0.5, True, math.inf, math.nan])
+@pytest.mark.parametrize("span", [600.9, 0.5, True, math.inf, math.nan, None])
 def test_cosine_span_must_be_a_whole_number(span):
     with pytest.raises(ValueError, match="span: expected a whole number"):
         ReferenceSpec(kind="cosine", span=span)
@@ -330,26 +334,79 @@ def test_user_table_values_become_a_tuple_of_floats(tmp_path):
     assert parse_config(tmp_path / "table.yaml") == cfg
 
 
-@pytest.mark.parametrize(
-    "cls, kwargs, field",
-    [
-        (PlantModel, {"kind": "crh3_train", "noise_variance": 1.0, "params": {"xi": math.nan}}, "params.xi"),
-        (PlantModel, {"kind": "affine_case1", "noise_variance": math.inf}, "noise_variance"),
-        (ReferenceSpec, {"kind": "cosine", "amplitude": math.nan}, "amplitude"),
-        (ReferenceSpec, {"kind": "cosine", "half_cycles": -math.inf}, "half_cycles"),
-        (ReferenceSpec, {"kind": "logistic_train", "rate": math.inf}, "rate"),
-        (ReferenceSpec, {"kind": "user_table", "values": [0.5, -math.inf]}, "values[1]"),
-        (ReferenceSpec, {"kind": "cosine", "amplitude": 10**400}, "amplitude"),
-        (ReferenceSpec, {"kind": "square", "segments": ((1, 0.5), (9, math.nan))}, "reference[1][1]"),
-        (DisturbanceSchedule, {"alpha": ((1, math.inf),), "beta": ((1, 1.0),), "gamma": ((1, 0.0),)},
-         "alpha[0][1]"),
-    ],
-    ids=["train-param", "noise-variance", "amplitude", "half-cycles", "rate", "table-value",
-         "huge-int", "square-level", "schedule-value"],
-)
-def test_api_refuses_the_non_finite_numbers_a_document_refuses(cls, kwargs, field):
-    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a finite number, got -?(nan|inf|10+)$"):
-        cls(**kwargs)
+# Every numeric field a value type checks, as (id, build, name): ``build(v)``
+# makes the type with ``v`` in that field, and ``name`` is what its errors call it.
+# 0.5 is a valid value of every field. The plants module's types come first:
+# their non-finite cases are the named ones in _number_cases.
+_PLANT_FIELDS = [
+    ("noise-variance", lambda v: PlantModel(kind="affine_case1", noise_variance=v), "noise_variance"),
+    ("train-param", lambda v: PlantModel(kind="crh3_train", noise_variance=0.0, params={"xi": v}),
+     "params.xi"),
+    *((name.replace("_", "-"), lambda v, name=name: ReferenceSpec(kind="cosine", **{name: v}), name)
+      for name in ("amplitude", "half_cycles")),
+    *((name, lambda v, name=name: ReferenceSpec(kind="logistic_train", **{name: v}), name)
+      for name in ("base", "gain", "rate")),
+    ("table-value", lambda v: ReferenceSpec(kind="user_table", values=(0.5, v)), "values[1]"),
+    ("square-level", lambda v: ReferenceSpec(kind="square", segments=((1, 0.5), (9, v))),
+     "reference[1][1]"),
+    ("schedule-value",
+     lambda v: DisturbanceSchedule(alpha=((1, v),), beta=((1, 1.0),), gamma=((1, 0.0),)),
+     "alpha[0][1]"),
+]
+_OTHER_FIELDS = [
+    *((f"interval-{name}",
+       lambda v, name=name: BoundedInterval(**{"lower": 0.0, "upper": 1.0, "admissible_error": 0.1,
+                                               name: v}),
+       name)
+      for name in ("lower", "upper", "admissible_error")),
+    ("dual-lambda", lambda v: ControllerConfig(dual_lambda=v), "dual_lambda"),
+    ("input-clamp", lambda v: ControllerConfig(dual_lambda=0.9, input_clamp=v), "input_clamp"),
+    ("reset-error", lambda v: ResetPolicy(admissible_error=v), "admissible_error"),
+    ("posterior-threshold", lambda v: ResetPolicy(admissible_error=0.1, posterior_threshold=v),
+     "posterior_threshold"),
+    *((f"rbf-{name}",
+       lambda v, name=name: RbfBranch(**{"centers": (0.0, 1.0), "widths": (1.0, 1.0),
+                                         "weights": (1.0, 1.0), name: (1.0, v)}),
+       f"{name}[1]")
+      for name in ("centers", "widths", "weights")),
+]
+_NUMBER_FIELDS = _PLANT_FIELDS + _OTHER_FIELDS
+
+
+def _number_cases():
+    plant_builds = {case_id: build for case_id, build, _ in _PLANT_FIELDS}
+    for case_id, value, message in [
+        ("train-param", math.nan, "params.xi: expected a finite number, got nan"),
+        ("noise-variance", math.inf, "noise_variance: expected a finite number, got inf"),
+        ("amplitude", math.nan, "amplitude: expected a finite number, got nan"),
+        ("half-cycles", -math.inf, "half_cycles: expected a finite number, got -inf"),
+        ("rate", math.inf, "rate: expected a finite number, got inf"),
+        ("table-value", -math.inf, "values[1]: expected a finite number, got -inf"),
+        ("square-level", math.nan, "reference[1][1]: expected a finite number, got nan"),
+        ("schedule-value", math.inf, "alpha[0][1]: expected a finite number, got inf"),
+    ]:
+        yield pytest.param(plant_builds[case_id], value, message, id=case_id)
+    yield pytest.param(plant_builds["amplitude"], 10**400,
+                       f"amplitude: expected a finite number, got {10**400}", id="huge-int")
+    for case_id, build, name in _NUMBER_FIELDS:
+        yield pytest.param(build, True, f"{name}: expected a number, got bool", id=f"{case_id}-bool")
+        yield pytest.param(build, "0.5", f"{name}: expected a number, got str", id=f"{case_id}-str")
+    for case_id, build, name in _OTHER_FIELDS:
+        yield pytest.param(build, math.nan, f"{name}: expected a finite number, got nan",
+                           id=f"{case_id}-nan")
+
+
+@pytest.mark.parametrize("build, value, message", _number_cases())
+def test_api_refuses_the_non_finite_numbers_a_document_refuses(build, value, message):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+@pytest.mark.parametrize("build", [f[1] for f in _NUMBER_FIELDS], ids=[f[0] for f in _NUMBER_FIELDS])
+def test_api_accepts_numpy_scalars_in_every_numeric_field(build, scalar):
+    build(scalar(0.5))
 
 
 def test_noise_sampling_is_seeded_and_scaled():
