@@ -498,7 +498,10 @@ def _mc_worker(args) -> RunTrace | RunError:
     try:
         return run_experiment(cfg, controller=controller, seed=seed, randomize=cfg.mc_randomize)
     except RunError as exc:
-        return exc
+        # A copy without traceback or cause, as a process pool returns it. The
+        # raised error's frames reach back to monte_carlo's outcomes; holding it
+        # makes a cycle that keeps each failed run's frames until a full collection.
+        return RunError(str(exc), exc.iteration)
 
 
 def monte_carlo(

@@ -424,6 +424,8 @@ def test_monte_carlo_failures_keep_their_run_error(jobs):
         result = monte_carlo(cfg, runs=10, seed_base=1, jobs=jobs)
     ((index, error),) = result.failures
     assert index == 9 and type(error) is RunError and error.iteration == 330
+    # A held traceback would keep the failed run's frames, and the batch, in a reference cycle.
+    assert error.__traceback__ is None and error.__cause__ is None
     assert [t.seed for t in result.traces] == list(range(1, 10))
 
 
