@@ -101,6 +101,9 @@ def _check_writable(path: str, directory: str) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.full_posteriors and not args.out:
+        print("run: --full-posteriors needs --out", file=sys.stderr)
+        return 2
     cfg = parse_config(args.config)
     if args.out:
         _check_writable(args.out, os.path.dirname(os.path.abspath(args.out)))
@@ -129,6 +132,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.save_traces and not args.out_dir:
+        print("mc: --save-traces needs --out-dir", file=sys.stderr)
+        return 2
     cfg = parse_config(args.config)
     if args.out_dir:
         # The directory is made after the batch; its nearest existing
@@ -200,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", help="write the trace CSV here")
     pr.add_argument(
         "--full-posteriors", action="store_true",
-        help="also write every row's candidate posteriors to OUT.pi.npy (float64)",
+        help="also write every row's candidate posteriors to OUT.pi.npy (float64); needs --out",
     )
     pr.set_defaults(fn=_cmd_run)
 
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--controller", choices=CONTROLLER_KINDS, default="proposed")
     pm.add_argument("--jobs", type=int, default=1)
     pm.add_argument("--out-dir", help="write summary.csv (and traces) here")
-    pm.add_argument("--save-traces", action="store_true")
+    pm.add_argument("--save-traces", action="store_true", help="one trace per run; needs --out-dir")
     pm.set_defaults(fn=_cmd_mc)
     return p
 

@@ -38,9 +38,12 @@ CONTROLLER_KINDS = ("proposed", "optimal")
 HOOK_EVENTS = ("posterior_update", "control", "reset_check", "covariance_update")
 
 TRACE_FORMAT_TAG = "dualctl-trace"
-# v1 files have no posteriors, or (read only) one pi_* column per candidate;
-# v2 files keep the posteriors in a float64 .npy sidecar.
-TRACE_FORMAT_VERSIONS = ("v1", "v2")
+# Each version's metadata lines, written and required in this order after the first line.
+# v1 has no posteriors or (read only) pi_* columns; v2 keeps them in a float64 .npy sidecar.
+TRACE_METADATA = {
+    "v1": ("name", "controller", "seed", "grid_size"),
+    "v2": ("name", "controller", "seed", "grid_size", "posteriors"),
+}
 POSTERIOR_SUFFIX = ".pi.npy"
 TRACE_COLUMNS = (
     "k", "y_r", "y", "u", "u_opt", "y_hat", "err",
@@ -271,12 +274,9 @@ def write_trace(trace: RunTrace, path) -> None:
     version = "v1" if trace.posteriors is None else "v2"
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_FORMAT_TAG} {version}\n")
-        fh.write(f"# name: {trace.name}\n")
-        fh.write(f"# controller: {trace.controller}\n")
-        fh.write(f"# seed: {trace.seed}\n")
-        fh.write(f"# grid_size: {trace.grid_size}\n")
-        if trace.posteriors is not None:
-            fh.write(f"# posteriors: {POSTERIOR_SUFFIX}\n")
+        for key in TRACE_METADATA[version]:
+            value = POSTERIOR_SUFFIX if key == "posteriors" else getattr(trace, key)
+            fh.write(f"# {key}: {value}\n")
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for row in zip(*(getattr(trace, c) for c in TRACE_COLUMNS)):
             fh.write(",".join(map(repr, row)) + "\n")
@@ -291,28 +291,34 @@ def write_trace(trace: RunTrace, path) -> None:
 def read_trace(path) -> RunTrace:
     """Read a trace written by write_trace (wall_time is not persisted).
 
-    A ``v2`` file's posteriors come from the sidecar ``<path>.pi.npy``, loaded
-    without unpickling, as lists of the exact float64 values written (numpy is
-    imported only then); its ``# posteriors:`` line must read ``.pi.npy``, and
-    any other value is a ValueError before a sidecar is opened.  A ``v1`` file's posteriors, if it
-    has any, come from its ``pi_*`` columns.  A malformed cell, a ``grid_size`` line that disagrees with the
-    ``pi_*`` columns, or a sidecar that is missing or is not a float64
-    ``(rows, grid_size)`` array, is a ValueError that names its line.
+    The first line must be ``# dualctl-trace v1`` or ``v2``, and exactly that
+    version's ``TRACE_METADATA`` lines must follow, in order.  A ``v2`` file's
+    posteriors come from the sidecar its ``# posteriors: .pi.npy`` line names,
+    loaded without unpickling as the exact float64 values written (numpy is
+    imported only then); a ``v1`` file's, if any, from its ``pi_*`` columns.
+    A missing, misspelt, repeated or reordered metadata line, a malformed cell,
+    a ``grid_size`` that disagrees with the ``pi_*`` columns, or a sidecar that
+    is missing or is not a float64 ``(rows, grid_size)`` array, is a ValueError
+    that names its line.
     """
-    meta, meta_lines = {}, {}
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(f"# {TRACE_FORMAT_TAG} "):
         raise ValueError(f"{path}: not a {TRACE_FORMAT_TAG} file")
-    version = lines[0].split()[-1]
-    if version not in TRACE_FORMAT_VERSIONS:
+    version = lines[0].removeprefix(f"# {TRACE_FORMAT_TAG} ")
+    if version not in TRACE_METADATA:
         raise ValueError(f"{path}: unsupported trace version {version!r}")
-    idx = 1
-    while idx < len(lines) and lines[idx].startswith("#"):
-        key, _, value = lines[idx][1:].partition(":")
-        meta[key.strip()] = value.strip()
-        meta_lines[key.strip()] = idx + 1
-        idx += 1
+    meta, where = {}, {}
+    for idx, key in enumerate(TRACE_METADATA[version], start=1):
+        line = lines[idx] if idx < len(lines) else None
+        label, _, value = (line or "").partition(":")
+        if label != f"# {key}":
+            found = "the end of the file" if line is None else repr(line)
+            raise ValueError(
+                f"{path}: a {version} trace needs a '# {key}:' line as line {idx + 1}, not {found}"
+            )
+        meta[key], where[key] = value.strip(), f"{path}, line {idx + 1}, {key}"
+    idx = len(meta) + 1
     if idx >= len(lines):
         raise ValueError(f"{path}: missing column header")
     header = lines[idx].split(",")
@@ -337,28 +343,20 @@ def read_trace(path) -> RunTrace:
             for column, raw, parse in zip(header, parts, _PARSERS + (float,) * n_pi):
                 _parse_cell(parse, raw, f"{path}, line {line_no}, column {column}")
 
-    def integer(key, default):
-        if key not in meta:
-            return default
-        return _parse_cell(int, meta[key], f"{path}, line {meta_lines[key]}, {key}")
-
-    grid_size = integer("grid_size", n_pi)
+    seed, grid_size = (_parse_cell(int, meta[key], where[key]) for key in ("seed", "grid_size"))
     if n_pi and grid_size != n_pi:
         raise ValueError(
-            f"{path}, line {meta_lines['grid_size']}, grid_size: {grid_size} disagrees "
-            f"with the {n_pi} pi_* columns"
+            f"{where['grid_size']}: {grid_size} disagrees with the {n_pi} pi_* columns"
         )
     if version == "v2":
-        if "posteriors" not in meta:
-            raise ValueError(f"{path}: a {version} trace needs a '# posteriors:' line")
-        where = f"{path}, line {meta_lines['posteriors']}, posteriors"
-        if meta["posteriors"] != POSTERIOR_SUFFIX:
-            raise ValueError(f"{where}: expected {POSTERIOR_SUFFIX}, got {meta['posteriors']!r}")
-        pi_rows = _load_posteriors(f"{path}{POSTERIOR_SUFFIX}", where, (len(rows), grid_size))
+        sidecar = meta["posteriors"]
+        if sidecar != POSTERIOR_SUFFIX:
+            raise ValueError(f"{where['posteriors']}: expected {POSTERIOR_SUFFIX}, got {sidecar!r}")
+        pi_rows = _load_posteriors(f"{path}{sidecar}", where["posteriors"], (len(rows), grid_size))
     return RunTrace(
-        name=meta.get("name", ""),
-        controller=meta.get("controller", ""),
-        seed=integer("seed", 0),
+        name=meta["name"],
+        controller=meta["controller"],
+        seed=seed,
         grid_size=grid_size,
         posteriors=pi_rows,
         wall_time=0.0,

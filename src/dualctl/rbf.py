@@ -236,6 +236,8 @@ def load_network(path) -> RbfNetwork:
                 fail(i, "basis line needs width^2 and one center")
             if not all(map(math.isfinite, vals)):
                 fail(i, f"branch {name}: basis width^2 and center must be finite")
+            if not vals[0] > 0:
+                fail(i, f"branch {name}: basis width^2 must be > 0, got {vals[0]!r}")
             widths.append(vals[0])
             centers.append(vals[1])
             i += 1

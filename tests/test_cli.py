@@ -63,6 +63,26 @@ def test_run_writes_trace(tmp_path, capsys):
     assert len(trace.posteriors) == 600 and len(trace.posteriors[0]) == 15
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--full-posteriors"], "run: --full-posteriors needs --out"),
+        (["mc", "--runs", "2", "--save-traces"], "mc: --save-traces needs --out-dir"),
+    ],
+)
+def test_an_output_flag_without_its_destination_is_a_usage_error(
+    monkeypatch, capsys, argv, message
+):
+    def unparsed(path):
+        raise AssertionError("the flags must be refused before the config is parsed")
+
+    monkeypatch.setattr(dualctl.cli, "parse_config", unparsed)
+    assert main([*argv, "--config", "configs/case1.yaml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 def test_run_reports_bad_config(tmp_path, capsys):
     bad = tmp_path / "broken.yaml"
     bad.write_text("name: x\n")

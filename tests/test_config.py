@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -331,7 +332,7 @@ def test_network_path_resolves_relative_to_config(tmp_path):
     nested = tmp_path / "sub"
     nested.mkdir()
     (nested / "networks").mkdir()
-    src = open("configs/networks/case1_affine.rbfnet").read()
+    src = Path("configs/networks/case1_affine.rbfnet").read_text()
     (nested / "networks" / "case1_affine.rbfnet").write_text(src)
     path = nested / "exp.yaml"
     path.write_text(yaml.safe_dump(raw, sort_keys=False))
@@ -344,7 +345,7 @@ def test_network_path_resolves_relative_to_config(tmp_path):
     [("weights 11.2856", "weights nan", 17), ("basis 1.0 -2.0", "basis 1.0 inf", 8)],
 )
 def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old, new, line):
-    src = open("configs/networks/case1_affine.rbfnet").read()
+    src = Path("configs/networks/case1_affine.rbfnet").read_text()
     assert src.count(old) == 1
     (tmp_path / "bad.rbfnet").write_text(src.replace(old, new))
     raw = _template()
@@ -361,6 +362,8 @@ def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old
     [
         ("weights 11.2856", "weights 11.2856x", 17, "branch f: weights: expected numbers"),
         ("basis 1.0 -2.0", "basis 1.0 -2.0e", 8, "branch f: basis: expected numbers"),
+        ("basis 1.0 -2.0", "basis 0.0 -2.0", 8, "branch f: basis width^2 must be > 0, got 0.0"),
+        ("basis 1.0 -2.0", "basis -1.0 -2.0", 8, "branch f: basis width^2 must be > 0, got -1.0"),
         ("branch f 9", "branch f nine", 7, "branch f: expected an integer basis count, got 'nine'"),
         (
             "weights -0.4449 3.5097 -0.4449",
@@ -373,7 +376,7 @@ def test_non_finite_network_is_a_config_error_naming_file_and_line(tmp_path, old
 def test_malformed_network_number_is_a_config_error_naming_file_and_line(
     tmp_path, old, new, line, message
 ):
-    src = open("configs/networks/case1_affine.rbfnet").read()
+    src = Path("configs/networks/case1_affine.rbfnet").read_text()
     assert src.count(old) == 1
     (tmp_path / "bad.rbfnet").write_text(src.replace(old, new))
     raw = _template()
@@ -460,7 +463,7 @@ def test_libyaml_and_python_loaders_read_equal_documents(name, tmp_path):
     saved = tmp_path / "saved.yaml"
     save_config(parse_config(f"configs/{name}.yaml"), saved)
     for path, base_dir in ((f"configs/{name}.yaml", "configs"), (saved, tmp_path)):
-        text = open(path).read()
+        text = Path(path).read_text()
         # The fallback loader reads the config parse_config reads.
         python = yaml.load(text, Loader=yaml.SafeLoader)
         assert config_from_dict(python, base_dir=str(base_dir)) == parse_config(path)
@@ -488,7 +491,7 @@ def _write_document(tmp_path, raw):
     """``raw``, a mapping or its text, saved as tmp_path/exp.yaml beside case1's network."""
     (tmp_path / "networks").mkdir()
     network = "networks/case1_affine.rbfnet"
-    (tmp_path / network).write_text(open(f"configs/{network}").read())
+    (tmp_path / network).write_text(Path(f"configs/{network}").read_text())
     path = tmp_path / "exp.yaml"
     path.write_text(raw if isinstance(raw, str) else yaml.safe_dump(raw, sort_keys=False))
     return path
@@ -502,7 +505,7 @@ def test_network_path_that_is_a_directory_is_a_config_error(tmp_path):
 
 
 def test_document_that_is_not_utf8_is_a_config_error(tmp_path):
-    path = _write_document(tmp_path, open("configs/case1.yaml").read())
+    path = _write_document(tmp_path, Path("configs/case1.yaml").read_text())
     path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
     with pytest.raises(ConfigError) as info:
         parse_config(path)
@@ -531,7 +534,7 @@ def test_repeated_key_is_a_config_error_naming_file_and_line(
             dualctl.config, "_LOADER",
             type("Loader", (dualctl.config._UniqueKeys, yaml.SafeLoader), {}),
         )
-    lines = open("configs/case1.yaml").read().splitlines()
+    lines = Path("configs/case1.yaml").read_text().splitlines()
     at = lines.index(line)  # the first occurrence: channels.alpha comes before beta and gamma
     assert lines[at - 1].startswith(indent)  # so the repeat lands in the same mapping
     lines.insert(at, repeat)

@@ -218,8 +218,28 @@ def test_read_trace_refuses_a_bad_posterior_sidecar(
         (".pi.npy\n", ".x.npy\n", ", line 6, posteriors: expected .pi.npy, got '.x.npy'"),
         ("gamma_true\n", "gamma_true,pi_1\n", ": unexpected columns ["),
         ("\n3,", "\n3x,", ", line 10, column k: expected an integer, got '3x'"),
+        (
+            "# seed: 1\n",
+            "",
+            ": a v2 trace needs a '# seed:' line as line 4, not '# grid_size: 15'",
+        ),
+        (
+            "# controller: proposed\n",
+            "",
+            ": a v2 trace needs a '# controller:' line as line 3, not '# seed: 1'",
+        ),
+        ("# name:", "# nmae:", ": a v2 trace needs a '# name:' line as line 2, not '# nmae: "),
+        (
+            "# controller:",
+            "# name: again\n# controller:",
+            ": a v2 trace needs a '# controller:' line as line 3, not '# name: again'",
+        ),
+        ("# dualctl-trace v2", "# dualctl-trace junk v2", ": unsupported trace version 'junk v2'"),
     ],
-    ids=["no posteriors line", "other sidecar", "pi column", "malformed cell"],
+    ids=[
+        "no posteriors line", "other sidecar", "pi column", "malformed cell", "no seed line",
+        "no controller line", "misspelt name line", "repeated name line", "junk version",
+    ],
 )
 def test_read_trace_refuses_a_malformed_v2_csv(case1_cfg, tmp_path, old, new, message):
     path = tmp_path / "t.csv"
@@ -230,6 +250,17 @@ def test_read_trace_refuses_a_malformed_v2_csv(case1_cfg, tmp_path, old, new, me
     with pytest.raises(ValueError) as info:
         read_trace(path)
     assert str(info.value).startswith(f"{path}{message}")
+
+
+def test_read_trace_refuses_a_v1_csv_without_its_grid_size_line(case1_cfg, tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_experiment(_short(case1_cfg, iterations=5), seed=1), path)
+    path.write_text(path.read_text().replace("# grid_size: 15\n", "", 1))
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value).startswith(
+        f"{path}: a v1 trace needs a '# grid_size:' line as line 5, not 'k,y_r,y,"
+    )
 
 
 def test_rewritten_trace_files_have_the_same_bytes_under_any_name(case1_cfg, tmp_path):
