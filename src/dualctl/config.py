@@ -24,7 +24,6 @@ from .grid import BoundedInterval, CandidateGrid, grid_from_intervals, partition
 from .plants import (
     PLANT_PARAMS,
     REFERENCE_FIELDS,
-    DisturbanceSchedule,
     PlantModel,
     ReferenceSpec,
     Segments,
@@ -133,11 +132,6 @@ class ExperimentConfig:
     def build_grid(self) -> CandidateGrid:
         return grid_from_intervals(
             self.alpha.interval, self.beta.interval, self.gamma.interval
-        )
-
-    def build_schedule(self) -> DisturbanceSchedule:
-        return DisturbanceSchedule(
-            alpha=self.alpha.schedule, beta=self.beta.schedule, gamma=self.gamma.schedule
         )
 
 

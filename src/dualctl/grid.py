@@ -99,13 +99,6 @@ class CandidateGrid:
     def size(self) -> int:
         return len(self.vectors)
 
-    def flat_index(self, i: int, j: int, l: int) -> int:
-        """Map per-channel indices (0-based) to the flat candidate index."""
-        sa, sb, sg = self.alpha.count, self.beta.count, self.gamma.count
-        if not (0 <= i < sa and 0 <= j < sb and 0 <= l < sg):
-            raise IndexError(f"channel indices ({i},{j},{l}) out of range ({sa},{sb},{sg})")
-        return (i * sb + j) * sg + l
-
 
 def grid_from_intervals(
     alpha: BoundedInterval, beta: BoundedInterval, gamma: BoundedInterval

@@ -13,10 +13,11 @@ the Bayes update returns the new state, and the loop recomputes the one
 residual it logs, the leading candidate's, with the update's own expression.
 
 The disturbance of every row and the noise of every plant step are built once
-per run, before the loop.  Each row's other quantities are evaluated once, at
-the row's new output, and carried forward: the look-ahead reference (the next
-row's ``y_r``) and the network outputs ``(f_hat, g_hat)``, which give the
-control law of this row and the regressor ``(f_hat, g_hat * u, 1)`` of the next.
+per run, before the loop, by :func:`run_streams`.  Each row's other
+quantities are evaluated once, at the row's new output, and carried forward:
+the look-ahead reference (the next row's ``y_r``) and the network outputs
+``(f_hat, g_hat)``, which give the control law of this row and the regressor
+``(f_hat, g_hat * u, 1)`` of the next.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import CHANNELS, ExperimentConfig, check_name, check_seed
 from .controller import blended_control, optimal_control
 from .errors import BatchError, DualctlError, RunError, SingularControlError
 from .learner import bayes_step, detect_change, make_state, update_covariance
 from .learner import reset as reset_learner
-from .plants import reference_at, sample_noise
+from .plants import DisturbanceSchedule, reference_at, sample_noise
 from .rbf import eval_network
 
 CONTROLLER_KINDS = ("proposed", "optimal")
@@ -103,6 +104,37 @@ def _fire(hooks, event, k, **info):
         fn(k, info)
 
 
+def run_streams(
+    cfg: ExperimentConfig, seed: int, randomize: tuple[str, ...] = ()
+) -> tuple[list[tuple[float, float, float]], list[float]]:
+    """The disturbance rows and plant-step noises of one run of ``cfg`` at ``seed``.
+
+    This is the draw-order contract of a run; every loop that replays a run
+    takes its streams from here.  The run generator is ``default_rng(seed)``.
+    Channels named in ``randomize`` replace their configured schedule with a
+    single constant drawn uniformly from the channel interval; these draws
+    consume the generator first, in alpha, beta, gamma order.  Then the noise
+    of all ``cfg.iterations - 1`` plant steps is drawn in one call, which
+    yields the same values as one draw per step, so equal seeds give identical
+    streams at every noise level.  Returns ``cfg.iterations`` disturbance rows,
+    ``(alpha, beta, gamma)`` in force at k = 1..n, and the ``n - 1`` noises,
+    that of the step from row ``k`` to row ``k + 1`` at index ``k - 1``.
+    """
+    for ch in randomize:
+        if ch not in CHANNELS:
+            raise ValueError(f"randomize names unknown channel {ch!r}")
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    schedule = DisturbanceSchedule(**{
+        name: ((1, float(rng.uniform(ch.interval.lower, ch.interval.upper))),)
+        if name in randomize else ch.schedule
+        for name, ch in zip(CHANNELS, (cfg.alpha, cfg.beta, cfg.gamma))
+    })
+    n = cfg.iterations
+    return schedule.rows(n), sample_noise(rng, cfg.plant.noise_variance, n - 1)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     controller: str = "proposed",
@@ -113,21 +145,13 @@ def run_experiment(
 ) -> RunTrace:
     """Simulate one closed-loop run of ``cfg.iterations`` rows.
 
-    ``seed`` overrides ``cfg.seed``.  Channels named in ``randomize`` replace
-    their configured schedule with a single constant drawn uniformly from the
-    channel interval; the draws consume the run generator first (alpha, beta,
-    gamma order), then the noise of all ``cfg.iterations - 1`` plant steps is
-    drawn in one call.  That call yields the same values as one draw per
-    iteration, so the stream order is unchanged and equal seeds give identical
-    streams at every noise level.  ``hooks`` maps names in ``HOOK_EVENTS`` to
+    ``seed`` overrides ``cfg.seed``.  The run's disturbances and noise come
+    from :func:`run_streams`, whose docstring is the draw-order contract;
+    ``randomize`` is passed to it.  ``hooks`` maps names in ``HOOK_EVENTS`` to
     callables ``fn(k, info)``, fired at each stage of each iteration.
     """
     if controller not in CONTROLLER_KINDS:
         raise ValueError(f"controller must be one of {CONTROLLER_KINDS}, got {controller!r}")
-    for ch in randomize:
-        if ch not in CHANNELS:
-            raise ValueError(f"randomize names unknown channel {ch!r}")
-
     for event in hooks or ():
         if event not in HOOK_EVENTS:
             raise ValueError(f"hooks names unknown event {event!r}, expected one of {HOOK_EVENTS}")
@@ -135,7 +159,7 @@ def run_experiment(
     # Imported by the functions that use it, so that importing dualctl, parsing
     # a config and building its grid never load numpy; before the clock starts,
     # so that the first run's wall time does not hold the import.
-    import numpy as np
+    import numpy  # noqa: F401
 
     started = time.perf_counter()
     plant = cfg.plant
@@ -147,16 +171,8 @@ def run_experiment(
     lam = cfg.controller.dual_lambda
     clamp = cfg.controller.input_clamp
     run_seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(run_seed)
-
-    drawn = {
-        name: ((1, float(rng.uniform(ch.interval.lower, ch.interval.upper))),)
-        for name, ch in zip(CHANNELS, (cfg.alpha, cfg.beta, cfg.gamma))
-        if name in randomize
-    }
     n = cfg.iterations
-    noises = sample_noise(rng, plant.noise_variance, n - 1)
-    disturbances = replace(cfg.build_schedule(), **drawn).rows(n)
+    disturbances, noises = run_streams(cfg, run_seed, randomize)
 
     def optimal_input(theta, y, target):
         try:
@@ -324,7 +340,7 @@ def read_trace(path) -> RunTrace:
     header = lines[idx].split(",")
     n_pi = len(header) - len(TRACE_COLUMNS)
     if header[: len(TRACE_COLUMNS)] != list(TRACE_COLUMNS) or (version == "v2" and n_pi):
-        raise ValueError(f"{path}: unexpected columns {header}")
+        raise ValueError(f"{path}, line {idx + 1}: unexpected columns {header}")
 
     rows = []
     pi_rows: list[list[float]] | None = [] if n_pi else None

@@ -1,6 +1,7 @@
 """Per-matrix oracles: one candidate and one 3x3 covariance per call, the
 arithmetic the fused learner and controller stages must reproduce bit for
-bit, and one builder of hand-made learner states.
+bit, one builder of hand-made learner states, and a whole closed-loop run
+composed from these oracles.
 
 Not collected by pytest; the test modules import it as ``oracle``.
 """
@@ -8,8 +9,10 @@ Not collected by pytest; the test modules import it as ``oracle``.
 import math
 from dataclasses import replace
 
-from dualctl import COVARIANCE_CAP, POSTERIOR_FLOOR, LearnerState, PosteriorUnderflowError
+from dualctl import COVARIANCE_CAP, POSTERIOR_FLOOR, DualctlError, LearnerState
+from dualctl import PosteriorUnderflowError, RunError, eval_network, make_state, reference_at
 from dualctl import update_posteriors
+from dualctl.harness import _DIVERGENCE_LIMIT, run_streams
 from dualctl.learner import LOG_DOMAIN_TRIGGER
 
 
@@ -126,3 +129,84 @@ def scaled_state(p0, scales, posteriors, noise):
         diagonal=all(p0[i][j] == 0.0 for i in range(3) for j in range(3) if i != j)
         and not any(p0[i][i] < 0.0 for i in range(3)),
     ), covs
+
+
+def reference_run(cfg, seed, randomize=(), controller="proposed"):
+    """The rows and posterior rows of one run, built from the oracles above.
+
+    The stages run in the order the harness documents, with one 3x3 list per
+    candidate: the Bayes update, the blended control law at the next
+    reference value, the detector and reset, then the covariance rescale.
+    The streams come from ``run_streams``. Any failure inside an iteration,
+    a failed assertion of an oracle included, is a ``RunError`` at that
+    iteration; only the iteration is meant to be compared.
+    """
+    disturbances, noises = run_streams(cfg, seed, randomize)
+    plant, policy, spec = cfg.plant, cfg.reset, cfg.reference
+    lam, clamp = cfg.controller.dual_lambda, cfg.controller.input_clamp
+    thetas = cfg.build_grid().vectors
+    size = len(thetas)
+    eta = 1.0 / size
+    template = make_state(size, plant.noise_variance, cfg.initial_covariance)
+
+    def bounded(value):
+        if not math.isfinite(value) or abs(value) > _DIVERGENCE_LIMIT:
+            raise ArithmeticError(f"{value!r} is beyond the divergence limit")
+        return value
+
+    def optimal_input(theta, y, target):
+        gain = theta[1] * plant.g_value(y)
+        if abs(gain) < 1e-12:
+            if controller == "optimal":
+                raise ArithmeticError(f"true input gain {gain} is singular")
+            return math.nan
+        return (target - theta[0] * plant.f_value(y) - theta[2]) / gain
+
+    def initial():
+        return [eta] * size, [[list(row) for row in template.initial_covariance] for _ in thetas]
+
+    failures = (AssertionError, ArithmeticError, ValueError, DualctlError)
+    posteriors, covs = initial()
+    theta, y = disturbances[0], cfg.initial_output
+    y_r, target = reference_at(spec, 1), reference_at(spec, 2)
+    try:
+        u_opt = optimal_input(theta, bounded(y), target)
+        f_hat, g_hat = eval_network(cfg.network, y)
+    except failures as exc:
+        raise RunError(f"iteration failed: {exc}", iteration=1) from exc
+    u = u_opt if controller == "optimal" else cfg.initial_control
+    rows = [(1, y_r, y, u, u_opt, y, y - y_r, 1, eta, 0, *theta)]
+    pi_rows = [list(posteriors)]
+    for k in range(1, cfg.iterations):
+        try:
+            y = bounded(plant.step(y, u, theta, noises[k - 1]))
+            phi = (f_hat, g_hat * bounded(u), 1.0)
+            posteriors, residuals, _, _ = bayes_step(template, posteriors, covs, phi, y, thetas)
+            pi_star = max(posteriors)
+            t_star = posteriors.index(pi_star)
+            residual = residuals[t_star]
+            y_r, target = target, reference_at(spec, k + 2)
+            theta = disturbances[k]
+            u_opt = optimal_input(theta, y, target)
+            f_hat, g_hat = eval_network(cfg.network, y)
+            if controller == "proposed":
+                laws = [control_law(t, f_hat, g_hat, target, c, lam) for t, c in zip(thetas, covs)]
+                if None in laws:
+                    raise ArithmeticError("a control denominator is singular")
+                u = math.fsum(pi * law for pi, law in zip(posteriors, laws))
+                if not math.isfinite(u):
+                    raise ArithmeticError(f"blended input {u} is not finite")
+                if clamp is not None and abs(u) > clamp:
+                    u = math.copysign(clamp, u)
+            else:
+                u = u_opt
+            triggered = abs(residual) > policy.admissible_error and pi_star > policy.posterior_threshold
+            if triggered:
+                posteriors, covs = initial()
+            covs = [update_covariance(c, pi, eta)[0] for c, pi in zip(covs, posteriors)]
+        except failures as exc:
+            raise RunError(f"iteration failed: {exc}", iteration=k + 1) from exc
+        rows.append((k + 1, y_r, y, u, u_opt, y - residual, y - y_r, t_star + 1, pi_star,
+                     int(triggered), *theta))
+        pi_rows.append(list(posteriors))
+    return rows, pi_rows

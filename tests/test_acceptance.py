@@ -327,7 +327,8 @@ def _prop_posterior_convergence():
         alpha = base_grid.alpha.midpoints[i]
         beta = base_grid.beta.midpoints[j]
         cfg = _stationary_config(alpha, beta)
-        t_true = cfg.build_grid().flat_index(i, j, 0)
+        grid = cfg.build_grid()
+        t_true = grid.vectors.index((alpha, beta, grid.gamma.midpoints[0]))
         trace = run_experiment(cfg, seed=trial, collect_posteriors=True)
         if any(row[t_true] > 0.95 for row in trace.posteriors):
             hits += 1
@@ -346,7 +347,7 @@ def _prop_residual_variance_separation():
         i = int(rng_truth.integers(grid.alpha.count))
         j = int(rng_truth.integers(grid.beta.count))
         truth = (grid.alpha.midpoints[i], grid.beta.midpoints[j], 0.0)
-        t_true = grid.flat_index(i, j, 0)
+        t_true = grid.vectors.index((truth[0], truth[1], grid.gamma.midpoints[0]))
         rng = np.random.default_rng(1000 + trial)
         state = make_state(grid.size, plant.noise_variance, cfg.initial_covariance)
         y, u = 0.0, 0.0

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 import dualctl.cli
-from dualctl import load_network, read_trace
+from dualctl import (
+    config_from_dict,
+    config_to_dict,
+    load_network,
+    parse_config,
+    read_trace,
+    save_config,
+)
 from dualctl.cli import main
 from dualctl.config import MAX_GRID_SIZE
+
+from conftest import DIVERGING_AFFINE_NETWORK
 
 
 def test_partition_from_config(capsys):
@@ -174,12 +183,16 @@ def test_mc_writes_summary(tmp_path, capsys):
     assert [r["seed"] for r in rows] == ["50", "51", "52"]
     trace = read_trace(out_dir / "run000.csv")
     assert trace.seed == 50
-    # Seed 10 of case3-eps02 diverges: the rows and trace files after it keep
-    # their batch index, the one "failed runs:" reports.
+    # Seed 10 of case3-eps02 diverges with this network: the rows and trace
+    # files after it keep their batch index, the one "failed runs:" reports.
+    raw = config_to_dict(parse_config("configs/case3-eps02.yaml"))
+    raw["network"] = DIVERGING_AFFINE_NETWORK
+    config = tmp_path / "case3-eps02.yaml"
+    save_config(config_from_dict(raw), config)
     out_dir = tmp_path / "with-failure"
     with pytest.warns(UserWarning, match="1/12 runs failed"):
         code = main([
-            "mc", "--config", "configs/case3-eps02.yaml", "--runs", "12",
+            "mc", "--config", str(config), "--runs", "12",
             "--seed-base", "5", "--out-dir", str(out_dir), "--save-traces",
         ])
     assert code == 0

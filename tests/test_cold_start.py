@@ -30,7 +30,6 @@ assert configs
 for path in configs:
     cfg = dualctl.parse_config(path)
     cfg.build_grid()
-    cfg.build_schedule()
 engine = {"dualctl.harness", "dualctl.learner", "dualctl.controller", "dualctl.cli"}
 assert not engine & set(sys.modules), f"parsing loaded {sorted(engine & set(sys.modules))}"
 
@@ -44,7 +43,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     for path in configs:
         cfg = dualctl.parse_config(path)
         cfg.build_grid()
-        cfg.build_schedule()
         assert cli.main(["partition", "--config", path]) == 0, path
 assert "numpy" not in sys.modules, "numpy loaded before any run"
 

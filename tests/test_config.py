@@ -50,8 +50,8 @@ def test_case1_config_contents():
     assert cfg.initial_covariance[0][0] == pytest.approx(0.5**2 / 12, abs=1e-15)
     assert cfg.initial_covariance[1][1] == pytest.approx(0.3**2 / 12, abs=1e-15)
     assert cfg.initial_covariance[2][2] == pytest.approx(0.1**2 / 12, abs=1e-15)
-    schedule = cfg.build_schedule()
-    starts = {k for segs in (schedule.alpha, schedule.beta, schedule.gamma) for k, _ in segs[1:]}
+    schedule = (cfg.alpha.schedule, cfg.beta.schedule, cfg.gamma.schedule)
+    starts = {k for segs in schedule for k, _ in segs[1:]}
     assert sorted(starts) == [85, 180, 340, 520]
 
 

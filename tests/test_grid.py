@@ -1,5 +1,6 @@
-"""Partition counts, midpoint placement and flat indexing of candidate grids."""
+"""Partition counts, midpoint placement and the candidate order of grids."""
 
+import itertools
 import math
 
 import pytest
@@ -122,28 +123,9 @@ def test_grid_size_and_eta():
 def test_alpha_major_ordering():
     grid = _product_grid()
     # gamma varies fastest, alpha slowest
-    sa, sb, sg = grid.alpha.count, grid.beta.count, grid.gamma.count
-    for i in range(sa):
-        for j in range(sb):
-            for l in range(sg):
-                t = grid.flat_index(i, j, l)
-                assert grid.vectors[t] == (
-                    grid.alpha.midpoints[i],
-                    grid.beta.midpoints[j],
-                    grid.gamma.midpoints[l],
-                )
-
-
-def test_flat_index_range_checks():
-    grid = _product_grid()
-    with pytest.raises(IndexError):
-        grid.flat_index(5, 0, 0)
-    with pytest.raises(IndexError):
-        grid.flat_index(0, 3, 0)
-    with pytest.raises(IndexError):
-        grid.flat_index(0, 0, 1)
-    with pytest.raises(IndexError):
-        grid.flat_index(-1, 0, 0)
+    assert grid.vectors == tuple(
+        itertools.product(grid.alpha.midpoints, grid.beta.midpoints, grid.gamma.midpoints)
+    )
 
 
 def test_known_candidate_positions():
@@ -162,18 +144,14 @@ def test_known_candidate_positions():
 
 @given(sa=st.integers(1, 6), sb=st.integers(1, 6), sg=st.integers(1, 6))
 @settings(max_examples=120)
-def test_flat_index_bijection(sa, sb, sg):
+def test_grid_is_the_alpha_major_product(sa, sb, sg):
     grid = grid_from_intervals(
         BoundedInterval(0.0, 1.0, 1.0 / sa + 1e-12),
         BoundedInterval(0.0, 1.0, 1.0 / sb + 1e-12),
         BoundedInterval(0.0, 1.0, 1.0 / sg + 1e-12),
     )
     assert (grid.alpha.count, grid.beta.count, grid.gamma.count) == (sa, sb, sg)
-    triples = [(i, j, l) for i in range(sa) for j in range(sb) for l in range(sg)]
-    assert sorted(grid.flat_index(*ijl) for ijl in triples) == list(range(grid.size))
-    for i, j, l in triples:
-        assert grid.vectors[grid.flat_index(i, j, l)] == (
-            grid.alpha.midpoints[i],
-            grid.beta.midpoints[j],
-            grid.gamma.midpoints[l],
-        )
+    assert grid.size == sa * sb * sg
+    assert grid.vectors == tuple(
+        itertools.product(grid.alpha.midpoints, grid.beta.midpoints, grid.gamma.midpoints)
+    )

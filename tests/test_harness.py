@@ -34,8 +34,17 @@ from dualctl import (
     trace_change_points,
     write_trace,
 )
-from dualctl.harness import HOOK_EVENTS, POSTERIOR_SUFFIX
+from dualctl.harness import (
+    CONTROLLER_KINDS,
+    HOOK_EVENTS,
+    POSTERIOR_SUFFIX,
+    TRACE_COLUMNS,
+    run_streams,
+)
 from dualctl.plants import REFERENCE_FIELDS, TRAIN_DEFAULTS
+
+import oracle
+from conftest import DIVERGING_AFFINE_NETWORK
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +225,7 @@ def test_read_trace_refuses_a_bad_posterior_sidecar(
     [
         ("# posteriors: .pi.npy\n", "", ": a v2 trace needs a '# posteriors:' line"),
         (".pi.npy\n", ".x.npy\n", ", line 6, posteriors: expected .pi.npy, got '.x.npy'"),
-        ("gamma_true\n", "gamma_true,pi_1\n", ": unexpected columns ["),
+        ("gamma_true\n", "gamma_true,pi_1\n", ", line 7: unexpected columns ["),
         ("\n3,", "\n3x,", ", line 10, column k: expected an integer, got '3x'"),
         (
             "# seed: 1\n",
@@ -449,8 +458,11 @@ def test_negative_seed_overrides_are_config_errors(case1_cfg):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_monte_carlo_failures_keep_their_run_error(jobs):
-    # Seed 10 of case3-eps02 diverges; the batch index and iteration survive the pool.
-    cfg = parse_config("configs/case3-eps02.yaml")
+    # Seed 10 of case3-eps02 diverges with this network; the batch index and
+    # iteration survive the pool.
+    raw = config_to_dict(parse_config("configs/case3-eps02.yaml"))
+    raw["network"] = DIVERGING_AFFINE_NETWORK
+    cfg = config_from_dict(raw)
     with pytest.warns(UserWarning, match=r"1/10 runs failed .*\(first: run 9 at iteration 330: "):
         result = monte_carlo(cfg, runs=10, seed_base=1, jobs=jobs)
     ((index, error),) = result.failures
@@ -677,6 +689,92 @@ def test_valid_config_runs_or_fails_typed(raw):
             monte_carlo(cfg, runs=2)
         except BatchError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# A run's streams, and the whole loop against the per-matrix oracles
+
+
+@pytest.mark.parametrize("name, randomized", [("case1", True), ("case4", False)])
+def test_run_streams_are_the_streams_the_run_used(name, randomized):
+    cfg = parse_config(f"configs/{name}.yaml")
+    randomize = cfg.mc_randomize if randomized else ()
+    trace = run_experiment(cfg, seed=0, randomize=randomize)
+    disturbances, noises = run_streams(cfg, 0, randomize)
+    assert disturbances == list(zip(trace.alpha_true, trace.beta_true, trace.gamma_true))
+    y = [cfg.initial_output]
+    for k in range(1, cfg.iterations):
+        y.append(cfg.plant.step(y[-1], trace.u[k - 1], disturbances[k - 1], noises[k - 1]))
+    assert y == trace.y
+    # The documented draw order: the uniforms in channel order, then every noise.
+    rng = np.random.default_rng(0)
+    for channel in randomize:
+        interval = getattr(cfg, channel).interval
+        assert rng.uniform(interval.lower, interval.upper) == getattr(trace, f"{channel}_true")[0]
+    assert noises == rng.normal(0.0, math.sqrt(cfg.plant.noise_variance), cfg.iterations - 1).tolist()
+
+
+def _matches_the_oracle(cfg, seed, randomize, controller):
+    """Run the unit and the whole-loop oracle: the same failing iteration, or
+    the same reprs of every row and its posteriors. Returns the failing
+    iteration, or None; a mismatch names its first row."""
+    failed = None
+    try:
+        trace = run_experiment(
+            cfg, controller=controller, seed=seed, collect_posteriors=True, randomize=randomize
+        )
+    except RunError as exc:
+        failed = exc.iteration
+    try:
+        rows, posteriors = oracle.reference_run(cfg, seed, randomize, controller)
+    except RunError as exc:
+        assert failed == exc.iteration
+        return failed
+    assert failed is None
+    got = zip(zip(*(getattr(trace, c) for c in TRACE_COLUMNS)), trace.posteriors)
+    assert len(trace) == len(rows)
+    for k, (row, expected) in enumerate(zip(got, zip(rows, posteriors)), start=1):
+        assert repr(row) == repr(expected), f"row {k}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, seed, randomized, controller, failure",
+    [
+        ("case1", 0, True, "proposed", None),
+        ("case1", 1, True, "proposed", None),
+        ("case1", 2, True, "proposed", None),
+        ("case2", 0, False, "proposed", None),
+        ("case4", 0, False, "proposed", None),
+        ("case1", 0, False, "optimal", None),
+        ("case3g-eps04", 34, True, "proposed", 156),  # a singular control denominator
+    ],
+)
+def test_run_matches_the_whole_loop_oracle(name, seed, randomized, controller, failure):
+    cfg = parse_config(f"configs/{name}.yaml")
+    randomize = cfg.mc_randomize if randomized else ()
+    assert _matches_the_oracle(cfg, seed, randomize, controller) == failure
+
+
+@st.composite
+def _cross_entry_case1(draw):
+    """A _perturbed_case1 document whose P0 is a Gram matrix half of the time:
+    a cross entry sends the learner and the control law down their general paths."""
+    raw = draw(_perturbed_case1())
+    if draw(st.booleans()):
+        a = np.array(draw(_matrices(st.floats(-2.0, 2.0))))
+        raw["initial_covariance"] = (a @ a.T).tolist()
+    return raw
+
+
+@given(raw=_cross_entry_case1(), seed=st.integers(0, 2**32), controller=st.sampled_from(CONTROLLER_KINDS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_valid_config_matches_the_whole_loop_oracle(raw, seed, controller):
+    try:
+        cfg = config_from_dict(raw, base_dir="configs")
+    except ConfigError:
+        return
+    _matches_the_oracle(cfg, seed, cfg.mc_randomize, controller)
 
 
 # ---------------------------------------------------------------------------
