@@ -156,9 +156,10 @@ def run_experiment(
         if event not in HOOK_EVENTS:
             raise ValueError(f"hooks names unknown event {event!r}, expected one of {HOOK_EVENTS}")
     check_seed("seed", seed)
-    # Imported by the functions that use it, so that importing dualctl, parsing
-    # a config and building its grid never load numpy; before the clock starts,
-    # so that the first run's wall time does not hold the import.
+    # numpy is imported by the functions that use it, so that importing
+    # dualctl, parsing a config and building its grid never load it. A run
+    # needs it for run_streams; it is loaded here, before the clock starts, so
+    # that the first run's wall time does not hold the import.
     import numpy  # noqa: F401
 
     started = time.perf_counter()
