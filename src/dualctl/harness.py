@@ -17,7 +17,8 @@ per run, before the loop, by :func:`run_streams`.  Each row's other
 quantities are evaluated once, at the row's new output, and carried forward:
 the look-ahead reference (the next row's ``y_r``) and the network outputs
 ``(f_hat, g_hat)``, which give the control law of this row and the regressor
-``(f_hat, g_hat * u, 1)`` of the next.
+``(f_hat, g_hat * u)`` of the next (the Bayes step's ``phi`` without its
+constant third entry 1).
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def run_experiment(
             y = _bounded("output", plant.step(y, u, theta, noises[k - 1]), k + 1)
 
             # The input enters the regressor, so it is bounded like the output.
-            a, b, c = phi = (f_hat, g_hat * _bounded("input", u, k + 1), 1.0)
+            a, b = phi = (f_hat, g_hat * _bounded("input", u, k + 1))
             state = bayes_step(state, phi, y, thetas)
             pi_star = max(state.posteriors)
             t_star = state.posteriors.index(pi_star)
@@ -214,7 +215,7 @@ def run_experiment(
             # row; its residual is y - y_hat by construction.  It is the
             # expression bayes_step evaluates for that candidate.
             t0, t1, t2 = thetas[t_star]
-            residual = y - (t0 * a + t1 * b + t2 * c)
+            residual = y - (t0 * a + t1 * b + t2)
             y_hat = y - residual
             if hooks is not None:
                 _fire(hooks, "posterior_update", k + 1, argmax_t=t_star + 1, max_pi=pi_star)

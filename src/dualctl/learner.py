@@ -3,7 +3,10 @@
 Each grid candidate ``theta_t`` keeps a posterior probability and a 3x3
 estimation-error covariance ``P_t``. After every observed output the
 posteriors are updated with Gaussian one-step-prediction likelihoods whose
-variance is ``phi' P_t phi + sigma^2`` (``phi = (fhat, ghat*u, 1)``), then each
+variance is ``phi' P_t phi + sigma^2`` with ``phi = (fhat, ghat*u, 1)``. The
+constant 1 is the additive channel's coefficient, so callers pass the
+regressor as ``(fhat, ghat*u)`` and the stages write its third entry out of
+the arithmetic (``x * 1.0 == x``). Then each
 covariance is rescaled by ``log2(eta / pi_t + 1)``: mass above the uniform
 level ``eta`` shrinks a candidate's covariance toward zero, mass below grows
 it. The shrinking covariance of the leading candidate sharpens its likelihood,
@@ -32,16 +35,18 @@ exactly P0's value: every rescale factor is finite and positive, and
 matrix: symmetric and positive semidefinite, both within 1e-9 (a finite
 diagonal P0 passes both by construction, without numpy). No later state is
 checked as a whole. With a diagonal P0, as in all
-covariance presets, :func:`bayes_step` reads only the three diagonal lists
-and hands every other case (a cross entry in P0, the rare log domain,
-underflow and every error) to one exact :func:`_general_step`; the control
-law reads only the (1, 1) list; :func:`update_covariance` copies the three
-diagonal lists and rescales them in place, sharing the six off-diagonal
-lists. Any other P0 runs the general loops over all nine entry lists. In
-both rescale paths a candidate at the covariance cap whose floored
+covariance presets, :func:`bayes_step` reads only the three diagonal lists,
+sums the products ``2**100`` times larger, above the subnormal range, which
+changes no bit of the posteriors (see ``_SUM_SCALE``), and hands every other
+case (a cross entry in P0, the rare log domain, a total that is zero or not
+finite, and every error) to one exact, unscaled :func:`_general_step`; the
+control law reads only the (1, 1) list; :func:`update_covariance` copies the
+three diagonal lists and rescales them in place, sharing the six
+off-diagonal lists. Any other P0 runs the general loops over all nine entry
+lists. In both rescale paths a candidate at the covariance cap whose
 posterior is at most ``eta`` has factor exactly 1, so it costs one
-comparison and is left as it is; once the posterior locks, most candidates
-are such.
+comparison, made before the floor, and is left as it is; once the posterior
+locks, most candidates are such.
 """
 
 from __future__ import annotations
@@ -63,6 +68,19 @@ COVARIANCE_CAP = 1e12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
+# bayes_step's diagonal pass sums its products this many times larger. Once
+# the posterior locks, most products are a floored prior times a density,
+# just above the smallest normal double 2**-1022; fsum's error terms would
+# then be subnormal, and arithmetic on subnormals is several times slower.
+# The scaled sum is exactly _SUM_SCALE times the unscaled one whenever it is
+# finite: each product is scaled exactly, fsum is correctly rounded, rounding
+# commutes with a power of two in the normal range, and a total below
+# 2**-1022 is an exact sum of multiples of 2**-1074. So each quotient
+# product / total is unchanged. For posteriors that sum to about 1 the scaled
+# total stays finite: a density is at most 1/sqrt(2*pi*5e-324) ~ 1.8e161,
+# and 1.8e161 * 2**100 * MAX_GRID_SIZE is below 1e196. A hand-made state
+# can overflow it; such a total goes to the unscaled _general_step.
+_SUM_SCALE = 2.0**100
 
 
 @dataclass
@@ -149,7 +167,11 @@ def _successor(state: LearnerState, posteriors, covariances) -> LearnerState:
 
 
 def _normalized(state: LearnerState, products, total: float) -> LearnerState:
-    """Posteriors ``products[t] / total``, where ``total`` is the fsum of ``products``."""
+    """Posteriors ``products[t] / total``, where ``total`` is the fsum of ``products``.
+
+    :func:`bayes_step` passes products and total scaled by ``_SUM_SCALE``;
+    a quotient of two exactly scaled doubles is the unscaled quotient.
+    """
     return _successor(state, [v / total for v in products], state.covariances)
 
 
@@ -171,6 +193,11 @@ def update_covariance(state: LearnerState) -> LearnerState:
     cap whose floored posterior is at most ``eta`` is skipped after that one
     comparison: ``eta / pi + 1 >= 2``, so the log2 is at least 1 and the cap
     rule gives ``CAP / CAP``, exactly 1, which leaves every entry as it is.
+    The comparison reads the raw posterior, before the floor: with
+    ``eta >= POSTERIOR_FLOOR``, as for every grid (``eta = 1 / size``), the
+    floored posterior is at most ``eta`` exactly when the raw one is, and a
+    NaN fails both. A hand-made state with a smaller ``eta`` skips nothing,
+    as with the floor.
     With a diagonal P0 the copies are the three diagonal lists, rescaled
     entry by entry, and the peak is read without ``abs`` since no diagonal
     entry is negative; any other P0 copies and rescales every entry list
@@ -179,6 +206,7 @@ def update_covariance(state: LearnerState) -> LearnerState:
     """
     eta = state.eta
     log2 = math.log2
+    skip_at = eta if eta >= POSTERIOR_FLOOR else math.nan
     if state.diagonal:
         (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
         n0, n1, n2 = d0[:], d1[:], d2[:]
@@ -186,11 +214,11 @@ def update_covariance(state: LearnerState) -> LearnerState:
         (v0, _, _), (_, v1, _), (_, _, v2) = state.initial_covariance
         top = (n0 if v0 >= v2 else n2) if v0 >= v1 else (n1 if v1 >= v2 else n2)
         for t, pi in enumerate(state.posteriors):
+            peak = top[t]
+            if peak == COVARIANCE_CAP and pi <= skip_at:
+                continue
             if POSTERIOR_FLOOR > pi:
                 pi = POSTERIOR_FLOOR
-            peak = top[t]
-            if peak == COVARIANCE_CAP and pi <= eta:
-                continue
             factor = log2(eta / pi + 1.0)
             if peak * factor > COVARIANCE_CAP:
                 factor = COVARIANCE_CAP / peak
@@ -208,11 +236,11 @@ def update_covariance(state: LearnerState) -> LearnerState:
     moving = [e for e, w in zip(entries, sizes) if w != 0.0]
     top = entries[sizes.index(max(sizes))]
     for t, pi in enumerate(state.posteriors):
+        peak = abs(top[t])
+        if peak == COVARIANCE_CAP and pi <= skip_at:
+            continue
         if POSTERIOR_FLOOR > pi:
             pi = POSTERIOR_FLOOR
-        peak = abs(top[t])
-        if peak == COVARIANCE_CAP and pi <= eta:
-            continue
         factor = log2(eta / pi + 1.0)
         if peak * factor > COVARIANCE_CAP:
             factor = COVARIANCE_CAP / peak
@@ -238,14 +266,16 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
 ]:
     """Residual and prediction variance of every candidate.
 
-    With ``regressor = (a, b, c)``, candidate ``t`` predicts ``theta_t . phi``
-    with variance ``phi' P_t phi + sigma^2``; its residual is the observed
-    output minus that prediction.  The quadratic form is the per-matrix one;
-    with zero cross entries and a finite regressor its cross terms are signed
-    zeros, so it matches each variance :func:`bayes_step`'s diagonal pass
-    accepts.  Raises :class:`StateError` for the first unusable variance.
+    With ``regressor = (a, b)`` and ``phi = (a, b, 1)``, candidate ``t``
+    predicts ``theta_t . phi`` with variance ``phi' P_t phi + sigma^2``; its
+    residual is the observed output minus that prediction.  The quadratic
+    form is the per-matrix one with the factors of the constant entry
+    written out; with zero cross entries and a finite regressor its cross
+    terms are signed zeros, so it matches each variance :func:`bayes_step`'s
+    diagonal pass accepts.  Raises :class:`StateError` for the first
+    unusable variance.
     """
-    a, b, c = regressor
+    a, b = regressor
     noise = state.noise_variance
     (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = state.covariances
     variances = []
@@ -256,10 +286,10 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
         quad = (
             q00 * a * a
             + q11 * b * b
-            + q22 * c * c
+            + q22
             + (q01 + q10) * a * b
-            + (q02 + q20) * a * c
-            + (q12 + q21) * b * c
+            + (q02 + q20) * a
+            + (q12 + q21) * b
         )
         if quad < 0.0:
             raise StateError(
@@ -272,7 +302,7 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
                 "(zero noise with a covariance that vanishes along the regressor)"
             )
         variances.append(var)
-    residuals = [observed - (t0 * a + t1 * b + t2 * c) for t0, t1, t2 in thetas]
+    residuals = [observed - (t0 * a + t1 * b + t2) for t0, t1, t2 in thetas]
     return residuals, variances
 
 
@@ -325,21 +355,22 @@ def _general_step(state: LearnerState, regressor, observed: float, thetas) -> Le
 def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
     """Full per-iteration posterior update over all candidates.
 
-    Per candidate, with ``regressor = (a, b, c) = (fhat, ghat*u, 1)``: the
-    residual of the one-step prediction ``theta . phi`` against the observed
-    output, the prediction variance ``phi' P_t phi + sigma^2`` and the
-    Gaussian density of the residual.  Then the Bayes update.  Returns the
-    new state.
+    Per candidate, with ``regressor = (a, b) = (fhat, ghat*u)`` and
+    ``phi = (a, b, 1)``: the residual of the one-step prediction
+    ``theta . phi`` against the observed output, the prediction variance
+    ``phi' P_t phi + sigma^2`` and the Gaussian density of the residual.
+    Then the Bayes update.  Returns the new state.
 
     With a diagonal P0 one pass forms each quadratic form from the three
     diagonal entries in place (cross terms are signed zeros for a finite
     regressor, and no diagonal term is negative), keeps only each floored
-    prior times density and normalizes with the same fsum and division as
-    :func:`update_posteriors`.  Every other case is :func:`_general_step`,
-    which redoes the step exactly: a P0 with a cross entry, a variance that
-    is not positive, a density below ``LOG_DOMAIN_TRIGGER`` (the log domain)
-    and a product total that is not positive (every product underflowed, or
-    one is NaN, as for any non-finite regressor).
+    prior times density, times ``_SUM_SCALE``, and normalizes with the
+    fsum and division of :func:`update_posteriors`.  The scale changes no
+    quotient while the scaled total is finite.  Every other case is
+    :func:`_general_step`, which redoes the step exactly and unscaled: a P0
+    with a cross entry, a variance that is not positive, a density below
+    ``LOG_DOMAIN_TRIGGER`` (the log domain) and a scaled total that is zero,
+    infinite, NaN (any non-finite regressor) or overflows in fsum.
 
     Raises :class:`StateError` when a covariance is indefinite along the
     regressor, a prediction variance is not positive (zero noise with a
@@ -353,7 +384,7 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
         )
     if not state.diagonal:
         return _general_step(state, regressor, observed, thetas)
-    a, b, c = regressor
+    a, b = regressor
     noise = state.noise_variance
     exp = math.exp
     sqrt = math.sqrt
@@ -361,15 +392,18 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
     add_product = products.append
     (p00, _, _), (_, p11, _), (_, _, p22) = state.covariances
     for (t0, t1, t2), q00, q11, q22, p in zip(thetas, p00, p11, p22, state.posteriors):
-        var = q00 * a * a + q11 * b * b + q22 * c * c + noise
+        var = q00 * a * a + q11 * b * b + q22 + noise
         if not var > 0.0:
             return _general_step(state, regressor, observed, thetas)
-        r = observed - (t0 * a + t1 * b + t2 * c)
+        r = observed - (t0 * a + t1 * b + t2)
         d = exp(-(r * r) / (2.0 * var)) / sqrt(_TWO_PI * var)
         if d < LOG_DOMAIN_TRIGGER:
             return _general_step(state, regressor, observed, thetas)
-        add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d)
-    total = math.fsum(products)
-    if total > 0.0:
+        add_product((POSTERIOR_FLOOR if POSTERIOR_FLOOR > p else p) * d * _SUM_SCALE)
+    try:
+        total = math.fsum(products)
+    except OverflowError:
+        return _general_step(state, regressor, observed, thetas)
+    if 0.0 < total < math.inf:
         return _normalized(state, products, total)
     return _general_step(state, regressor, observed, thetas)

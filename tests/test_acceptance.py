@@ -357,8 +357,8 @@ def _prop_residual_variance_separation():
             noise = float(rng.normal(0.0, math.sqrt(plant.noise_variance)))
             y_next = plant.step(y, u, truth, noise)
             fh, gh = eval_network(net, y)
-            residuals, _ = prediction_errors(state, (fh, gh * u, 1.0), y_next, grid.vectors)
-            state = bayes_step(state, (fh, gh * u, 1.0), y_next, grid.vectors)
+            residuals, _ = prediction_errors(state, (fh, gh * u), y_next, grid.vectors)
+            state = bayes_step(state, (fh, gh * u), y_next, grid.vectors)
             sq_sums += np.square(residuals)
             u = optimal_control(
                 truth, plant.f_value(y_next), plant.g_value(y_next), reference_at(spec, k + 2)

@@ -25,6 +25,8 @@ from dualctl import (
     update_covariance,
     update_posteriors,
 )
+from dualctl import learner
+from dualctl.config import MAX_GRID_SIZE
 from dualctl.learner import prediction_errors
 
 import oracle
@@ -83,15 +85,16 @@ def test_make_state_rejects_bad_arguments():
 
 
 def test_gaussian_likelihood_matches_closed_form():
-    # Zero covariance and regressor (0, 0, 1): candidate t predicts its gamma
-    # with variance exactly sigma^2. Candidate 0 sees residual r, candidate 1
-    # none, so from a uniform prior pi_0 = d(r, v) / (d(r, v) + d(0, v)).
+    # Zero covariance and regressor (0, 0), so phi = (0, 0, 1): candidate t
+    # predicts its gamma with variance exactly sigma^2. Candidate 0 sees
+    # residual r, candidate 1 none, so from a uniform prior
+    # pi_0 = d(r, v) / (d(r, v) + d(0, v)).
     for r, v in [(0.0, 1.0), (0.5, 0.25), (-2.0, 0.0004), (3.0, 10.0)]:
         state = make_state(2, v, ZERO)
         residuals, variances = prediction_errors(
-            state, (0.0, 0.0, 1.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)]
+            state, (0.0, 0.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)]
         )
-        new = bayes_step(state, (0.0, 0.0, 1.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)])
+        new = bayes_step(state, (0.0, 0.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)])
         assert residuals == [r, 0.0]
         assert variances == [v, v]
         d0 = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
@@ -105,13 +108,13 @@ def test_likelihood_rejects_nonpositive_variance():
     thetas = [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1)]
     state = make_state(2, 0.0, ZERO)
     with pytest.raises(StateError, match="prediction variance of candidate 0"):
-        bayes_step(state, (0.5, 1.0, 1.0), 0.1, thetas)
+        bayes_step(state, (0.5, 1.0), 0.1, thetas)
     # Candidate 0's density underflows before candidate 1's zero variance is
     # reached; the step that takes over must still reject candidate 1.
     for p0 in (EYE, COV):
         state, _ = oracle.scaled_state(p0, [1.0, 0.0], [0.5, 0.5], 0.0)
         with pytest.raises(StateError, match=r"^prediction variance of candidate 1 is 0\.0;"):
-            bayes_step(state, (0.5, 1.0, 1.0), 1e3, thetas)
+            bayes_step(state, (0.5, 1.0), 1e3, thetas)
 
 
 def test_prediction_variance_is_quadratic_form_plus_noise():
@@ -119,11 +122,11 @@ def test_prediction_variance_is_quadratic_form_plus_noise():
     for _ in range(50):
         a = rng.normal(size=(3, 3))
         p = a @ a.T  # random PSD matrix
-        phi = rng.normal(size=3)
+        phi = np.append(rng.normal(size=2), 1.0)
         sigma2 = float(rng.uniform(0, 2))
         expected = float(phi @ p @ phi) + sigma2
         state = make_state(1, sigma2, p.tolist())
-        _, variances = prediction_errors(state, tuple(phi), 0.0, [(1.0, 1.0, 0.0)])
+        _, variances = prediction_errors(state, tuple(phi[:2]), 0.0, [(1.0, 1.0, 0.0)])
         assert variances[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -133,7 +136,7 @@ def test_prediction_variance_rejects_indefinite_covariance():
         make_state(1, 0.1, p)
     state, _ = oracle.scaled_state(p, [1.0], [1.0], 0.1)
     with pytest.raises(StateError):
-        bayes_step(state, (0.0, 0.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
+        bayes_step(state, (0.0, 0.0), 0.0, [(1.0, 1.0, 0.0)])
 
 
 def test_posterior_update_matches_brute_force_oracle():
@@ -150,9 +153,9 @@ def test_posterior_update_matches_brute_force_oracle():
 
 
 def _gamma_step(state, observed, gammas):
-    """bayes_step with zero covariance and regressor (0, 0, 1): candidate t
+    """bayes_step with zero covariance and regressor (0, 0): candidate t
     has residual ``observed - gammas[t]`` and variance sigma^2."""
-    return bayes_step(state, (0.0, 0.0, 1.0), observed, [(1.0, 1.0, g) for g in gammas])
+    return bayes_step(state, (0.0, 0.0), observed, [(1.0, 1.0, g) for g in gammas])
 
 
 def test_log_domain_update_agrees_with_linear_domain():
@@ -317,15 +320,16 @@ def test_fused_stages_match_per_matrix_oracle(p0):
     covs = [[list(row) for row in p0] for _ in range(size)]
     seen = Counter()
     for step in range(400):
-        regressor = (float(rng.normal()), float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+        regressor = (float(rng.normal()), float(rng.normal()))
         truth = thetas[(step // 100) * 5 % size]
-        observed = sum(t * x for t, x in zip(truth, regressor)) + float(rng.normal(0.0, 0.1))
+        phi = (*regressor, 1.0)
+        observed = sum(t * x for t, x in zip(truth, phi)) + float(rng.normal(0.0, 0.1))
         if step % 37 == 36:
             observed += 1e3
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
         state = bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, used_log = oracle.bayes_step(
-            state, posteriors, covs, regressor, observed, thetas
+            state, posteriors, covs, phi, observed, thetas
         )
         seen["log"] += used_log
         assert state.posteriors == posteriors
@@ -392,8 +396,8 @@ def test_bayes_step_reports_residuals_and_variances():
     state = make_state(2, 0.04, EYE)
     phi = (0.5, -1.0, 1.0)
     observed = 0.3
-    residuals, variances = prediction_errors(state, phi, observed, thetas)
-    new = bayes_step(state, phi, observed, thetas)
+    residuals, variances = prediction_errors(state, phi[:2], observed, thetas)
+    new = bayes_step(state, phi[:2], observed, thetas)
     for t, theta in enumerate(thetas):
         pred = theta[0] * phi[0] + theta[1] * phi[1] + theta[2] * phi[2]
         assert residuals[t] == pytest.approx(observed - pred, abs=1e-15)
@@ -409,7 +413,7 @@ def test_bayes_step_reports_residuals_and_variances():
 def test_bayes_step_switches_to_log_domain_on_underflow():
     thetas = [(1.0, 1.0, 0.0), (1.0, 1.0, 50.0)]
     state = make_state(2, 1e-6, [[1e-9, 0, 0], [0, 1e-9, 0], [0, 0, 1e-9]])
-    phi = (1.0, 0.0, 1.0)
+    phi = (1.0, 0.0)
     # Both candidates are hundreds of sigma away: every density underflows,
     # yet the step must return a normalized posterior favoring the closer one.
     new = bayes_step(state, phi, 2000.0, thetas)
@@ -420,7 +424,7 @@ def test_bayes_step_switches_to_log_domain_on_underflow():
 def test_bayes_step_checks_candidate_count():
     state = make_state(3, 0.01, EYE)
     with pytest.raises(ValueError):
-        bayes_step(state, (1.0, 1.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
+        bayes_step(state, (1.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
 
 
 def test_successor_states_leave_their_input_untouched():
@@ -429,8 +433,8 @@ def test_successor_states_leave_their_input_untouched():
     thetas = [(1.0, 1.0, 0.0), (0.8, 1.2, 0.1), (1.0, 1.0, 50.0)]
     state = update_covariance(update_posteriors(make_state(3, 0.04, COV), [4.0, 1.0, 0.5]))
     steps = [
-        lambda s: bayes_step(s, (0.5, -1.0, 1.0), 0.3, thetas),
-        lambda s: bayes_step(s, (1.0, 0.0, 1.0), 2000.0, thetas),  # log domain
+        lambda s: bayes_step(s, (0.5, -1.0), 0.3, thetas),
+        lambda s: bayes_step(s, (1.0, 0.0), 2000.0, thetas),  # log domain
         update_covariance,
         reset,
     ]
@@ -462,7 +466,6 @@ _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
         st.tuples(
             st.sampled_from([0.0, -0.0, 0.5, -1.5, math.inf, -math.inf, math.nan]),
             st.sampled_from([0.0, -0.0, 0.75, -2.0, math.inf, math.nan]),
-            st.sampled_from([1.0, 0.0, -0.0, math.nan]),
         ),
         min_size=1,
         max_size=8,
@@ -493,7 +496,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
     covs = [[list(row) for row in p0] for _ in range(size)]
     for step, regressor in enumerate(regressors):
         observed = float(rng.normal()) + (1e3 if step % 3 == 2 else 0.0)  # log domain
-        expected_error = oracle.bayes_error(regressor, covs, state.noise_variance)
+        expected_error = oracle.bayes_error((*regressor, 1.0), covs, state.noise_variance)
         if expected_error is not None:
             with pytest.raises(StateError) as info:
                 bayes_step(state, regressor, observed, thetas)
@@ -502,7 +505,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
         state = bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, _ = oracle.bayes_step(
-            state, posteriors, covs, regressor, observed, thetas
+            state, posteriors, covs, (*regressor, 1.0), observed, thetas
         )
         assert list(map(repr, state.posteriors)) == list(map(repr, posteriors))
         assert list(map(repr, residuals)) == list(map(repr, o_residuals))
@@ -616,7 +619,6 @@ def test_negative_largest_entry_caps_as_the_per_matrix_rescale():
     regressor=st.tuples(
         st.sampled_from([0.0, -0.0, 0.5, -1.5, 1e100]),
         st.sampled_from([0.0, -0.0, 0.75, -2.0]),
-        st.sampled_from([1.0, 0.0, -0.0]),
     ),
     far=st.booleans(),
 )
@@ -639,7 +641,7 @@ def test_products_pass_and_prediction_errors_match_oracles(
         for _ in range(size)
     ]
     observed = float(rng.normal()) + (1e3 if far else 0.0)  # far: the log domain
-    expected_error = oracle.bayes_error(regressor, covs, noise)
+    expected_error = oracle.bayes_error((*regressor, 1.0), covs, noise)
     if expected_error is not None:
         for stage in (bayes_step, prediction_errors):
             with pytest.raises(StateError) as info:
@@ -648,7 +650,7 @@ def test_products_pass_and_prediction_errors_match_oracles(
         return
     residuals, variances = prediction_errors(state, regressor, observed, thetas)
     o_posteriors, o_residuals, o_variances, used_log = oracle.bayes_step(
-        state, posteriors, covs, regressor, observed, thetas
+        state, posteriors, covs, (*regressor, 1.0), observed, thetas
     )
     assert list(map(repr, residuals)) == list(map(repr, o_residuals))
     assert list(map(repr, variances)) == list(map(repr, o_variances))
@@ -670,14 +672,14 @@ def test_products_pass_and_prediction_errors_match_oracles(
     "thetas, scales, regressor, observed, candidate",
     [
         # r * r and the variance are both inf: the linear domain.
-        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (1e200, 1e200, 1.0), 0.3, 0),
-        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (0.5, -1.0, 1.0), math.nan, 0),
+        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (1e200, 1e200), 0.3, 0),
+        ([(1.0, 1.0, 0.0), (0.8, 1.2, 0.1)], [1.0, 1.0], (0.5, -1.0), math.nan, 0),
         # Candidate 2's density underflows, so the log domain runs, and max()
         # passes over candidate 1's NaN log-posterior.
         (
             [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1e3)],
             [0.0, 1.0, 0.0],
-            (1e200, 1e200, 1.0),
+            (1e200, 1e200),
             0.3,
             1,
         ),
@@ -685,7 +687,7 @@ def test_products_pass_and_prediction_errors_match_oracles(
         (
             [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e3)],
             [1.0, 0.0, 0.0],
-            (1e200, 1e200, 1.0),
+            (1e200, 1e200),
             0.3,
             0,
         ),
@@ -705,7 +707,7 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
     # One candidate's log-posterior is -inf (r * r overflows over the noise),
     # the other's is NaN (an infinite r * r over an infinite variance).  max()
     # keeps a -inf that comes first, so the order decides which error is raised.
-    regressor, observed = (1e200, 1e200, 1.0), 1e200
+    regressor, observed = (1e200, 1e200), 1e200
     cases = [
         ([0.0, 1.0], [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], r"log-posteriors are not finite \(max"),
         ([1.0, 0.0], [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0)], "density of candidate 0 is not a number"),
@@ -714,6 +716,83 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
         state, _ = oracle.scaled_state(p0, scales, [0.5, 0.5], 0.01)
         with pytest.raises(StateError, match=f"^{message}"):
             bayes_step(state, regressor, observed, thetas)
+
+
+# The diagonal pass sums its products 2**100 times larger; a total that is zero
+# or not finite goes to the unscaled _general_step.  Either way the posteriors
+# are the oracle's, compared by repr, or the step raises the oracle's error.
+
+
+def _scaled_sum_step(monkeypatch, state, regressor, observed, thetas):
+    """bayes_step, the oracle's posteriors, and whether the step handed off."""
+    handoffs, general = [], learner._general_step
+    monkeypatch.setattr(learner, "_general_step", lambda *a: handoffs.append(1) or general(*a))
+    o_posteriors, _, _, used_log = oracle.bayes_step(
+        state, state.posteriors, _matrices(state), (*regressor, 1.0), observed, thetas
+    )
+    assert not used_log
+    new = bayes_step(state, regressor, observed, thetas)
+    assert list(map(repr, new.posteriors)) == list(map(repr, o_posteriors))
+    return new, bool(handoffs)
+
+
+def test_scaled_sum_of_a_subnormal_total_is_the_unscaled_one(monkeypatch):
+    # Every posterior sits below the floor, so each product is 1e-300 times a
+    # density below 1e-8: a subnormal, rounded at subnormal precision before
+    # it is scaled.  The total is subnormal too, an exact sum of multiples of
+    # 2**-1074, so the scaled pass keeps it and gives the unscaled quotients.
+    gammas = [-6.1, 6.3, 6.7, -7.05, 6.45]
+    posteriors = [0.0, 1e-310, -0.0, 5e-324, -1.0]
+    state, _ = oracle.scaled_state(ZERO, [1.0] * 5, posteriors, 1.0)
+    thetas = [(1.0, 1.0, g) for g in gammas]
+    products = [POSTERIOR_FLOOR * oracle.likelihood(g, 1.0) for g in gammas]
+    assert 0.0 < math.fsum(products) < sys.float_info.min
+    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
+    assert not handed_off
+
+
+@pytest.mark.parametrize(
+    "posterior, outcome",
+    [
+        (1e300, "scaled products are inf"),
+        (2.5e278, "scaled fsum overflows"),
+        (1e308, "unscaled fsum overflows"),
+    ],
+)
+def test_scaled_sum_that_overflows_is_summed_unscaled(monkeypatch, posterior, outcome):
+    # Posteriors far above 1, as only a hand-made state holds them.
+    state, _ = oracle.scaled_state(ZERO, [1.0] * 5, [posterior] * 5, 1.0)
+    thetas = [(1.0, 1.0, 0.0)] * 5
+    product = posterior * oracle.likelihood(0.0, 1.0)
+    if outcome == "scaled products are inf":
+        assert math.isinf(product * 2.0**100)
+    elif outcome == "scaled fsum overflows":
+        assert math.isfinite(product * 2.0**100)
+        with pytest.raises(OverflowError):
+            math.fsum([product * 2.0**100] * 5)
+    else:
+        with pytest.raises(OverflowError):
+            oracle.bayes_step(state, state.posteriors, _matrices(state), (0.0, 0.0, 1.0), 0.0, thetas)
+        with pytest.raises(OverflowError):
+            bayes_step(state, (0.0, 0.0), 0.0, thetas)
+        return
+    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
+    assert handed_off
+
+
+def test_largest_density_stays_finite_at_the_scale(monkeypatch):
+    # Zero noise and the smallest positive variance give the largest density
+    # the pass accepts, 1/sqrt(2*pi*5e-324) ~ 1.8e161.  With MAX_GRID_SIZE
+    # candidates at posterior 1 each, the scaled total is about 2.3e195.
+    p0 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 5e-324))
+    state = make_state(MAX_GRID_SIZE, 0.0, p0)
+    state.posteriors = [1.0] * MAX_GRID_SIZE
+    thetas = [(1.0, 1.0, (t % 5) * 1e-162) for t in range(MAX_GRID_SIZE)]
+    peak = oracle.likelihood(0.0, 5e-324)
+    assert peak > 1.7e161
+    assert math.fsum([peak * 2.0**100] * MAX_GRID_SIZE) < 1e196
+    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
+    assert not handed_off
 
 
 def test_make_state_sets_the_diagonal_flag_and_successors_carry_it():
@@ -726,7 +805,7 @@ def test_make_state_sets_the_diagonal_flag_and_successors_carry_it():
     assert make_state(3, 0.01, ((-0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -0.0))).diagonal
     # Every successor carries the flag over.
     state = make_state(3, 0.04, COV)
-    state = bayes_step(state, (0.5, -1.0, 1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
+    state = bayes_step(state, (0.5, -1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
     for successor in (update_covariance(state), reset(state)):
         assert successor.diagonal is False
 
@@ -837,10 +916,11 @@ def test_an_infinite_p0_gets_the_numpy_checks_outcome(monkeypatch, p0):
 
 def test_tiny_negative_quadratic_form_is_rejected_despite_the_noise():
     # Candidate 1's quadratic form is -2e-300: the noise makes its variance
-    # positive, yet the covariance is indefinite along the regressor.
-    p0 = ((1.0, -2.0, 0.0), (-2.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    # positive, yet the covariance is indefinite along the regressor. P0's
+    # (2, 2) entry is zero, so phi's constant entry adds nothing to the form.
+    p0 = ((1.0, -2.0, 0.0), (-2.0, 1.0, 0.0), (0.0, 0.0, 0.0))
     state, _ = oracle.scaled_state(p0, [0.0, 1e-300, 1.0], [0.5, 0.25, 0.25], 0.01)
-    regressor, thetas = (1.0, 1.0, 0.0), [(1.0, 1.0, 0.0)] * 3
+    regressor, thetas = (1.0, 1.0), [(1.0, 1.0, 0.0)] * 3
     for stage in (bayes_step, prediction_errors):
         with pytest.raises(StateError, match=r"^covariance 1 is indefinite .* = -2e-300\)$"):
             stage(state, regressor, 0.5, thetas)
