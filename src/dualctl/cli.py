@@ -47,14 +47,18 @@ def _print_partition(name: str, interval: BoundedInterval) -> int:
 
 
 def _cmd_partition(args) -> int:
+    interval_flags = (args.lower, args.upper, args.eps)
     if args.config:
+        if interval_flags != (None, None, None):
+            print("partition: --config cannot be combined with --lower/--upper/--eps", file=sys.stderr)
+            return 2
         cfg = parse_config(args.config)
         total = 1
         for name in CHANNELS:
             total *= _print_partition(name, getattr(cfg, name).interval)
         print(f"grid: {total} candidates, uniform prior {1.0 / total:.6g}")
     else:
-        if None in (args.lower, args.upper, args.eps):
+        if None in interval_flags:
             print("partition: pass --config or all of --lower/--upper/--eps", file=sys.stderr)
             return 2
         interval = BoundedInterval(args.lower, args.upper, args.eps)

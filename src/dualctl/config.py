@@ -408,6 +408,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     for ch in randomize:
         if ch not in CHANNELS:
             raise ConfigError(f"config.monte_carlo.randomize: unknown channel {ch!r}")
+        if randomize.count(ch) > 1:
+            raise ConfigError(f"config.monte_carlo.randomize: channel {ch!r} is repeated")
 
     reference = _reference(_expect(raw, "reference", dict, "config"), "config.reference")
     if not _reference_is_finite(reference, iterations):

@@ -12,30 +12,18 @@ with ``F = fhat(x)``, ``G = ghat(x)``, ``P_b = P[1][1]``, ``P_ab = P[0][1]``,
 ``P_gb = P[2][1]`` (channel order alpha, beta, gamma). ``lambda`` close to 1
 weighs tracking heavily; at ``P = 0`` the law collapses to the certainty-
 equivalence inversion. The applied input is the posterior-weighted mean of the
-candidate laws, formed by :func:`blended_control` in one call per iteration.
+candidate laws, clamped when a clamp is configured; :func:`blended_control`
+forms it in one call per iteration and returns it as a float.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
 
 from .errors import SimulationError, SingularControlError
 
 _SINGULAR_TOL = 1e-12
-
-
-class ControlDecision(NamedTuple):
-    """Blended input before and after the optional clamp.
-
-    A named tuple: as immutable as a frozen dataclass, and built once per
-    iteration at a fraction of its cost.
-    """
-
-    u: float  # posterior-weighted mean of the candidate inputs
-    u_applied: float  # after clamping (equals u when no clamp is active)
-    clipped: bool
 
 
 def candidate_control_terms(
@@ -82,8 +70,9 @@ def blended_control(
     state,
     dual_lambda: float,
     input_clamp: float | None = None,
-) -> ControlDecision:
-    """Posterior-weighted mean of the candidate laws, optionally clamped.
+) -> float:
+    """The applied input: the posterior-weighted mean of the candidate laws,
+    clamped to ``input_clamp`` in magnitude when one is given.
 
     ``state`` is the learner state: its ``posteriors`` weigh the laws, its
     ``covariances`` enter them, and its ``diagonal`` flag says that every
@@ -112,14 +101,15 @@ def blended_control(
                 break
             add_term(pi * u)
         else:
-            return _decision(terms, input_clamp)
+            return _applied(terms, input_clamp)
     inputs = candidate_control_terms(
         thetas, f_hat, g_hat, y_r_next, state.covariances, dual_lambda
     )
-    return _decision(map(operator.mul, posteriors, inputs), input_clamp)
+    return _applied(map(operator.mul, posteriors, inputs), input_clamp)
 
 
-def _decision(products, input_clamp: float | None) -> ControlDecision:
+def _applied(products, input_clamp: float | None) -> float:
+    """The fsum of ``products``, clamped to ``input_clamp`` in magnitude."""
     try:
         u = math.fsum(products)
     except (ValueError, OverflowError):  # inf - inf, or a partial sum beyond the float range
@@ -127,8 +117,8 @@ def _decision(products, input_clamp: float | None) -> ControlDecision:
     if not math.isfinite(u):
         raise SimulationError("blended input is not finite")
     if input_clamp is not None and abs(u) > input_clamp:
-        return ControlDecision(u, math.copysign(input_clamp, u), True)
-    return ControlDecision(u, u, False)
+        return math.copysign(input_clamp, u)
+    return u
 
 
 def optimal_control(true_theta, f_value: float, g_value: float, y_r_next: float) -> float:

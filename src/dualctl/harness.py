@@ -9,7 +9,8 @@ the applied input, in one call; the change detector inspects the leading
 candidate's residual and may reset the learner; finally the candidate
 covariances are renormalized.  Traces hold one row per iteration including
 row 1 (the initial condition).  Each stage returns only what the loop reads:
-the Bayes update returns the new state, and the loop recomputes the one
+the learner stages update the run's one state in place and return nothing,
+the control law returns the applied input, and the loop recomputes the one
 residual it logs, the leading candidate's, with the update's own expression.
 
 The disturbance of every row and the noise of every plant step are built once
@@ -124,6 +125,8 @@ def run_streams(
     for ch in randomize:
         if ch not in CHANNELS:
             raise ValueError(f"randomize names unknown channel {ch!r}")
+        if randomize.count(ch) > 1:
+            raise ValueError(f"randomize names channel {ch!r} more than once")
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -208,7 +211,7 @@ def run_experiment(
 
             # The input enters the regressor, so it is bounded like the output.
             a, b = phi = (f_hat, g_hat * _bounded("input", u, k + 1))
-            state = bayes_step(state, phi, y, thetas)
+            bayes_step(state, phi, y, thetas)
             pi_star = max(state.posteriors)
             t_star = state.posteriors.index(pi_star)
             # The logged prediction belongs to the argmax candidate on this
@@ -226,7 +229,7 @@ def run_experiment(
             u_opt = optimal_input(theta, y, target)
             f_hat, g_hat = eval_network(net, y)
             if controller == "proposed":
-                u = blended_control(thetas, f_hat, g_hat, target, state, lam, clamp).u_applied
+                u = blended_control(thetas, f_hat, g_hat, target, state, lam, clamp)
             else:
                 u = u_opt
             if hooks is not None:
@@ -234,14 +237,14 @@ def run_experiment(
 
             triggered = detect_change(residual, pi_star, cfg.reset)
             if triggered:
-                state = reset_learner(state)
+                reset_learner(state)
             if hooks is not None:
                 _fire(hooks, "reset_check", k + 1, triggered=triggered)
 
             # Renormalize covariances under the posteriors now in effect.  A
             # fresh reset leaves them untouched (factor is exactly 1 at the
             # uniform posterior).
-            state = update_covariance(state)
+            update_covariance(state)
             if hooks is not None:
                 _fire(hooks, "covariance_update", k + 1)
         except RunError:

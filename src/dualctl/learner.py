@@ -26,10 +26,13 @@ rescale multiplies all of a candidate's entries by one positive factor, so
 its largest ``|entry|`` stays at the position of P0's largest ``|entry|``.
 ``diagonal`` records, once per state, that every off-diagonal entry of the
 initial covariance P0 is zero and no diagonal entry is negative (``-0.0`` is
-not). Each stage of an iteration (:func:`bayes_step`,
-:func:`update_covariance`, the control law) is one call that loops over the
-candidates, gives bit for bit what a per-matrix implementation gives, and
-returns only what the run loop reads. Entries that are zero in P0 stay
+not). ``eta``, the uniform level ``1 / size``, is derived from the number of
+posteriors, not stored. A run loop owns one state: :func:`bayes_step`,
+:func:`update_covariance`, :func:`reset` and :func:`update_posteriors` write
+their results into the state they are given and return None. Each stage of
+an iteration (the first two and the control law) is one call that loops over
+the candidates, gives bit for bit what a per-matrix implementation gives,
+and returns only what the run loop reads. Entries that are zero in P0 stay
 exactly P0's value: every rescale factor is finite and positive, and
 :func:`reset` restores P0. :func:`make_state` checks P0 once, as one 3x3
 matrix: symmetric and positive semidefinite, both within 1e-9 (a finite
@@ -40,10 +43,9 @@ sums the products ``2**100`` times larger, above the subnormal range, which
 changes no bit of the posteriors (see ``_SUM_SCALE``), and hands every other
 case (a cross entry in P0, the rare log domain, a total that is zero or not
 finite, and every error) to one exact, unscaled :func:`_general_step`; the
-control law reads only the (1, 1) list; :func:`update_covariance` copies the
-three diagonal lists and rescales them in place, sharing the six
-off-diagonal lists. Any other P0 runs the general loops over all nine entry
-lists. In both rescale paths a candidate at the covariance cap whose
+control law reads only the (1, 1) list; :func:`update_covariance` rescales
+only the three diagonal lists. Any other P0 runs the general loops over all
+nine entry lists. In both rescale paths a candidate at the covariance cap whose
 posterior is at most ``eta`` has factor exactly 1, so it costs one
 comparison, made before the floor, and is left as it is; once the posterior
 locks, most candidates are such.
@@ -85,14 +87,21 @@ _SUM_SCALE = 2.0**100
 
 @dataclass
 class LearnerState:
-    """Posteriors and per-candidate covariances owned by one run loop."""
+    """Posteriors and per-candidate covariances owned by one run loop.
+
+    The stages update it in place; ``posteriors`` is replaced as a whole.
+    """
 
     posteriors: list[float]
     covariances: list[list[list[float]]]  # 3 x 3 x size: [i][j][t] is P_t[i][j]
-    eta: float
     noise_variance: float
     initial_covariance: tuple[tuple[float, ...], ...]
     diagonal: bool  # initial_covariance has zero cross entries and no negative entry
+
+    @property
+    def eta(self) -> float:
+        """The uniform posterior level, ``1 / size``."""
+        return 1.0 / len(self.posteriors)
 
 
 def _initial_layout(p0, size: int):
@@ -117,14 +126,13 @@ def make_state(grid_size: int, noise_variance: float, initial_covariance) -> Lea
     return LearnerState(
         posteriors=[1.0 / grid_size] * grid_size,
         covariances=_initial_layout(p0, grid_size),
-        eta=1.0 / grid_size,
         noise_variance=float(noise_variance),
         initial_covariance=p0,
         diagonal=diagonal,
     )
 
 
-def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
+def update_posteriors(state: LearnerState, likelihoods) -> None:
     """One Bayes step: normalized elementwise product of priors and likelihoods.
 
     Raises :class:`PosteriorUnderflowError` when every product underflows to
@@ -145,37 +153,10 @@ def update_posteriors(state: LearnerState, likelihoods) -> LearnerState:
         raise PosteriorUnderflowError(
             "all posterior-likelihood products underflowed; use the log-domain update"
         )
-    return _normalized(state, products, total)
+    state.posteriors = [v / total for v in products]
 
 
-def _successor(state: LearnerState, posteriors, covariances) -> LearnerState:
-    """A new state with these posteriors and covariances; ``state`` is untouched.
-
-    The rest is carried over: ``eta``, the noise variance, P0 and ``diagonal``.
-    Nothing derived from the covariances, such as their peaks, is stored.
-    Built positionally: ``dataclasses.replace`` costs several microseconds, and
-    a run makes up to three successors per iteration.
-    """
-    return LearnerState(
-        posteriors,
-        covariances,
-        state.eta,
-        state.noise_variance,
-        state.initial_covariance,
-        state.diagonal,
-    )
-
-
-def _normalized(state: LearnerState, products, total: float) -> LearnerState:
-    """Posteriors ``products[t] / total``, where ``total`` is the fsum of ``products``.
-
-    :func:`bayes_step` passes products and total scaled by ``_SUM_SCALE``;
-    a quotient of two exactly scaled doubles is the unscaled quotient.
-    """
-    return _successor(state, [v / total for v in products], state.covariances)
-
-
-def update_covariance(state: LearnerState) -> LearnerState:
+def update_covariance(state: LearnerState) -> None:
     """Rescale each candidate's covariance by ``log2(eta / pi_t + 1)``.
 
     The factor is exactly 1 at ``pi_t == eta`` (uniform mass keeps the
@@ -188,34 +169,28 @@ def update_covariance(state: LearnerState) -> LearnerState:
     of a candidate's entries by one positive factor, and correct rounding is
     monotone and sign-symmetric, so that entry stays the largest.
 
-    Both paths copy the entry lists they rescale once, then multiply in place
-    only the candidates whose factor may differ from 1. A candidate at the
-    cap whose floored posterior is at most ``eta`` is skipped after that one
+    Both paths multiply the entry lists of ``state`` in place, and only for
+    the candidates whose factor may differ from 1. A candidate at the cap
+    whose floored posterior is at most ``eta`` is skipped after that one
     comparison: ``eta / pi + 1 >= 2``, so the log2 is at least 1 and the cap
     rule gives ``CAP / CAP``, exactly 1, which leaves every entry as it is.
-    The comparison reads the raw posterior, before the floor: with
-    ``eta >= POSTERIOR_FLOOR``, as for every grid (``eta = 1 / size``), the
-    floored posterior is at most ``eta`` exactly when the raw one is, and a
-    NaN fails both. A hand-made state with a smaller ``eta`` skips nothing,
-    as with the floor.
-    With a diagonal P0 the copies are the three diagonal lists, rescaled
-    entry by entry, and the peak is read without ``abs`` since no diagonal
-    entry is negative; any other P0 copies and rescales every entry list
-    that is nonzero in P0. Lists that are zero in P0 are shared with
-    ``state``, which is never modified.
+    The comparison reads the raw posterior, before the floor: ``eta``, which
+    is ``1 / size``, is above ``POSTERIOR_FLOOR``, so the floored posterior
+    is at most ``eta`` exactly when the raw one is, and a NaN fails both.
+    With a diagonal P0 the three diagonal lists are rescaled entry by entry,
+    and the peak is read without ``abs`` since no diagonal entry is
+    negative; any other P0 rescales every entry list that is nonzero in P0.
     """
     eta = state.eta
     log2 = math.log2
-    skip_at = eta if eta >= POSTERIOR_FLOOR else math.nan
     if state.diagonal:
-        (d0, o01, o02), (o10, d1, o12), (o20, o21, d2) = state.covariances
-        n0, n1, n2 = d0[:], d1[:], d2[:]
+        (d0, _, _), (_, d1, _), (_, _, d2) = state.covariances
         # No diagonal entry of P0 is negative: its largest is its largest |entry|.
         (v0, _, _), (_, v1, _), (_, _, v2) = state.initial_covariance
-        top = (n0 if v0 >= v2 else n2) if v0 >= v1 else (n1 if v1 >= v2 else n2)
+        top = (d0 if v0 >= v2 else d2) if v0 >= v1 else (d1 if v1 >= v2 else d2)
         for t, pi in enumerate(state.posteriors):
             peak = top[t]
-            if peak == COVARIANCE_CAP and pi <= skip_at:
+            if peak == COVARIANCE_CAP and pi <= eta:
                 continue
             if POSTERIOR_FLOOR > pi:
                 pi = POSTERIOR_FLOOR
@@ -224,20 +199,18 @@ def update_covariance(state: LearnerState) -> LearnerState:
                 factor = COVARIANCE_CAP / peak
             # A diagonal entry that is zero in P0 stays zero: the factor is
             # finite and positive, so v * factor keeps its sign too.
-            n0[t] *= factor
-            n1[t] *= factor
-            n2[t] *= factor
-        covariances = [[n0, o01, o02], [o10, n1, o12], [o20, o21, n2]]
-        return _successor(state, state.posteriors, covariances)
+            d0[t] *= factor
+            d1[t] *= factor
+            d2[t] *= factor
+        return
     # Entries that are zero in P0 stay exactly P0's value, so they are not rescaled.
     sizes = [abs(p) for row in state.initial_covariance for p in row]
     entries = [e for row in state.covariances for e in row]
-    entries = [e if w == 0.0 else e[:] for e, w in zip(entries, sizes)]
     moving = [e for e, w in zip(entries, sizes) if w != 0.0]
     top = entries[sizes.index(max(sizes))]
     for t, pi in enumerate(state.posteriors):
         peak = abs(top[t])
-        if peak == COVARIANCE_CAP and pi <= skip_at:
+        if peak == COVARIANCE_CAP and pi <= eta:
             continue
         if POSTERIOR_FLOOR > pi:
             pi = POSTERIOR_FLOOR
@@ -246,8 +219,6 @@ def update_covariance(state: LearnerState) -> LearnerState:
             factor = COVARIANCE_CAP / peak
         for entry in moving:
             entry[t] *= factor
-    covariances = [entries[0:3], entries[3:6], entries[6:9]]
-    return _successor(state, state.posteriors, covariances)
 
 
 def detect_change(residual: float, max_posterior: float, policy: ResetPolicy) -> bool:
@@ -255,10 +226,11 @@ def detect_change(residual: float, max_posterior: float, policy: ResetPolicy) ->
     return abs(residual) > policy.admissible_error and max_posterior > policy.posterior_threshold
 
 
-def reset(state: LearnerState) -> LearnerState:
+def reset(state: LearnerState) -> None:
     """Restart active learning: uniform posteriors, initial covariances."""
     size = len(state.posteriors)
-    return _successor(state, [1.0 / size] * size, _initial_layout(state.initial_covariance, size))
+    state.posteriors = [1.0 / size] * size
+    state.covariances = _initial_layout(state.initial_covariance, size)
 
 
 def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -> tuple[
@@ -306,7 +278,7 @@ def prediction_errors(state: LearnerState, regressor, observed: float, thetas) -
     return residuals, variances
 
 
-def _general_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
+def _general_step(state: LearnerState, regressor, observed: float, thetas) -> None:
     """The exact Bayes update for any P0 and every case the diagonal pass hands off.
 
     When every density is at least ``LOG_DOMAIN_TRIGGER`` and the floored
@@ -331,7 +303,8 @@ def _general_step(state: LearnerState, regressor, observed: float, thetas) -> Le
         ]
         total = math.fsum(products)
         if total > 0.0:
-            return _normalized(state, products, total)
+            state.posteriors = [v / total for v in products]
+            return
     log = math.log
     logs = [
         log(max(p, POSTERIOR_FLOOR)) + (-0.5 * (_LOG_2PI + log(v)) - (r * r) / (2.0 * v))
@@ -349,24 +322,27 @@ def _general_step(state: LearnerState, regressor, observed: float, thetas) -> Le
                 f"variance {var}); the residual and the variance must be finite"
             )
     weights = [exp(v - m) for v in logs]
-    return _normalized(state, weights, math.fsum(weights))
+    total = math.fsum(weights)
+    state.posteriors = [v / total for v in weights]
 
 
-def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> LearnerState:
+def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> None:
     """Full per-iteration posterior update over all candidates.
 
     Per candidate, with ``regressor = (a, b) = (fhat, ghat*u)`` and
     ``phi = (a, b, 1)``: the residual of the one-step prediction
     ``theta . phi`` against the observed output, the prediction variance
     ``phi' P_t phi + sigma^2`` and the Gaussian density of the residual.
-    Then the Bayes update.  Returns the new state.
+    Then the Bayes update, written into ``state.posteriors`` as its last
+    step, so a step that raises leaves ``state`` as it was.
 
     With a diagonal P0 one pass forms each quadratic form from the three
     diagonal entries in place (cross terms are signed zeros for a finite
     regressor, and no diagonal term is negative), keeps only each floored
     prior times density, times ``_SUM_SCALE``, and normalizes with the
     fsum and division of :func:`update_posteriors`.  The scale changes no
-    quotient while the scaled total is finite.  Every other case is
+    quotient while the scaled total is finite: a quotient of two exactly
+    scaled doubles is the unscaled quotient.  Every other case is
     :func:`_general_step`, which redoes the step exactly and unscaled: a P0
     with a cross entry, a variance that is not positive, a density below
     ``LOG_DOMAIN_TRIGGER`` (the log domain) and a scaled total that is zero,
@@ -405,5 +381,6 @@ def bayes_step(state: LearnerState, regressor, observed: float, thetas) -> Learn
     except OverflowError:
         return _general_step(state, regressor, observed, thetas)
     if 0.0 < total < math.inf:
-        return _normalized(state, products, total)
-    return _general_step(state, regressor, observed, thetas)
+        state.posteriors = [v / total for v in products]
+    else:
+        _general_step(state, regressor, observed, thetas)

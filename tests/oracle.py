@@ -88,8 +88,8 @@ def bayes_step(template, posteriors, covariances, regressor, observed, thetas):
     prior = replace(template, posteriors=list(posteriors))
     if not any(d < LOG_DOMAIN_TRIGGER for d in densities):
         try:
-            new = update_posteriors(prior, densities)
-            return new.posteriors, residuals, variances, False
+            update_posteriors(prior, densities)
+            return prior.posteriors, residuals, variances, False
         except PosteriorUnderflowError:
             pass
     return log_update(posteriors, residuals, variances), residuals, variances, True
@@ -123,7 +123,6 @@ def scaled_state(p0, scales, posteriors, noise):
     return LearnerState(
         posteriors=list(posteriors),
         covariances=[[[cov[i][j] for cov in covs] for j in range(3)] for i in range(3)],
-        eta=1.0 / len(scales),
         noise_variance=noise,
         initial_covariance=p0,
         diagonal=all(p0[i][j] == 0.0 for i in range(3) for j in range(3) if i != j)

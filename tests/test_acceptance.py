@@ -247,10 +247,10 @@ def _prop_normalization():
     state = make_state(20, 0.01, EYE)
     for step in range(300):
         like = rng.uniform(1e-6, 1e3, size=20)
-        state = update_posteriors(state, list(like))
+        update_posteriors(state, list(like))
         assert abs(math.fsum(state.posteriors) - 1.0) < 1e-12
         if step % 50 == 49:
-            state = reset(state)
+            reset(state)
             assert abs(math.fsum(state.posteriors) - 1.0) < 1e-12
 
 
@@ -264,7 +264,8 @@ def _prop_bayes_oracle():
         like = rng.uniform(1e-6, 1e3, size=size)
         state = make_state(size, 0.01, EYE)
         state.posteriors = list(prior)
-        got = np.asarray(update_posteriors(state, list(like)).posteriors)
+        update_posteriors(state, list(like))
+        got = np.asarray(state.posteriors)
         oracle = prior * like
         oracle /= oracle.sum()
         worst = max(worst, float(np.max(np.abs(got - oracle))))
@@ -283,7 +284,7 @@ def _prop_blend_oracle():
         # (0, 1, -u_t) has the input u_t exactly.
         state = make_state(size, 0.01, ((0.0,) * 3,) * 3)
         state.posteriors = list(pi)
-        got = blended_control([(0.0, 1.0, -v) for v in u], 0.0, 1.0, 0.0, state, 0.9).u
+        got = blended_control([(0.0, 1.0, -v) for v in u], 0.0, 1.0, 0.0, state, 0.9)
         worst = max(worst, abs(got - float(pi @ u)))
     assert worst < 1e-12
 
@@ -293,15 +294,15 @@ def _prop_covariance_fixed_point():
     state = make_state(15, 0.01, cov)
     eta = state.eta
     assert eta == 1.0 / 15 and state.posteriors == [eta] * 15
-    fixed = update_covariance(state)
+    update_covariance(state)
     assert all(
-        entry == [v0] * 15 for row, row0 in zip(fixed.covariances, cov)
+        entry == [v0] * 15 for row, row0 in zip(state.covariances, cov)
         for entry, v0 in zip(row, row0)
     )
     state.posteriors = [eta / 3.0] * 15
-    doubled = update_covariance(state)
+    update_covariance(state)
     assert all(
-        v == 2.0 * v0 for row, row0 in zip(doubled.covariances, cov)
+        v == 2.0 * v0 for row, row0 in zip(state.covariances, cov)
         for entry, v0 in zip(row, row0) for v in entry
     )
 
@@ -358,7 +359,7 @@ def _prop_residual_variance_separation():
             y_next = plant.step(y, u, truth, noise)
             fh, gh = eval_network(net, y)
             residuals, _ = prediction_errors(state, (fh, gh * u), y_next, grid.vectors)
-            state = bayes_step(state, (fh, gh * u), y_next, grid.vectors)
+            bayes_step(state, (fh, gh * u), y_next, grid.vectors)
             sq_sums += np.square(residuals)
             u = optimal_control(
                 truth, plant.f_value(y_next), plant.g_value(y_next), reference_at(spec, k + 2)

@@ -92,6 +92,20 @@ def test_an_output_flag_without_its_destination_is_a_usage_error(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--lower", "--upper", "--eps"])
+def test_partition_refuses_interval_flags_with_a_config(monkeypatch, capsys, flag):
+    def unparsed(path):
+        raise AssertionError("the flags must be refused before the config is parsed")
+
+    monkeypatch.setattr(dualctl.cli, "parse_config", unparsed)
+    assert main(["partition", "--config", "configs/case1.yaml", flag, "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        "partition: --config cannot be combined with --lower/--upper/--eps"
+    )
+    assert captured.out == ""
+
+
 def test_run_reports_bad_config(tmp_path, capsys):
     bad = tmp_path / "broken.yaml"
     bad.write_text("name: x\n")

@@ -327,6 +327,13 @@ def test_randomize_names_are_validated():
         config_from_dict(raw, base_dir="configs")
 
 
+def test_a_repeated_randomize_channel_is_a_config_error():
+    raw = _template()
+    raw["monte_carlo"] = {"randomize": ["alpha", "alpha", "beta"]}
+    with pytest.raises(ConfigError, match="^config.monte_carlo.randomize: channel 'alpha' is repeated$"):
+        config_from_dict(raw, base_dir="configs")
+
+
 def test_network_path_resolves_relative_to_config(tmp_path):
     raw = _template()
     nested = tmp_path / "sub"

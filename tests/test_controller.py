@@ -18,7 +18,6 @@ from dualctl import (
     optimal_control,
 )
 from dualctl import make_state
-from dualctl.controller import ControlDecision
 
 import oracle
 
@@ -104,15 +103,11 @@ def test_blend_matches_weighted_sum_oracle():
         pi = rng.uniform(0.01, 1.0, size=size)
         pi /= pi.sum()
         inputs = rng.uniform(-50.0, 50.0, size=size)
-        decision = _blend(list(pi), list(inputs))
-        assert decision.u == pytest.approx(float(pi @ inputs), abs=1e-12)
-        assert decision.u_applied == decision.u
-        assert not decision.clipped
+        assert _blend(list(pi), list(inputs)) == pytest.approx(float(pi @ inputs), abs=1e-12)
 
 
 def test_blend_of_identical_inputs_is_that_input():
-    decision = _blend([0.25, 0.5, 0.25], [3.7, 3.7, 3.7])
-    assert decision.u == pytest.approx(3.7, rel=1e-15)
+    assert _blend([0.25, 0.5, 0.25], [3.7, 3.7, 3.7]) == pytest.approx(3.7, rel=1e-15)
 
 
 @given(
@@ -125,27 +120,17 @@ def test_blend_stays_inside_candidate_hull(seed, size):
     pi = rng.uniform(0.0, 1.0, size=size) + 1e-9
     pi /= pi.sum()
     inputs = rng.uniform(-10.0, 10.0, size=size)
-    decision = _blend(list(pi), list(inputs))
-    assert min(inputs) - 1e-12 <= decision.u <= max(inputs) + 1e-12
+    assert min(inputs) - 1e-12 <= _blend(list(pi), list(inputs)) <= max(inputs) + 1e-12
 
 
 def test_blend_clamps_and_reports():
-    decision = _blend([1.0], [12.0], input_clamp=5.0)
-    assert decision.u == 12.0
-    assert decision.u_applied == 5.0
-    assert decision.clipped
-    neg = _blend([1.0], [-12.0], input_clamp=5.0)
-    assert neg.u_applied == -5.0
-
-
-def test_blend_decision_is_immutable_and_compares_by_fields():
-    decision = _blend([0.25, 0.75], [2.0, 6.0], input_clamp=4.0)
-    assert decision == ControlDecision(u=5.0, u_applied=4.0, clipped=True)
-    assert decision != ControlDecision(u=5.0, u_applied=5.0, clipped=False)
-    for field in ("u", "u_applied", "clipped"):
-        with pytest.raises(AttributeError):
-            setattr(decision, field, 0.0)
-    assert (decision.u, decision.u_applied, decision.clipped) == (5.0, 4.0, True)
+    # The applied input is a float: the blend, clamped in magnitude.
+    assert _blend([1.0], [12.0], input_clamp=5.0) == 5.0
+    assert _blend([1.0], [-12.0], input_clamp=5.0) == -5.0
+    # The weighted mean 5.0 is clamped, not each candidate's input.
+    assert _blend([0.25, 0.75], [2.0, 6.0], input_clamp=4.0) == 4.0
+    assert _blend([0.25, 0.75], [2.0, 6.0], input_clamp=5.0) == 5.0
+    assert type(_blend([0.5, 0.5], [1.0, 2.0], input_clamp=9.0)) is float
 
 
 def test_blend_validates_lengths_and_finiteness():
@@ -247,10 +232,7 @@ def test_blended_control_matches_weighted_per_matrix_law(
             call()
         return
     clipped = input_clamp is not None and abs(u) > input_clamp
-    decision = call()
-    assert repr(tuple(decision)) == repr(
-        (u, math.copysign(input_clamp, u) if clipped else u, clipped)
-    )
+    assert repr(call()) == repr(math.copysign(input_clamp, u) if clipped else u)
     inputs = candidate_control_terms(thetas, f_hat, g_hat, y_r, state.covariances, dual_lambda)
     assert list(map(repr, inputs)) == list(map(repr, laws))
 
@@ -266,7 +248,7 @@ def test_zero_input_takes_the_sign_of_the_full_law(f_hat, g_hat):
     state.posteriors = [1.0, 0.0]
     law = oracle.control_law(theta, f_hat, g_hat, 0.2, p0, 0.9)
     assert law == 0.0
-    decision = blended_control([theta, (1.0, 1.0, 0.0)], f_hat, g_hat, 0.2, state, 0.9)
-    assert repr(decision.u) == repr(math.fsum([1.0 * law, 0.0 * oracle.control_law(
+    u = blended_control([theta, (1.0, 1.0, 0.0)], f_hat, g_hat, 0.2, state, 0.9)
+    assert repr(u) == repr(math.fsum([1.0 * law, 0.0 * oracle.control_law(
         (1.0, 1.0, 0.0), f_hat, g_hat, 0.2, p0, 0.9
     )]))

@@ -397,6 +397,11 @@ def test_run_rejects_unknown_controller_and_channel(case1_cfg):
         run_experiment(case1_cfg, randomize=("delta",))
 
 
+def test_run_streams_refuse_a_repeated_channel(case1_cfg):
+    with pytest.raises(ValueError, match="^randomize names channel 'beta' more than once$"):
+        run_streams(case1_cfg, 0, ("beta", "alpha", "beta"))
+
+
 def test_divergence_aborts_with_iteration(case1_cfg):
     raw = config_to_dict(case1_cfg)
     raw["initial_control"] = 1e12  # kicks the output past the guard at once

@@ -94,12 +94,12 @@ def test_gaussian_likelihood_matches_closed_form():
         residuals, variances = prediction_errors(
             state, (0.0, 0.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)]
         )
-        new = bayes_step(state, (0.0, 0.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)])
+        bayes_step(state, (0.0, 0.0), r, [(1.0, 1.0, 0.0), (1.0, 1.0, r)])
         assert residuals == [r, 0.0]
         assert variances == [v, v]
         d0 = math.exp(-r * r / (2 * v)) / math.sqrt(2 * math.pi * v)
         d1 = 1.0 / math.sqrt(2 * math.pi * v)
-        assert new.posteriors[0] == pytest.approx(d0 / (d0 + d1), rel=1e-15)
+        assert state.posteriors[0] == pytest.approx(d0 / (d0 + d1), rel=1e-15)
 
 
 def test_likelihood_rejects_nonpositive_variance():
@@ -145,17 +145,17 @@ def test_posterior_update_matches_brute_force_oracle():
         size = int(rng.integers(1, 61))
         state = _random_state(rng, size)
         like = rng.uniform(1e-6, 50.0, size=size)
-        new = update_posteriors(state, list(like))
         expected = np.asarray(state.posteriors) * like
         expected /= expected.sum()
-        assert np.max(np.abs(np.asarray(new.posteriors) - expected)) < 1e-12
-        assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
+        update_posteriors(state, list(like))
+        assert np.max(np.abs(np.asarray(state.posteriors) - expected)) < 1e-12
+        assert math.fsum(state.posteriors) == pytest.approx(1.0, abs=1e-12)
 
 
 def _gamma_step(state, observed, gammas):
     """bayes_step with zero covariance and regressor (0, 0): candidate t
     has residual ``observed - gammas[t]`` and variance sigma^2."""
-    return bayes_step(state, (0.0, 0.0), observed, [(1.0, 1.0, g) for g in gammas])
+    bayes_step(state, (0.0, 0.0), observed, [(1.0, 1.0, g) for g in gammas])
 
 
 def test_log_domain_update_agrees_with_linear_domain():
@@ -170,10 +170,10 @@ def test_log_domain_update_agrees_with_linear_domain():
             noise_variance=1.0,
         )
         residuals = list(rng.uniform(-3.0, 3.0, size=size - 1)) + [100.0]
-        new = _gamma_step(state, 0.0, [-r for r in residuals])
         lin = np.asarray(state.posteriors) * np.exp(-np.square(residuals) / 2.0)
         lin /= lin.sum()
-        assert np.max(np.abs(np.asarray(new.posteriors) - lin)) < 1e-12
+        _gamma_step(state, 0.0, [-r for r in residuals])
+        assert np.max(np.abs(np.asarray(state.posteriors) - lin)) < 1e-12
 
 
 def test_underflow_raises_then_log_domain_recovers():
@@ -185,10 +185,10 @@ def test_underflow_raises_then_log_domain_recovers():
     # different magnitude still yield a normalized posterior.
     state = make_state(4, 1.0, ZERO)
     residuals = [math.sqrt(2e6), 2000.0, math.sqrt(2e6 + 2.0), math.sqrt(6e6)]
-    new = _gamma_step(state, 0.0, [-r for r in residuals])
-    assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
-    assert new.posteriors[0] > new.posteriors[2] > 0.0
-    assert new.posteriors[2] / new.posteriors[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+    _gamma_step(state, 0.0, [-r for r in residuals])
+    assert math.fsum(state.posteriors) == pytest.approx(1.0, abs=1e-12)
+    assert state.posteriors[0] > state.posteriors[2] > 0.0
+    assert state.posteriors[2] / state.posteriors[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_log_domain_rejects_non_finite_observations():
@@ -207,9 +207,9 @@ def test_posterior_normalization_invariant(size, seed, scale):
     rng = np.random.default_rng(seed)
     state = _random_state(rng, size)
     like = rng.uniform(0.1, 1.0, size=size) * scale
-    new = update_posteriors(state, list(like))
-    assert abs(math.fsum(new.posteriors) - 1.0) < 1e-12
-    assert all(p >= 0 for p in new.posteriors)
+    update_posteriors(state, list(like))
+    assert abs(math.fsum(state.posteriors) - 1.0) < 1e-12
+    assert all(p >= 0 for p in state.posteriors)
 
 
 def test_update_rejects_wrong_length_or_bad_values():
@@ -224,9 +224,9 @@ def test_update_rejects_wrong_length_or_bad_values():
 
 def test_covariance_fixed_point_at_uniform_mass_is_bit_exact():
     state = make_state(15, 0.01, COV)  # uniform posteriors at eta = 1/15
-    out = update_covariance(state)
-    assert _matrices(out) == [[list(r) for r in COV]] * 15  # log2(1 + 1) == 1.0 exactly
-    assert _max_entries(out) == _max_entries(state)
+    update_covariance(state)
+    assert _matrices(state) == [[list(r) for r in COV]] * 15  # log2(1 + 1) == 1.0 exactly
+    assert _max_entries(state) == [3.5] * 15
 
 
 def test_covariance_doubles_at_one_third_of_uniform_mass():
@@ -234,34 +234,34 @@ def test_covariance_doubles_at_one_third_of_uniform_mass():
     eta = state.eta
     assert eta == 0.2
     state.posteriors = [eta / 3.0] * 5
-    out = update_covariance(state)
-    for cov in _matrices(out):
+    update_covariance(state)
+    for cov in _matrices(state):
         for row, row0 in zip(cov, COV):
             for v, v0 in zip(row, row0):
                 assert v == 2.0 * v0  # log2(3 + 1) == 2.0 exactly
-    assert _max_entries(out) == [2.0 * 3.5] * 5
+    assert _max_entries(state) == [2.0 * 3.5] * 5
 
 
 def test_covariance_growth_saturates():
     cov = ((1e11, 0.0, 0.0), (0.0, 1e11, 0.0), (0.0, 0.0, 1e11))
-    state = replace(make_state(2, 0.01, cov), eta=0.1)
-    state.posteriors = [1e-300, 1.0]
-    out = update_covariance(state)
-    peak = max(abs(v) for row in _matrices(out)[0] for v in row)
+    state = make_state(10, 0.01, cov)  # eta = 0.1
+    state.posteriors = [1e-300, 1.0] + [0.0] * 8
+    update_covariance(state)
+    peak = max(abs(v) for row in _matrices(state)[0] for v in row)
     assert peak <= 1e12 * (1 + 1e-12)
-    assert _peak_position_entries(out)[0] == peak
+    assert _peak_position_entries(state)[0] == peak
 
 
 @given(
     pi=st.floats(1e-12, 1.0, allow_nan=False),
-    eta=st.floats(1e-3, 0.5, allow_nan=False),
+    size=st.integers(2, 1000),  # eta = 1 / size
 )
 @settings(max_examples=200)
-def test_covariance_factor_monotone_in_posterior(pi, eta):
-    state = replace(make_state(2, 0.01, EYE), eta=eta)
-    state.posteriors = [pi, min(pi * 2, 1.0)]
-    p00 = update_covariance(state).covariances[0][0]
-    lo, hi = p00
+def test_covariance_factor_monotone_in_posterior(pi, size):
+    state = make_state(size, 0.01, EYE)
+    state.posteriors = [pi, min(pi * 2, 1.0)] + [0.0] * (size - 2)
+    update_covariance(state)
+    lo, hi = state.covariances[0][0][:2]
     assert hi <= lo + 1e-15  # more mass, less inflation
 
 
@@ -286,14 +286,14 @@ def test_peaks_track_max_entry_through_rescales_and_resets(size, seed, scale, op
     state = make_state(size, 0.01, _symmetric_pd(rng, scale))
     for op in ops:
         if op == "reset":
-            state = reset(state)
+            reset(state)
         else:
             # Skewed posteriors with exact zeros: candidates shrink, grow and
             # hit the cap.
             pi = rng.uniform(size=size) ** 8
             pi[rng.uniform(size=size) < 0.3] = 0.0
             state.posteriors = list(pi / pi.sum()) if pi.sum() > 0 else [1.0 / size] * size
-            state = update_covariance(state)
+            update_covariance(state)
         # update_covariance reads each candidate's peak at this position.
         assert _peak_position_entries(state) == _max_entries(state)
         for i in range(3):
@@ -327,7 +327,7 @@ def test_fused_stages_match_per_matrix_oracle(p0):
         if step % 37 == 36:
             observed += 1e3
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
-        state = bayes_step(state, regressor, observed, thetas)
+        bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, used_log = oracle.bayes_step(
             state, posteriors, covs, phi, observed, thetas
         )
@@ -344,11 +344,11 @@ def test_fused_stages_match_per_matrix_oracle(p0):
         ]
 
         if step == 250:
-            state = reset(state)
+            reset(state)
             posteriors = [1.0 / size] * size
             covs = [[list(row) for row in p0] for _ in range(size)]
             seen["reset"] += 1
-        state = update_covariance(state)
+        update_covariance(state)
         rescaled = [
             oracle.update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, posteriors)
         ]
@@ -382,13 +382,13 @@ def test_reset_policy_validation():
 
 def test_reset_restores_uniform_and_initial_covariance():
     state = make_state(6, 0.01, EYE)
-    state = update_posteriors(state, [10.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    state = update_covariance(state)
+    update_posteriors(state, [10.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    update_covariance(state)
     assert state.covariances[0][0][0] < 1.0 < state.covariances[0][0][1]
-    fresh = reset(state)
-    assert fresh.posteriors == [1.0 / 6] * 6
-    assert fresh.covariances == _layout(EYE, 6)
-    assert _max_entries(fresh) == [1.0] * 6
+    reset(state)
+    assert state.posteriors == [1.0 / 6] * 6
+    assert state.covariances == _layout(EYE, 6)
+    assert _max_entries(state) == [1.0] * 6
 
 
 def test_bayes_step_reports_residuals_and_variances():
@@ -397,7 +397,7 @@ def test_bayes_step_reports_residuals_and_variances():
     phi = (0.5, -1.0, 1.0)
     observed = 0.3
     residuals, variances = prediction_errors(state, phi[:2], observed, thetas)
-    new = bayes_step(state, phi[:2], observed, thetas)
+    bayes_step(state, phi[:2], observed, thetas)
     for t, theta in enumerate(thetas):
         pred = theta[0] * phi[0] + theta[1] * phi[1] + theta[2] * phi[2]
         assert residuals[t] == pytest.approx(observed - pred, abs=1e-15)
@@ -406,8 +406,8 @@ def test_bayes_step_reports_residuals_and_variances():
         )
     # The closer candidate gains mass.
     better = min(range(2), key=lambda t: abs(residuals[t]))
-    assert new.posteriors[better] > 0.5
-    assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
+    assert state.posteriors[better] > 0.5
+    assert math.fsum(state.posteriors) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bayes_step_switches_to_log_domain_on_underflow():
@@ -416,9 +416,9 @@ def test_bayes_step_switches_to_log_domain_on_underflow():
     phi = (1.0, 0.0)
     # Both candidates are hundreds of sigma away: every density underflows,
     # yet the step must return a normalized posterior favoring the closer one.
-    new = bayes_step(state, phi, 2000.0, thetas)
-    assert math.fsum(new.posteriors) == pytest.approx(1.0, abs=1e-12)
-    assert new.posteriors[1] > 0.999
+    bayes_step(state, phi, 2000.0, thetas)
+    assert math.fsum(state.posteriors) == pytest.approx(1.0, abs=1e-12)
+    assert state.posteriors[1] > 0.999
 
 
 def test_bayes_step_checks_candidate_count():
@@ -427,22 +427,28 @@ def test_bayes_step_checks_candidate_count():
         bayes_step(state, (1.0, 1.0), 0.0, [(1.0, 1.0, 0.0)])
 
 
-def test_successor_states_leave_their_input_untouched():
-    # Each stage returns a new state; a caller that keeps the old one (a
-    # trace, a retry) must see it as it was.
+def test_stages_update_only_the_state_they_are_given():
+    # The stages write into their state and return None.  Two states from
+    # separate make_state calls share no list, so stepping one leaves the
+    # other as it was, with a diagonal P0 and with a cross entry.
     thetas = [(1.0, 1.0, 0.0), (0.8, 1.2, 0.1), (1.0, 1.0, 50.0)]
-    state = update_covariance(update_posteriors(make_state(3, 0.04, COV), [4.0, 1.0, 0.5]))
     steps = [
+        lambda s: update_posteriors(s, [4.0, 1.0, 0.5]),
+        update_covariance,
         lambda s: bayes_step(s, (0.5, -1.0), 0.3, thetas),
         lambda s: bayes_step(s, (1.0, 0.0), 2000.0, thetas),  # log domain
         update_covariance,
         reset,
     ]
-    for step in steps:
-        before = copy.deepcopy(state)
-        after = step(state)
-        assert state == before
-        assert after is not state and after != state
+    for p0 in (EYE, COV):
+        stepped, other = make_state(3, 0.04, p0), make_state(3, 0.04, p0)
+        untouched = copy.deepcopy(other)
+        for step in steps:
+            before = copy.deepcopy(stepped)
+            assert step(stepped) is None
+            assert stepped != before
+            assert other == untouched
+        assert stepped == untouched
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +509,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
             assert str(info.value).startswith(expected_error)
             return
         residuals, variances = prediction_errors(state, regressor, observed, thetas)
-        state = bayes_step(state, regressor, observed, thetas)
+        bayes_step(state, regressor, observed, thetas)
         posteriors, o_residuals, o_variances, _ = oracle.bayes_step(
             state, posteriors, covs, (*regressor, 1.0), observed, thetas
         )
@@ -520,7 +526,7 @@ def test_diagonal_loops_match_per_matrix_oracles(
             for theta, cov in zip(thetas, covs)
         ]
 
-        state = update_covariance(state)
+        update_covariance(state)
         covs = [oracle.update_covariance(cov, p, state.eta)[0] for cov, p in zip(covs, posteriors)]
         assert [list(map(repr, e)) for row in state.covariances for e in row] == [
             [repr(cov[i][j]) for cov in covs] for i in range(3) for j in range(3)
@@ -530,19 +536,16 @@ def test_diagonal_loops_match_per_matrix_oracles(
 @given(
     size=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
-    eta_below_floor=st.booleans(),
     cross=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floor, cross):
+def test_saturated_rescale_matches_the_factor_formula(size, seed, cross):
     rng = np.random.default_rng(seed)
     # With cross, P0 has a nonzero (0, 1) entry and runs the general path;
     # its (0, 2) and (1, 2) entries stay zero.
     c = 0.5 if cross else 0.0
     p0 = ((COVARIANCE_CAP, c, 0.0), (c, 0.25, 0.0), (0.0, 0.0, 3.0))
     state = make_state(size, 0.01, p0)
-    if eta_below_floor:
-        state = replace(state, eta=1e-305)
     eta = state.eta
     # At the cap: pi == eta, pi at or below the floor, and pi either side of eta.
     choices = [eta, 0.0, POSTERIOR_FLOOR, 1e-310, eta * 0.5, eta * 1.5, float(rng.uniform())]
@@ -551,23 +554,15 @@ def test_saturated_rescale_matches_the_factor_formula(size, seed, eta_below_floo
     for t in range(size):
         if not rng.uniform() < 0.8:
             state.covariances[0][0][t] = 1.0
-    covs = _matrices(state)
-    before = copy.deepcopy(state)
-    out = update_covariance(state)
     expected = [
-        oracle.update_covariance(cov, pi, eta)[0] for cov, pi in zip(covs, state.posteriors)
+        oracle.update_covariance(cov, pi, eta)[0]
+        for cov, pi in zip(_matrices(state), state.posteriors)
     ]
-    assert [[list(map(repr, row)) for row in cov] for cov in _matrices(out)] == [
+    update_covariance(state)
+    assert [[list(map(repr, row)) for row in cov] for cov in _matrices(state)] == [
         [list(map(repr, row)) for row in cov] for cov in expected
     ]
-    assert _max_entries(out) == [max(abs(v) for row in cov for v in row) for cov in expected]
-    # The rescale works on copies: the input keeps its contents, and the
-    # lists that are zero in P0 come back as the same objects.
-    assert state == before
-    for i in range(3):
-        for j in range(3):
-            shared = out.covariances[i][j] is state.covariances[i][j]
-            assert shared == (p0[i][j] == 0.0), (i, j)
+    assert _max_entries(state) == [max(abs(v) for row in cov for v in row) for cov in expected]
 
 
 def test_negative_largest_entry_caps_as_the_per_matrix_rescale():
@@ -582,7 +577,7 @@ def test_negative_largest_entry_caps_as_the_per_matrix_rescale():
     covs = _matrices(state)
     first_capped = [None] * 4
     for step in range(1, 13):
-        state = update_covariance(state)
+        update_covariance(state)
         rescaled = [
             oracle.update_covariance(cov, pi, state.eta) for cov, pi in zip(covs, state.posteriors)
         ]
@@ -660,9 +655,8 @@ def test_products_pass_and_prediction_errors_match_oracles(
         with pytest.raises(StateError, match="log-posteriors are not finite"):
             bayes_step(state, regressor, observed, thetas)
         return
-    new = bayes_step(state, regressor, observed, thetas)
-    assert list(map(repr, new.posteriors)) == list(map(repr, o_posteriors))
-    assert new.diagonal == state.diagonal
+    bayes_step(state, regressor, observed, thetas)
+    assert list(map(repr, state.posteriors)) == list(map(repr, o_posteriors))
 
 
 # Both Bayes branches turn a NaN normalizing total into a StateError that names
@@ -707,6 +701,7 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
     # One candidate's log-posterior is -inf (r * r overflows over the noise),
     # the other's is NaN (an infinite r * r over an infinite variance).  max()
     # keeps a -inf that comes first, so the order decides which error is raised.
+    # Either way the step raises before it writes, so the state is as it was.
     regressor, observed = (1e200, 1e200), 1e200
     cases = [
         ([0.0, 1.0], [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], r"log-posteriors are not finite \(max"),
@@ -714,8 +709,10 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
     ]
     for scales, thetas, message in cases:
         state, _ = oracle.scaled_state(p0, scales, [0.5, 0.5], 0.01)
+        before = copy.deepcopy(state)
         with pytest.raises(StateError, match=f"^{message}"):
             bayes_step(state, regressor, observed, thetas)
+        assert state == before
 
 
 # The diagonal pass sums its products 2**100 times larger; a total that is zero
@@ -724,16 +721,16 @@ def test_a_nan_density_behind_an_infinite_log_posterior_max(p0):
 
 
 def _scaled_sum_step(monkeypatch, state, regressor, observed, thetas):
-    """bayes_step, the oracle's posteriors, and whether the step handed off."""
+    """Whether bayes_step handed off; it must give the oracle's posteriors."""
     handoffs, general = [], learner._general_step
     monkeypatch.setattr(learner, "_general_step", lambda *a: handoffs.append(1) or general(*a))
     o_posteriors, _, _, used_log = oracle.bayes_step(
         state, state.posteriors, _matrices(state), (*regressor, 1.0), observed, thetas
     )
     assert not used_log
-    new = bayes_step(state, regressor, observed, thetas)
-    assert list(map(repr, new.posteriors)) == list(map(repr, o_posteriors))
-    return new, bool(handoffs)
+    bayes_step(state, regressor, observed, thetas)
+    assert list(map(repr, state.posteriors)) == list(map(repr, o_posteriors))
+    return bool(handoffs)
 
 
 def test_scaled_sum_of_a_subnormal_total_is_the_unscaled_one(monkeypatch):
@@ -747,8 +744,7 @@ def test_scaled_sum_of_a_subnormal_total_is_the_unscaled_one(monkeypatch):
     thetas = [(1.0, 1.0, g) for g in gammas]
     products = [POSTERIOR_FLOOR * oracle.likelihood(g, 1.0) for g in gammas]
     assert 0.0 < math.fsum(products) < sys.float_info.min
-    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
-    assert not handed_off
+    assert not _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
 
 
 @pytest.mark.parametrize(
@@ -776,8 +772,7 @@ def test_scaled_sum_that_overflows_is_summed_unscaled(monkeypatch, posterior, ou
         with pytest.raises(OverflowError):
             bayes_step(state, (0.0, 0.0), 0.0, thetas)
         return
-    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
-    assert handed_off
+    assert _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
 
 
 def test_largest_density_stays_finite_at_the_scale(monkeypatch):
@@ -791,11 +786,10 @@ def test_largest_density_stays_finite_at_the_scale(monkeypatch):
     peak = oracle.likelihood(0.0, 5e-324)
     assert peak > 1.7e161
     assert math.fsum([peak * 2.0**100] * MAX_GRID_SIZE) < 1e196
-    _, handed_off = _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
-    assert not handed_off
+    assert not _scaled_sum_step(monkeypatch, state, (0.0, 0.0), 0.0, thetas)
 
 
-def test_make_state_sets_the_diagonal_flag_and_successors_carry_it():
+def test_make_state_sets_the_diagonal_flag_and_the_stages_keep_it():
     assert make_state(3, 0.01, EYE).diagonal
     assert make_state(3, 0.01, ((1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 0.0, 1.0))).diagonal
     assert not make_state(3, 0.01, COV).diagonal
@@ -803,11 +797,12 @@ def test_make_state_sets_the_diagonal_flag_and_successors_carry_it():
     tiny_negative = ((-1e-10, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 5e-11))
     assert not make_state(3, 0.01, tiny_negative).diagonal
     assert make_state(3, 0.01, ((-0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -0.0))).diagonal
-    # Every successor carries the flag over.
+    # No stage touches the flag.
     state = make_state(3, 0.04, COV)
-    state = bayes_step(state, (0.5, -1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
-    for successor in (update_covariance(state), reset(state)):
-        assert successor.diagonal is False
+    bayes_step(state, (0.5, -1.0), 0.3, [(1.0, 1.0, 0.0)] * 3)
+    update_covariance(state)
+    reset(state)
+    assert state.diagonal is False
 
 
 def test_make_state_checks_p0_as_one_matrix():
